@@ -3,8 +3,8 @@
 The make_* functions build standard examples from raw tables and refuse
 broken input with an error naming the failed condition.  The random_*
 generators are deterministic in their GeneratorSpec: equal specs give
-bit-identical structures, and outputs are asserted valid before they
-are returned.
+bit-identical structures, and outputs are validated before they are
+returned; a failure raises IntegrityError.
 
 enumerate_bundle_morphisms and enumerate_ggts are brute-force oracles.
 They deliberately share no code with morphism_to_ggt, ggt_to_morphism
@@ -22,10 +22,17 @@ import os
 import random
 from dataclasses import dataclass
 
-from .bundles import PrincipalBundle, unit_bundle, validate_bundle
+from .bundles import (
+    IntegrityError,
+    PrincipalBundle,
+    division_map,
+    unit_bundle,
+    validate_bundle,
+)
 from .core import (
     FiniteGroupoid,
     GroupoidMorphism,
+    ValidationReport,
     isotropy_group,
     pair_id,
     validate_groupoid,
@@ -62,6 +69,13 @@ class GeneratorError(RuntimeError):
 
 class OracleBoundError(RuntimeError):
     """An enumeration oracle refused an input above its bounds."""
+
+
+def _require_valid(report: ValidationReport, what: str) -> None:
+    # A self-check on built output; raised rather than asserted so that
+    # it also runs under python -O.
+    if not report.ok:
+        raise IntegrityError(f"built {what} fails validation:\n{report.render()}")
 
 
 def _cyclic(n: int) -> dict[tuple[str, str], str]:
@@ -253,8 +267,7 @@ def make_action_groupoid(
         inverse,
         compose,
     )
-    report = validate_groupoid(G)
-    assert report.ok, report.render()
+    _require_valid(validate_groupoid(G), "groupoid")
     return G
 
 
@@ -270,73 +283,39 @@ def make_gauge_groupoid_example(
     Arrows are diagonal orbits [p, q] of pairs of total points, from the
     base point under q to the one under p; composition transports the
     second factor through the unique group element matching the middle
-    points.  The input action must be free and transitive on fibers.
+    points.  The input must make a principal bundle over the group; the
+    refusal names the first violation validate_bundle finds.
     """
     group = make_group_groupoid(table)
-    e = next(iter(group.unit.values()))
+    (obj,) = group.objects
     elements = sorted(group.arrows)
-    total = sorted(total)
-    base = sorted(base)
-    for p in total:
-        if projection.get(p) not in base:
-            raise ValueError(f"projection missing or dangling at {p!r}")
-        for g in elements:
-            if (p, g) not in action:
-                raise ValueError(f"action table missing entry ({p!r}, {g!r})")
-            if action[(p, g)] not in total:
-                raise ValueError(f"action value {action[(p, g)]!r} not a point")
-    covered = {projection[p] for p in total}
-    for m in base:
-        if m not in covered:
-            raise ValueError(f"projection misses base point {m!r}")
-    for p in total:
-        if action[(p, e)] != p:
-            raise ValueError(f"identity does not fix {p!r}")
-        for g1 in elements:
-            for g2 in elements:
-                if action[(action[(p, g1)], g2)] != action[(p, table[(g1, g2)])]:
-                    raise ValueError(
-                        f"action not compatible at ({p!r}, {g1!r}, {g2!r})"
-                    )
-        for g in elements:
-            if projection[action[(p, g)]] != projection[p]:
-                raise ValueError(f"action leaves the fiber at ({p!r}, {g!r})")
-            if action[(p, g)] == p and g != e:
-                raise ValueError(f"not principal: not free at ({p!r}, {g!r})")
-    fibers: dict[str, list[str]] = {}
-    for p in total:
-        fibers.setdefault(projection[p], []).append(p)
-    for m, fib in sorted(fibers.items()):
-        for p in fib:
-            reach = {action[(p, g)] for g in elements}
-            for q in fib:
-                if q not in reach:
-                    raise ValueError(
-                        f"not principal: fiber over {m!r} not transitive at "
-                        f"({p!r}, {q!r})"
-                    )
+    B = PrincipalBundle(
+        groupoid=group,
+        total=frozenset(total),
+        base=frozenset(base),
+        projection=dict(projection),
+        momentum={p: obj for p in total},
+        act=dict(action),
+    )
+    report = validate_bundle(B)
+    if not report.ok:
+        raise ValueError(f"not a principal bundle: {report.violations[0]}")
 
     def orbit_rep(p: str, q: str) -> tuple[str, str]:
         return min((action[(p, g)], action[(q, g)]) for g in elements)
-
-    def transporter(p: str, q: str) -> str:
-        for g in elements:
-            if action[(p, g)] == q:
-                return g
-        raise AssertionError("transitivity was checked above")
 
     reps = sorted({orbit_rep(p, q) for p in total for q in total})
     aid = {rep: pair_id(*rep) for rep in reps}
     source = {aid[(p, q)]: projection[q] for p, q in reps}
     target = {aid[(p, q)]: projection[p] for p, q in reps}
-    unit = {m: aid[orbit_rep(fib[0], fib[0])] for m, fib in sorted(fibers.items())}
+    unit = {m: aid[orbit_rep(B.fiber(m)[0], B.fiber(m)[0])] for m in sorted(base)}
     inverse = {aid[(p, q)]: aid[orbit_rep(q, p)] for p, q in reps}
     compose = {}
     for p1, q1 in reps:
         for p2, q2 in reps:
             if projection[q1] != projection[p2]:
                 continue
-            g = transporter(p2, q1)
+            g = division_map(B, p2, q1)
             compose[(aid[(p1, q1)], aid[(p2, q2)])] = aid[
                 orbit_rep(p1, action[(q2, g)])
             ]
@@ -349,8 +328,7 @@ def make_gauge_groupoid_example(
         inverse,
         compose,
     )
-    report = validate_groupoid(G)
-    assert report.ok, report.render()
+    _require_valid(validate_groupoid(G), "groupoid")
     return G
 
 
@@ -361,7 +339,6 @@ class GeneratorSpec:
     seed: int
     max_objects: int = 4
     max_group_order: int = 6
-    max_base: int = 4
     max_total: int = 16
 
 
@@ -431,8 +408,7 @@ def random_groupoid(spec: GeneratorSpec) -> FiniteGroupoid:
         inverse,
         compose,
     )
-    report = validate_groupoid(G)
-    assert report.ok, report.render()
+    _require_valid(validate_groupoid(G), "groupoid")
     return G
 
 
@@ -484,8 +460,7 @@ def random_bundle(G: FiniteGroupoid, base_size: int, spec: GeneratorSpec) -> Pri
         momentum=momentum,
         act=act,
     )
-    report = validate_bundle(B)
-    assert report.ok, report.render()
+    _require_valid(validate_bundle(B), "bundle")
     return B
 
 
@@ -596,8 +571,7 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
             raise GeneratorError(
                 f"cheapest bibundle needs {total} points, bound is {spec.max_total}"
             )
-    report = validate_morphism(morphism)
-    assert report.ok, report.render()
+    _require_valid(validate_morphism(morphism), "groupoid morphism")
 
     h = hs_from_groupoid_morphism(morphism)
     shuffled = sorted(h.bundle.total)
@@ -617,8 +591,7 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
         bundle,
         {(g, label[p]): label[q] for (g, p), q in h.left_act.items()},
     )
-    report = validate_hs(relabeled)
-    assert report.ok, report.render()
+    _require_valid(validate_hs(relabeled), "bibundle")
     return relabeled
 
 

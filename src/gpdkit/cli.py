@@ -201,7 +201,6 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         max_objects=args.max_objects,
         max_group_order=args.max_group_order,
-        max_base=args.max_base,
         max_total=args.max_total,
     )
     if args.what == "groupoid":
@@ -304,7 +303,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-objects", type=int, default=4)
     p.add_argument("--max-group-order", type=int, default=6)
-    p.add_argument("--max-base", type=int, default=4)
     p.add_argument("--max-total", type=int, default=16)
     p.add_argument("--base", type=int, default=2, help="base size for gen bundle")
     p.add_argument("--groupoid", metavar="FILE", help="structure groupoid for gen bundle")

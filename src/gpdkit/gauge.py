@@ -22,6 +22,10 @@ whose value does not depend on the interpolating point p2; evaluation
 picks the least p2 and re-checks independence on the others.  Bundles
 with GGTs as arrows form a groupoid, built here explicitly with GGTs
 interned by content so it can be fed back to validate_groupoid.
+
+This module is the one place that assembles gauge groupoids and
+tabulates gauge groups.  The bibundle versions in hs are the same
+constructions with the arrows or elements filtered by left invariance.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .bundles import IntegrityError, PrincipalBundle, division_map
 from .core import FiniteGroupoid, ValidationReport, _check_total
@@ -166,19 +171,24 @@ def validate_ggt(K: GGT) -> ValidationReport:
         elif K.values[key] not in G.arrows:
             r.add("table.values.dangling", *key, K.values[key])
 
+    misfooted = set()
     for (p1, p2) in pairs:
         k = K.values.get((p1, p2))
         if k is None or k not in G.arrows:
             continue
         if G.source.get(k) != B1.momentum.get(p1):
             r.add("ggt.source", p1, p2)
+            misfooted.add((p1, p2))
         if G.target.get(k) != B2.momentum.get(p2):
             r.add("ggt.target", p1, p2)
+            misfooted.add((p1, p2))
 
+    # A value with the wrong endpoints cannot be multiplied by the moving
+    # arrows; it is already reported, so equivariance skips it.
     by_target = G.by_target()
     for (p1, p2) in pairs:
         k = K.values.get((p1, p2))
-        if k is None or k not in G.arrows:
+        if k is None or k not in G.arrows or (p1, p2) in misfooted:
             continue
         for g1 in by_target.get(B1.momentum.get(p1), ()):
             q1 = B1.act.get((p1, g1))
@@ -340,16 +350,15 @@ class GaugeGroup:
         return len(self.elements)
 
 
-def _gauge_key(values: dict[str, str]) -> tuple:
+def _content_key(values: dict) -> tuple:
     return tuple(sorted(values.items()))
 
 
-def gauge_group(B: PrincipalBundle) -> GaugeGroup:
-    """Enumerate every gauge transformation of B and tabulate the group.
+def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
+    """Every gauge transformation of B, re-validated, in content order.
 
     A gauge transformation is fixed by one isotropy choice per fiber:
     values spread from a fiber representative r through G(r.g) = g^-1 c g.
-    Each candidate is re-validated before being admitted.
     """
     import itertools
 
@@ -384,23 +393,45 @@ def gauge_group(B: PrincipalBundle) -> GaugeGroup:
                 + report.render()
             )
         elements.append(t)
-    elements.sort(key=lambda t: _gauge_key(t.values))
+    elements.sort(key=lambda t: _content_key(t.values))
+    return elements
 
-    index = {_gauge_key(t.values): i for i, t in enumerate(elements)}
-    unit_values = {p: G.unit[B.momentum[p]] for p in sorted(B.total)}
-    unit = index[_gauge_key(unit_values)]
+
+def _tabulate(
+    B: PrincipalBundle, elements: list[GaugeTransformation]
+) -> GaugeGroup:
+    """The unit, product and inverse tables of a set of gauge
+    transformations of B; any of them falling outside the set is an
+    IntegrityError naming which."""
+    G = B.groupoid
+    points = sorted(B.total)
+    index = {_content_key(t.values): i for i, t in enumerate(elements)}
+
+    def find(values: dict[str, str], what: str) -> int:
+        found = index.get(_content_key(values))
+        if found is None:
+            raise IntegrityError(f"{what} missing from the gauge transformations")
+        return found
+
+    unit = find({p: G.unit[B.momentum[p]] for p in points}, "unit")
     product = {}
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
-            combined = {
-                p: G.mul(a.values[p], b.values[p]) for p in sorted(B.total)
-            }
-            product[(i, j)] = index[_gauge_key(combined)]
-    inverse = []
-    for t in elements:
-        inv_values = {p: G.inv(t.values[p]) for p in sorted(B.total)}
-        inverse.append(index[_gauge_key(inv_values)])
-    return GaugeGroup(B, tuple(elements), product, unit, tuple(inverse))
+            combined = {p: G.mul(a.values[p], b.values[p]) for p in points}
+            product[(i, j)] = find(combined, f"product of elements {i} and {j}")
+    inverse = tuple(
+        find({p: G.inv(t.values[p]) for p in points}, f"inverse of element {i}")
+        for i, t in enumerate(elements)
+    )
+    return GaugeGroup(B, tuple(elements), product, unit, inverse)
+
+
+def gauge_group(B: PrincipalBundle) -> GaugeGroup:
+    """Enumerate every gauge transformation of B and tabulate the group.
+
+    Each candidate is re-validated before being admitted.
+    """
+    return _tabulate(B, _gauge_elements(B))
 
 
 def check_division_invariance(f: BundleMorphism) -> ValidationReport:
@@ -447,8 +478,6 @@ def build_gauge_groupoid(
     units by identity_ggt and inversion by invert_ggt; any composite or
     unit missing from the enumerated arrows is an IntegrityError.
     """
-    from .builders import enumerate_ggts
-
     if not bundles:
         raise ValueError("need at least one bundle")
     for B in bundles[1:]:
@@ -458,33 +487,49 @@ def build_gauge_groupoid(
         ids = [f"P{i}" for i in range(len(bundles))]
     if len(ids) != len(bundles) or len(set(ids)) != len(ids):
         raise ValueError("need one distinct id per bundle")
+    return _assemble(bundles, ids, lambda i, j, K: True)
+
+
+def _assemble(
+    bundles: list[PrincipalBundle],
+    ids: list[str],
+    keep: Callable[[int, int, GGT], bool],
+) -> GaugeGroupoid:
+    """The gauge groupoid on the enumerated GGTs K from bundles[i] to
+    bundles[j] with keep(i, j, K).  Units, inverses and star composites
+    are looked up among the kept arrows; one not kept is an IntegrityError.
+    """
+    from .builders import enumerate_ggts
 
     arrows: dict[str, GGT] = {}
     by_key: dict[tuple, str] = {}
     homs: dict[tuple[int, int], list[str]] = {}
 
     def intern(i: int, j: int, K: GGT) -> str:
-        key = (i, j, tuple(sorted(K.values.items())))
+        key = (i, j, _content_key(K.values))
         found = by_key.get(key)
         if found is not None:
             return found
         aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, K.values)}"
+        if aid in arrows:
+            raise IntegrityError(f"arrow id {aid!r} names two different GGTs")
         by_key[key] = aid
         arrows[aid] = K
         return aid
 
-    def lookup(i: int, j: int, K: GGT) -> str:
-        key = (i, j, tuple(sorted(K.values.items())))
-        found = by_key.get(key)
+    def lookup(i: int, j: int, K: GGT, what: str) -> str:
+        found = by_key.get((i, j, _content_key(K.values)))
         if found is None:
             raise IntegrityError(
-                f"composite or unit GGT missing from hom({ids[i]}, {ids[j]})"
+                f"{what} GGT missing from hom({ids[i]}, {ids[j]})"
             )
         return found
 
     for i, Bi in enumerate(bundles):
         for j, Bj in enumerate(bundles):
-            homs[(i, j)] = [intern(i, j, K) for K in enumerate_ggts(Bi, Bj)]
+            homs[(i, j)] = [
+                intern(i, j, K) for K in enumerate_ggts(Bi, Bj) if keep(i, j, K)
+            ]
 
     source = {}
     target = {}
@@ -493,13 +538,13 @@ def build_gauge_groupoid(
             source[aid] = ids[i]
             target[aid] = ids[j]
     unit = {
-        ids[i]: lookup(i, i, identity_ggt(B)) for i, B in enumerate(bundles)
+        ids[i]: lookup(i, i, identity_ggt(B), "unit") for i, B in enumerate(bundles)
     }
     inverse = {}
     compose = {}
     for (i, j), names in sorted(homs.items()):
         for aid in names:
-            inverse[aid] = lookup(j, i, invert_ggt(arrows[aid]))
+            inverse[aid] = lookup(j, i, invert_ggt(arrows[aid]), "inverse")
     for (j, k), names2 in sorted(homs.items()):
         for (i, j2), names1 in sorted(homs.items()):
             if j2 != j:
@@ -507,7 +552,7 @@ def build_gauge_groupoid(
             for a2 in names2:
                 for a1 in names1:
                     composite = star(arrows[a2], arrows[a1])
-                    compose[(a2, a1)] = lookup(i, k, composite)
+                    compose[(a2, a1)] = lookup(i, k, composite, "composite")
 
     groupoid = FiniteGroupoid(
         objects=frozenset(ids),

@@ -11,6 +11,9 @@ left equivariant, GGTs that are invariant under the diagonal left
 action, and gauge transformations constant on left orbits.  The
 morphism/GGT correspondence restricts along with them, and the
 invariant GGTs form their own groupoid inside the bundle-level one.
+That groupoid and the invariant gauge group are the bundle-level
+constructions of gauge, with the arrows or elements filtered by left
+invariance; no composition or lookup code lives here.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from .gauge import (
     GaugeGroup,
     GaugeGroupoid,
     GaugeTransformation,
-    _gauge_key,
-    gauge_group,
+    _assemble,
+    _gauge_elements,
+    _tabulate,
     morphism_to_ggt,
     ggt_to_morphism,
     validate_bundle_morphism,
@@ -340,29 +344,8 @@ def _is_left_invariant_gauge(h: HSMorphism, t: GaugeTransformation) -> bool:
 def hs_gauge_group(h: HSMorphism) -> GaugeGroup:
     """Gauge transformations of the bundle that are constant on left
     orbits, as a subgroup of gauge_group(h.bundle)."""
-    full = gauge_group(h.bundle)
-    kept = [t for t in full.elements if _is_left_invariant_gauge(h, t)]
-    index = {_gauge_key(t.values): i for i, t in enumerate(kept)}
-    G = h.bundle.groupoid
-    product = {}
-    for i, a in enumerate(kept):
-        for j, b in enumerate(kept):
-            combined = {
-                p: G.mul(a.values[p], b.values[p]) for p in sorted(h.bundle.total)
-            }
-            key = _gauge_key(combined)
-            if key not in index:
-                raise IntegrityError("invariant gauge transformations not closed")
-            product[(i, j)] = index[key]
-    unit_values = {
-        p: G.unit[h.bundle.momentum[p]] for p in sorted(h.bundle.total)
-    }
-    unit = index[_gauge_key(unit_values)]
-    inverse = []
-    for t in kept:
-        inv_values = {p: G.inv(t.values[p]) for p in sorted(h.bundle.total)}
-        inverse.append(index[_gauge_key(inv_values)])
-    return GaugeGroup(h.bundle, tuple(kept), product, unit, tuple(inverse))
+    kept = [t for t in _gauge_elements(h.bundle) if _is_left_invariant_gauge(h, t)]
+    return _tabulate(h.bundle, kept)
 
 
 def build_hs_gauge_groupoid(
@@ -370,14 +353,11 @@ def build_hs_gauge_groupoid(
 ) -> GaugeGroupoid:
     """The gauge groupoid with arrows cut down to left invariant GGTs.
 
-    Shares the arrow naming scheme with build_gauge_groupoid, so its
-    arrow set is comparable with (and contained in) the bundle-level
-    one for the same bundle list.  Star composites are re-checked to be
-    invariant rather than assumed.
+    The assembly of build_gauge_groupoid, keeping the GGTs that
+    is_left_invariant_ggt admits, so its arrow set is contained in the
+    bundle-level one for the same bundle list.  Closure is enforced by
+    lookup: a non-invariant unit, inverse or composite raises IntegrityError.
     """
-    from .builders import enumerate_ggts
-    from .gauge import _ggt_digest, identity_ggt, invert_ggt, star
-
     if not hs_list:
         raise ValueError("need at least one bibundle")
     for h in hs_list[1:]:
@@ -387,78 +367,8 @@ def build_hs_gauge_groupoid(
         ids = [f"P{i}" for i in range(len(hs_list))]
     if len(ids) != len(hs_list) or len(set(ids)) != len(ids):
         raise ValueError("need one distinct id per bibundle")
-    bundles = [h.bundle for h in hs_list]
-
-    arrows: dict[str, GGT] = {}
-    by_key: dict[tuple, str] = {}
-    homs: dict[tuple[int, int], list[str]] = {}
-
-    def intern(i: int, j: int, K: GGT) -> str:
-        key = (i, j, tuple(sorted(K.values.items())))
-        found = by_key.get(key)
-        if found is not None:
-            return found
-        aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, K.values)}"
-        by_key[key] = aid
-        arrows[aid] = K
-        return aid
-
-    def lookup(i: int, j: int, K: GGT, why: str) -> str:
-        key = (i, j, tuple(sorted(K.values.items())))
-        found = by_key.get(key)
-        if found is None:
-            raise IntegrityError(
-                f"{why} missing from invariant hom({ids[i]}, {ids[j]})"
-            )
-        return found
-
-    for i, hi in enumerate(hs_list):
-        for j, hj in enumerate(hs_list):
-            homs[(i, j)] = [
-                intern(i, j, K)
-                for K in enumerate_ggts(bundles[i], bundles[j])
-                if is_left_invariant_ggt(hi, hj, K)
-            ]
-
-    source = {}
-    target = {}
-    for (i, j), names in sorted(homs.items()):
-        for aid in names:
-            source[aid] = ids[i]
-            target[aid] = ids[j]
-    unit = {}
-    for i, h in enumerate(hs_list):
-        K = identity_ggt(h.bundle)
-        if not is_left_invariant_ggt(h, h, K):
-            raise IntegrityError("identity GGT is not left invariant")
-        unit[ids[i]] = lookup(i, i, K, "unit")
-    inverse = {}
-    compose = {}
-    for (i, j), names in sorted(homs.items()):
-        for aid in names:
-            inverse[aid] = lookup(j, i, invert_ggt(arrows[aid]), "inverse")
-    for (j, k), names2 in sorted(homs.items()):
-        for (i, j2), names1 in sorted(homs.items()):
-            if j2 != j:
-                continue
-            for a2 in names2:
-                for a1 in names1:
-                    composite = star(arrows[a2], arrows[a1])
-                    if not is_left_invariant_ggt(
-                        hs_list[i], hs_list[k], composite
-                    ):
-                        raise IntegrityError(
-                            "star of invariant GGTs lost invariance"
-                        )
-                    compose[(a2, a1)] = lookup(i, k, composite, "composite")
-
-    groupoid = FiniteGroupoid(
-        objects=frozenset(ids),
-        arrows=frozenset(arrows),
-        source=source,
-        target=target,
-        unit=unit,
-        inverse=inverse,
-        compose=compose,
+    return _assemble(
+        [h.bundle for h in hs_list],
+        ids,
+        lambda i, j, K: is_left_invariant_ggt(hs_list[i], hs_list[j], K),
     )
-    return GaugeGroupoid(tuple(ids), tuple(bundles), arrows, groupoid)

@@ -105,8 +105,9 @@ class CheckResult:
     witness: str = ""
 
 
-def _table(K) -> tuple:
-    return tuple(sorted(K.values.items()))
+def _table(x) -> tuple:
+    """A comparable key for the value table of a GGT or gauge transformation."""
+    return tuple(sorted(x.values.items()))
 
 
 def run_checks(
@@ -440,8 +441,8 @@ def run_checks(
         full = gauge_group(h.bundle)
         sub = hs_gauge_group(h)
         bad = ""
-        full_keys = {_gauge_table(t) for t in full.elements}
-        sub_keys = {_gauge_table(t) for t in sub.elements}
+        full_keys = {_table(t) for t in full.elements}
+        sub_keys = {_table(t) for t in sub.elements}
         if not sub_keys <= full_keys:
             bad = "invariant elements escape the gauge group"
         elif sub.elements[sub.unit].values != {
@@ -477,10 +478,6 @@ def run_checks(
             CheckResult(check, not failing, len(entries), witness)
         )
     return tuple(results)
-
-
-def _gauge_table(t) -> tuple:
-    return tuple(sorted(t.values.items()))
 
 
 def render_report(results: tuple[CheckResult, ...]) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import gpdkit.gauge
 from gpdkit import (
     GGT,
     BundleMorphism,
@@ -14,6 +15,7 @@ from gpdkit import (
     build_gauge_groupoid,
     check_division_invariance,
     division_map,
+    dumps,
     enumerate_bundle_morphisms,
     enumerate_ggts,
     gauge_group,
@@ -34,6 +36,7 @@ from gpdkit import (
     validate_ggt,
     validate_groupoid,
 )
+from gpdkit.cli import main
 
 
 def _ggt_table(K: GGT) -> tuple:
@@ -218,3 +221,34 @@ def test_gauge_groupoid_input_checks(unit_z2, unit_s3):
         build_gauge_groupoid([unit_z2, unit_s3])
     with pytest.raises(ValueError, match="one distinct id"):
         build_gauge_groupoid([unit_z2], ids=["P0", "P1"])
+
+
+def test_validate_ggt_reports_values_with_wrong_endpoints(tmp_path, capsys):
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, 3, 6)))
+    G = U.groupoid
+    K = enumerate_ggts(U, U)[0]
+    pair, k = min(K.values.items())
+    feet = (G.source[k], G.target[k])
+    other = min(a for a in G.arrows if (G.source[a], G.target[a]) != feet)
+    bad = GGT(U, U, {**K.values, pair: other})
+    assert validate_ggt(bad).rules() & {"ggt.source", "ggt.target"}
+    path = tmp_path / "bad.ggt"
+    path.write_text(dumps(bad), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "ggt.source" in out or "ggt.target" in out
+
+
+def test_gauge_groupoid_refuses_arrow_id_collisions(unit_z2, monkeypatch):
+    assert len(enumerate_ggts(unit_z2, unit_z2)) >= 2
+    monkeypatch.setattr(gpdkit.gauge, "_ggt_digest", lambda i, j, values: "0" * 12)
+    with pytest.raises(IntegrityError, match="ggt:P0>P0:000000000000"):
+        build_gauge_groupoid([unit_z2])
+
+
+def test_assembly_refuses_a_unit_that_was_not_kept(unit_z2):
+    unit_values = identity_ggt(unit_z2).values
+    with pytest.raises(IntegrityError, match=r"unit GGT missing from hom\(P0, P0\)"):
+        gpdkit.gauge._assemble(
+            [unit_z2], ["P0"], lambda i, j, K: K.values != unit_values
+        )
