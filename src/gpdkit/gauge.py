@@ -21,7 +21,10 @@ where d2 is the division map of P2.  GGTs compose by the star product
 whose value does not depend on the interpolating point p2; evaluation
 picks the least p2 and re-checks independence on the others.  Bundles
 with GGTs as arrows form a groupoid, built here explicitly with GGTs
-interned by content so it can be fed back to validate_groupoid.
+interned by content so it can be fed back to validate_groupoid.  Its
+composition goes through the bijection: the composite of two arrows is
+the arrow whose bundle morphism is the composite map, which equals their
+star product.  star itself serves GGTs given from outside.
 
 This module is the one place that assembles gauge groupoids and
 tabulates gauge groups.  The bibundle versions in hs are the same
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bundles import IntegrityError, PrincipalBundle, division_map
-from .core import FiniteGroupoid, ValidationReport, _check_total
+from .core import FiniteGroupoid, ValidationReport, _check_total, validate_groupoid
 
 __all__ = [
     "BundleMorphism",
@@ -102,13 +105,23 @@ def _context_ok(r: ValidationReport, B1: PrincipalBundle, B2: PrincipalBundle) -
     return True
 
 
+def _fibers(B: PrincipalBundle) -> dict[str, list[str]]:
+    """B's points grouped by base point, each group sorted: B.fiber(m)
+    is _fibers(B).get(m, []) for every m in B.base."""
+    groups: dict[str, list[str]] = {}
+    for p in sorted(B.total):
+        groups.setdefault(B.projection.get(p), []).append(p)
+    return groups
+
+
 def _fibred_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, str]]:
-    pairs = []
-    for m in sorted(B1.base):
-        for p1 in B1.fiber(m):
-            for p2 in B2.fiber(m):
-                pairs.append((p1, p2))
-    return pairs
+    F1, F2 = _fibers(B1), _fibers(B2)
+    return [
+        (p1, p2)
+        for m in sorted(B1.base)
+        for p1 in F1.get(m, [])
+        for p2 in F2.get(m, [])
+    ]
 
 
 def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
@@ -160,6 +173,9 @@ def validate_ggt(K: GGT) -> ValidationReport:
     if not _context_ok(r, B1, B2):
         return r
     G = B1.groupoid
+    # Equivariance multiplies through G's tables, so it needs G valid.
+    r.extend(validate_groupoid(G), prefix="groupoid.")
+    groupoid_ok = r.ok
     pairs = _fibred_pairs(B1, B2)
     expected = set(pairs)
     for key in pairs:
@@ -183,6 +199,8 @@ def validate_ggt(K: GGT) -> ValidationReport:
             r.add("ggt.target", p1, p2)
             misfooted.add((p1, p2))
 
+    if not groupoid_ok:
+        return r
     # A value with the wrong endpoints cannot be multiplied by the moving
     # arrows; it is already reported, so equivariance skips it.
     by_target = G.by_target()
@@ -250,12 +268,13 @@ def ggt_to_morphism(K: GGT) -> BundleMorphism:
     raised if it fails, rather than silently picking a point.
     """
     B1, B2 = K.source, K.target
+    F1, F2 = _fibers(B1), _fibers(B2)
     mapping = {}
     for m in sorted(B1.base):
-        fiber2 = B2.fiber(m)
+        fiber2 = F2.get(m, [])
         if not fiber2:
             raise IntegrityError(f"empty fiber over {m!r}")
-        for p1 in B1.fiber(m):
+        for p1 in F1.get(m, []):
             images = []
             for p2 in fiber2:
                 images.append(B2.act[(p2, K.apply(p1, p2))])
@@ -293,13 +312,14 @@ def star(K23: GGT, K12: GGT) -> GGT:
         raise ValueError("middle bundles differ")
     B1, B2, B3 = K12.source, K12.target, K23.target
     G = B1.groupoid
+    F1, F2, F3 = _fibers(B1), _fibers(B2), _fibers(B3)
     values = {}
     for m in sorted(B1.base):
-        fiber2 = B2.fiber(m)
+        fiber2 = F2.get(m, [])
         if not fiber2:
             raise IntegrityError(f"empty fiber over {m!r}")
-        for p1 in B1.fiber(m):
-            for p3 in B3.fiber(m):
+        for p1 in F1.get(m, []):
+            for p3 in F3.get(m, []):
                 candidates = {
                     G.mul(K23.apply(p2, p3), K12.apply(p1, p2))
                     for p2 in fiber2
@@ -363,9 +383,10 @@ def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
     import itertools
 
     G = B.groupoid
+    fibers = _fibers(B)
     reps = []
     for m in sorted(B.base):
-        fiber = B.fiber(m)
+        fiber = fibers.get(m, [])
         if not fiber:
             raise IntegrityError(f"empty fiber over {m!r}")
         reps.append(fiber[0])
@@ -381,8 +402,7 @@ def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
     for picks in itertools.product(*choice_pools):
         values: dict[str, str] = {}
         for p, c in zip(reps, picks):
-            m = B.projection[p]
-            for q in B.fiber(m):
+            for q in fibers[B.projection[p]]:
                 g = division_map(B, p, q)
                 values[q] = G.mul(G.mul(G.inv(g), c), g)
         t = GaugeTransformation(B, values)
@@ -402,26 +422,38 @@ def _tabulate(
 ) -> GaugeGroup:
     """The unit, product and inverse tables of a set of gauge
     transformations of B; any of them falling outside the set is an
-    IntegrityError naming which."""
+    IntegrityError naming which.
+
+    Elements are indexed by their value rows over the sorted points, and
+    products are taken entrywise from G's compose table.
+    """
     G = B.groupoid
     points = sorted(B.total)
-    index = {_content_key(t.values): i for i, t in enumerate(elements)}
+    rows = [tuple(t.values[p] for p in points) for t in elements]
+    index = {row: i for i, row in enumerate(rows)}
 
-    def find(values: dict[str, str], what: str) -> int:
-        found = index.get(_content_key(values))
+    def missing(what: str) -> IntegrityError:
+        return IntegrityError(f"{what} missing from the gauge transformations")
+
+    def find(row: tuple, what: str) -> int:
+        found = index.get(row)
         if found is None:
-            raise IntegrityError(f"{what} missing from the gauge transformations")
+            raise missing(what)
         return found
 
-    unit = find({p: G.unit[B.momentum[p]] for p in points}, "unit")
+    unit = find(tuple(G.unit[B.momentum[p]] for p in points), "unit")
+    # Rows are built as lists first: a tuple grown from an iterator is
+    # resized on the way, which leaves the heap fragmented (peak RSS).
     product = {}
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            combined = {p: G.mul(a.values[p], b.values[p]) for p in points}
-            product[(i, j)] = find(combined, f"product of elements {i} and {j}")
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            found = index.get(tuple(list(map(G.compose.get, zip(a, b)))))
+            if found is None:
+                raise missing(f"product of elements {i} and {j}")
+            product[(i, j)] = found
     inverse = tuple(
-        find({p: G.inv(t.values[p]) for p in points}, f"inverse of element {i}")
-        for i, t in enumerate(elements)
+        find(tuple(map(G.inverse.get, row)), f"inverse of element {i}")
+        for i, row in enumerate(rows)
     )
     return GaugeGroup(B, tuple(elements), product, unit, inverse)
 
@@ -474,32 +506,44 @@ def build_gauge_groupoid(
     """Assemble the groupoid of all GGTs between the given bundles.
 
     The bundles must share base and structure groupoid.  Hom sets are
-    filled by the independent enumeration oracle, composition by star,
-    units by identity_ggt and inversion by invert_ggt; any composite or
-    unit missing from the enumerated arrows is an IntegrityError.
+    filled by the independent enumeration oracle, composition through
+    the bundle morphisms of the arrows (composite maps, looked up by
+    content), units by identity_ggt and inversion by invert_ggt; any
+    composite or unit missing from the enumerated arrows is an
+    IntegrityError.
     """
     if not bundles:
         raise ValueError("need at least one bundle")
     for B in bundles[1:]:
         if B.groupoid != bundles[0].groupoid or B.base != bundles[0].base:
             raise ValueError("bundles must share base and groupoid")
-    if ids is None:
-        ids = [f"P{i}" for i in range(len(bundles))]
-    if len(ids) != len(bundles) or len(set(ids)) != len(ids):
-        raise ValueError("need one distinct id per bundle")
     return _assemble(bundles, ids, lambda i, j, K: True)
 
 
 def _assemble(
     bundles: list[PrincipalBundle],
-    ids: list[str],
+    ids: list[str] | None,
     keep: Callable[[int, int, GGT], bool],
+    noun: str = "bundle",
 ) -> GaugeGroupoid:
     """The gauge groupoid on the enumerated GGTs K from bundles[i] to
-    bundles[j] with keep(i, j, K).  Units, inverses and star composites
-    are looked up among the kept arrows; one not kept is an IntegrityError.
+    bundles[j] with keep(i, j, K); ids default to P0, P1, ...
+
+    Composition runs through the GGT-morphism bijection.  Each arrow's
+    morphism is solved once by ggt_to_morphism, which re-checks that it
+    does not depend on the interpolating point, and must give the arrow
+    back under morphism_to_ggt.  The composite of two arrows is then the
+    arrow whose morphism is sigma23 o sigma12; by the round trip and the
+    equivariance of sigma23 it is star(K23, K12).  Units and inverses are
+    looked up by content.  A unit, inverse or composite that was not kept
+    is an IntegrityError naming which.
     """
     from .builders import enumerate_ggts
+
+    if ids is None:
+        ids = [f"P{i}" for i in range(len(bundles))]
+    if len(ids) != len(bundles) or len(set(ids)) != len(ids):
+        raise ValueError(f"need one distinct id per {noun}")
 
     arrows: dict[str, GGT] = {}
     by_key: dict[tuple, str] = {}
@@ -531,6 +575,24 @@ def _assemble(
                 intern(i, j, K) for K in enumerate_ggts(Bi, Bj) if keep(i, j, K)
             ]
 
+    # An arrow's morphism as a row: the position in bundles[j]'s sorted
+    # points of the image of each of bundles[i]'s sorted points.  Composite
+    # rows go through a list, for the reason given in _tabulate.
+    points = [sorted(B.total) for B in bundles]
+    position = [{p: n for n, p in enumerate(pts)} for pts in points]
+    rows: dict[str, tuple[int, ...]] = {}
+    by_row: dict[tuple[int, int], dict[tuple[int, ...], str]] = {}
+    for (i, j), names in sorted(homs.items()):
+        for aid in names:
+            K = arrows[aid]
+            f = ggt_to_morphism(K)
+            if morphism_to_ggt(f).values != K.values:
+                raise IntegrityError(
+                    f"arrow {aid!r} does not round-trip through its morphism"
+                )
+            rows[aid] = tuple(position[j][f.mapping[p]] for p in points[i])
+            by_row.setdefault((i, j), {})[rows[aid]] = aid
+
     source = {}
     target = {}
     for (i, j), names in sorted(homs.items()):
@@ -549,10 +611,16 @@ def _assemble(
         for (i, j2), names1 in sorted(homs.items()):
             if j2 != j:
                 continue
+            composites = by_row.get((i, k), {})
             for a2 in names2:
+                image = rows[a2].__getitem__
                 for a1 in names1:
-                    composite = star(arrows[a2], arrows[a1])
-                    compose[(a2, a1)] = lookup(i, k, composite, "composite")
+                    found = composites.get(tuple(list(map(image, rows[a1]))))
+                    if found is None:
+                        raise IntegrityError(
+                            f"composite GGT missing from hom({ids[i]}, {ids[k]})"
+                        )
+                    compose[(a2, a1)] = found
 
     groupoid = FiniteGroupoid(
         objects=frozenset(ids),

@@ -363,12 +363,9 @@ def build_hs_gauge_groupoid(
     for h in hs_list[1:]:
         if h.dom != hs_list[0].dom or h.cod != hs_list[0].cod:
             raise ValueError("bibundles must share domain and codomain")
-    if ids is None:
-        ids = [f"P{i}" for i in range(len(hs_list))]
-    if len(ids) != len(hs_list) or len(set(ids)) != len(ids):
-        raise ValueError("need one distinct id per bibundle")
     return _assemble(
         [h.bundle for h in hs_list],
         ids,
         lambda i, j, K: is_left_invariant_ggt(hs_list[i], hs_list[j], K),
+        "bibundle",
     )

@@ -55,6 +55,7 @@ from .gauge import (
     ggt_to_gauge,
     ggt_to_morphism,
     morphism_to_ggt,
+    star,
 )
 from .hs import (
     HSBundleMorphism,
@@ -357,6 +358,11 @@ def run_checks(
                 }
                 if mine != theirs:
                     detail = f"isotropy mismatch at {gg.bundle_ids[i]}"
+                    break
+        if not detail:
+            for (a2, a1), a in sorted(gg.groupoid.compose.items()):
+                if _table(star(gg.ggts[a2], gg.ggts[a1])) != _table(gg.ggts[a]):
+                    detail = f"compose disagrees with star at ({a2}, {a1})"
                     break
         add("thm-gaugegroupoid", label, detail)
 

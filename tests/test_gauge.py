@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import pytest
 
 import gpdkit.gauge
@@ -13,6 +16,7 @@ from gpdkit import (
     GeneratorSpec,
     IntegrityError,
     build_gauge_groupoid,
+    build_hs_gauge_groupoid,
     check_division_invariance,
     division_map,
     dumps,
@@ -29,6 +33,7 @@ from gpdkit import (
     pullback_bundle,
     random_bundle,
     random_groupoid,
+    random_hs,
     star,
     unit_bundle,
     validate_bundle_morphism,
@@ -239,6 +244,23 @@ def test_validate_ggt_reports_values_with_wrong_endpoints(tmp_path, capsys):
     assert "ggt.source" in out or "ggt.target" in out
 
 
+def test_validate_ggt_reports_a_broken_structure_groupoid(tmp_path, capsys):
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, 3, 6)))
+    G = U.groupoid
+    dropped = min(G.compose)
+    broken = replace(G, compose={k: v for k, v in G.compose.items() if k != dropped})
+    B = replace(U, groupoid=broken)
+    K = GGT(B, B, identity_ggt(U).values)
+    report = validate_ggt(K)
+    assert report.rules()
+    assert all(rule.startswith("groupoid.") for rule in report.rules())
+    path = tmp_path / "broken.ggt"
+    path.write_text(dumps(K), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "groupoid." in out
+
+
 def test_gauge_groupoid_refuses_arrow_id_collisions(unit_z2, monkeypatch):
     assert len(enumerate_ggts(unit_z2, unit_z2)) >= 2
     monkeypatch.setattr(gpdkit.gauge, "_ggt_digest", lambda i, j, values: "0" * 12)
@@ -252,3 +274,83 @@ def test_assembly_refuses_a_unit_that_was_not_kept(unit_z2):
         gpdkit.gauge._assemble(
             [unit_z2], ["P0"], lambda i, j, K: K.values != unit_values
         )
+
+
+def _relabelled(B, tag: str):
+    rename = {p: f"{tag}{p}" for p in B.total}
+    return replace(
+        B,
+        total=frozenset(rename.values()),
+        projection={rename[p]: m for p, m in B.projection.items()},
+        momentum={rename[p]: x for p, x in B.momentum.items()},
+        act={(rename[p], g): rename[q] for (p, g), q in B.act.items()},
+    )
+
+
+def _assert_compose_is_star(gg):
+    assert len(gg.groupoid.compose) > len(gg.groupoid.arrows)
+    for (a2, a1), a in gg.groupoid.compose.items():
+        assert _ggt_table(star(gg.ggts[a2], gg.ggts[a1])) == _ggt_table(gg.ggts[a])
+
+
+def test_gauge_groupoid_compose_is_star_on_three_bundles(unit_z2):
+    twin = pullback_bundle(unit_z2, {m: m for m in unit_z2.base})
+    copy = _relabelled(unit_z2, "r:")
+    gg = build_gauge_groupoid([unit_z2, twin, copy])
+    assert validate_groupoid(gg.groupoid).ok
+    assert len(gg.groupoid.arrows) == 18
+    _assert_compose_is_star(gg)
+
+
+def test_hs_gauge_groupoid_compose_is_star():
+    G = random_groupoid(GeneratorSpec(2, max_objects=2, max_group_order=6))
+    H = random_groupoid(GeneratorSpec(42, max_objects=2, max_group_order=3))
+    h1 = random_hs(G, H, GeneratorSpec(82, max_total=12))
+    h2 = random_hs(G, H, GeneratorSpec(122, max_total=12))
+    gg = build_hs_gauge_groupoid([h1, h2])
+    assert validate_groupoid(gg.groupoid).ok
+    assert len(gg.groupoid.arrows) == 18
+    _assert_compose_is_star(gg)
+
+
+def test_assembly_refuses_a_composite_that_was_not_kept(unit_s3):
+    unit_values = identity_ggt(unit_s3).values
+    involutions = [
+        K
+        for K in enumerate_ggts(unit_s3, unit_s3)
+        if K.values != unit_values and invert_ggt(K).values == K.values
+    ]
+    dropped = min(involutions, key=_ggt_table).values
+    with pytest.raises(
+        IntegrityError, match=r"composite GGT missing from hom\(P0, P0\)"
+    ):
+        gpdkit.gauge._assemble(
+            [unit_s3], ["P0"], lambda i, j, K: K.values != dropped
+        )
+
+
+def test_assembly_refuses_an_arrow_that_does_not_round_trip(unit_z2, monkeypatch):
+    real = gpdkit.gauge.morphism_to_ggt
+
+    def moved(f):
+        K = real(f)
+        key = min(K.values)
+        other = "a" if K.values[key] == "e" else "e"
+        return GGT(K.source, K.target, {**K.values, key: other})
+
+    monkeypatch.setattr(gpdkit.gauge, "morphism_to_ggt", moved)
+    with pytest.raises(IntegrityError, match="ggt:P0>P0:.* does not round-trip"):
+        build_gauge_groupoid([unit_z2])
+
+
+def test_gauge_groupoid_of_the_order_144_unit_bundle_is_fast():
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
+    start = time.perf_counter()
+    gg = build_gauge_groupoid([U])
+    elapsed = time.perf_counter() - start
+    assert len(gg.groupoid.arrows) == 144
+    assert len(gg.groupoid.compose) == 144 * 144
+    mine = {_ggt_table(gg.ggts[a]) for a in gg.groupoid.hom("P0", "P0")}
+    theirs = {_ggt_table(gauge_to_ggt(t)) for t in gauge_group(U).elements}
+    assert mine == theirs
+    assert elapsed < 2.0, f"build took {elapsed:.2f} s"
