@@ -100,6 +100,12 @@ _VALIDATORS = (
 )
 
 
+def _print_violations(path: str, report) -> None:
+    print(f"{path}: {len(report.violations)} violations")
+    for v in report.violations:
+        print(f"  {v}")
+
+
 def _cmd_validate(args) -> int:
     bad = False
     for path in args.files:
@@ -114,9 +120,7 @@ def _cmd_validate(args) -> int:
             print(f"{path}: ok")
         else:
             bad = True
-            print(f"{path}: {len(report.violations)} violations")
-            for v in report.violations:
-                print(f"  {v}")
+            _print_violations(path, report)
     return 1 if bad else 0
 
 
@@ -144,15 +148,25 @@ def _cmd_ggt(args) -> int:
     if args.action == "identity":
         B = _load_as(args.files[0], PrincipalBundle, "bundle")
         print(dumps(identity_ggt(B)), end="")
-    elif args.action == "invert":
-        K = _load_as(args.files[0], GGT, "ggt")
-        print(dumps(invert_ggt(K)), end="")
+        return 0
+    if args.action == "compose" and len(args.files) != 2:
+        raise _CliError(2, "ggt compose needs two ggt files (outer, inner)")
+    paths = args.files[:1] if args.action == "invert" else args.files
+    ggts = [_load_as(path, GGT, "ggt") for path in paths]
+    # invert and star assume valid inputs; refuse with the witnesses
+    # that gpdkit validate prints instead of computing from a bad table.
+    bad = False
+    for path, K in zip(paths, ggts):
+        report = validate_ggt(K)
+        if not report.ok:
+            bad = True
+            _print_violations(path, report)
+    if bad:
+        return 1
+    if args.action == "invert":
+        print(dumps(invert_ggt(ggts[0])), end="")
     else:
-        if len(args.files) != 2:
-            raise _CliError(2, "ggt compose needs two ggt files (outer, inner)")
-        K23 = _load_as(args.files[0], GGT, "ggt")
-        K12 = _load_as(args.files[1], GGT, "ggt")
-        print(dumps(star(K23, K12)), end="")
+        print(dumps(star(*ggts)), end="")
     return 0
 
 

@@ -288,9 +288,18 @@ def isotropy_group(G: FiniteGroupoid, x: str) -> FiniteGroupoid:
     )
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def pair_id(a: str, b: str) -> str:
-    """Canonical id for an ordered pair of ids; JSON, so always splittable."""
-    return json.dumps([a, b], separators=(",", ":"))
+    """Canonical id for an ordered pair of ids; split_pair inverts it.
+
+    Both ids must be str.  The bytes equal
+    json.dumps([a, b], separators=(",", ":")): _quote is the C string
+    encoder json.dumps itself uses under its default ensure_ascii=True,
+    called directly to skip building an encoder per call.
+    """
+    return f"[{_quote(a)},{_quote(b)}]"
 
 
 def split_pair(ab: str) -> tuple[str, str]:
@@ -439,63 +448,58 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
         if x in G.objects:
             anchored.setdefault(x, []).append(m)
 
-    endpoint = G.source if left else G.target
+    # g acts on the points anchored at its endpoint and moves them to its
+    # far end.  A right action is written in mirror order: its act keys,
+    # compose keys and witnesses are the left side's tuples reversed.
+    endpoint, far = (G.source, G.target) if left else (G.target, G.source)
+    side = (lambda t: t) if left else (lambda t: t[::-1])
     expected: set[tuple[str, str]] = set()
+    meets: dict[str, list[str]] = {}
     for g in sorted(G.arrows):
+        meets.setdefault(endpoint[g], []).append(g)
         for m in anchored.get(endpoint[g], ()):
-            key = (g, m) if left else (m, g)
+            key = side((g, m))
             expected.add(key)
             if key not in A.act:
                 r.add("table.act.missing", *key)
     for key in sorted(A.act):
-        a, b = key
-        g, m = (a, b) if left else (b, a)
+        g, m = side(key)
         if g not in G.arrows or m not in A.carrier:
-            r.add("table.act.unknown-key", a, b)
+            r.add("table.act.unknown-key", *key)
         elif key not in expected:
-            r.add("table.act.extra", a, b)
+            r.add("table.act.extra", *key)
         elif A.act[key] not in A.carrier:
-            r.add("table.act.dangling", a, b, A.act[key])
+            r.add("table.act.dangling", *key, A.act[key])
 
-    def out(key):
-        v = A.act.get(key)
-        return v if v in A.carrier else None
-
-    for key in sorted(expected):
-        res = out(key)
-        if res is None:
-            continue
-        g, m = key if left else (key[1], key[0])
-        want = G.target[g] if left else G.source[g]
-        if J(res) != want:
+    # moves[(g, m)] is g acting on m, on either side, where that lands in
+    # the carrier; entries that do not are reported above and skipped.
+    moves = {side(key): v for key, v in A.act.items() if v in A.carrier}
+    ordered = sorted(expected)
+    for key in ordered:
+        g, m = side(key)
+        res = moves.get((g, m))
+        if res is not None and J(res) != far[g]:
             r.add("action.momentum", *key)
 
-    if left:
-        for (g2, m) in sorted(expected):
-            step = out((g2, m))
-            if step is None:
-                continue
-            for g1 in sorted(G.arrows):
-                if G.source[g1] != G.target[g2]:
-                    continue
-                one = out((g1, step))
-                g12 = G.compose.get((g1, g2))
-                both = out((g12, m)) if g12 is not None else None
-                if one is not None and both is not None and one != both:
-                    r.add("action.compose", g1, g2, m)
-    else:
-        for (m, g1) in sorted(expected):
-            step = out((m, g1))
-            if step is None:
-                continue
-            for g2 in sorted(G.arrows):
-                if G.target[g2] != G.source[g1]:
-                    continue
-                one = out((step, g2))
-                g12 = G.compose.get((g1, g2))
-                both = out((m, g12)) if g12 is not None else None
-                if one is not None and both is not None and one != both:
-                    r.add("action.compose", m, g1, g2)
+    # Compose law: acting by g and then by each h that meets g's far end
+    # equals acting by their composite gh, "h after g" (on the right side
+    # "g after h", which is h after g in the opposite groupoid).  after[g]
+    # lists those (h, gh) once per arrow.
+    after: dict[str, list[tuple[str, str | None]]] = {}
+    for key in ordered:
+        g, m = side(key)
+        step = moves.get((g, m))
+        if step is None:
+            continue
+        if g not in after:
+            after[g] = [
+                (h, G.compose.get(side((h, g)))) for h in meets.get(far[g], ())
+            ]
+        for h, gh in after[g]:
+            one = moves.get((h, step))
+            both = moves.get((gh, m)) if gh is not None else None
+            if one is not None and both is not None and one != both:
+                r.add("action.compose", *side((h, g, m)))
 
     for m in sorted(A.carrier):
         x = J(m)
@@ -504,7 +508,7 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
         e = G.unit.get(x)
         if e is None:
             continue
-        res = out((e, m) if left else (m, e))
+        res = moves.get((e, m))
         if res is not None and res != m:
             r.add("action.unit", m)
     return r

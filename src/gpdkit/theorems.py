@@ -100,10 +100,18 @@ CHECKS = (
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One statement's outcome; ok only when it ran on some instance."""
+
     check: str
     ok: bool
     instances: int
     witness: str = ""
+
+    @property
+    def status(self) -> str:
+        if not self.instances:
+            return "EMPTY"
+        return "PASS" if self.ok else "FAIL"
 
 
 def _table(x) -> tuple:
@@ -481,7 +489,7 @@ def run_checks(
         failing = [(label, detail) for label, detail in entries if detail]
         witness = "; ".join(f"{label}: {detail}" for label, detail in failing[:1])
         results.append(
-            CheckResult(check, not failing, len(entries), witness)
+            CheckResult(check, bool(entries) and not failing, len(entries), witness)
         )
     return tuple(results)
 
@@ -490,9 +498,8 @@ def render_report(results: tuple[CheckResult, ...]) -> str:
     """One line per check, then a summary; stable across reruns."""
     lines = []
     for r in results:
-        mark = "PASS" if r.ok else "FAIL"
         suffix = f": {r.witness}" if r.witness else ""
-        lines.append(f"{mark} {r.check} ({r.instances} instances){suffix}")
+        lines.append(f"{r.status} {r.check} ({r.instances} instances){suffix}")
     good = sum(1 for r in results if r.ok)
     lines.append(f"{good}/{len(results)} checks passed")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,8 @@ five structure tables.  violation_holds re-derives one reported
 violation directly from the raw tables of the structure it was
 reported against, so tests can assert that every witness in a report
 is real rather than trusting the validator's bookkeeping.
+naive_action_compose finds every failure of an action's compose law by
+brute force over all arrow triples, as a reference for validate_action.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator
 
-from gpdkit import FiniteGroupoid, PrincipalBundle, Violation
+from gpdkit import FiniteGroupoid, LeftAction, PrincipalBundle, RightAction, Violation
 
 
 def groupoid_mutations(
@@ -169,6 +171,54 @@ def violation_holds(G: FiniteGroupoid, v: Violation) -> bool:
         return x in obj and all(tgt[g] != x for g in _known(G))
 
     raise AssertionError(f"unexpected rule {rule!r}")
+
+
+def naive_action_compose(A: LeftAction | RightAction) -> list[tuple[str, ...]]:
+    """Witnesses of the compose law failing in A, in validate_action's order.
+
+    Left: (g1, g2, m) where g1.(g2.m) and (g1 g2).m are both carrier
+    points and differ, ordered by (g2, m, g1).  Right: (m, g1, g2) where
+    (m.g1).g2 and m.(g1 g2) differ, ordered by (m, g1, g2).  Every
+    triple of arrows and points is tried; only raw table lookups are used.
+    """
+    G = A.groupoid
+    arrows, points = sorted(G.arrows), sorted(A.carrier)
+
+    def act(*key: str) -> str | None:
+        res = A.act.get(key)
+        return res if res in A.carrier else None
+
+    def anchored(m: str, x: str) -> bool:
+        return A.momentum.get(m) in G.objects and A.momentum.get(m) == x
+
+    found = []
+    if isinstance(A, LeftAction):
+        for g2 in arrows:
+            for m in points:
+                step = act(g2, m) if anchored(m, G.source[g2]) else None
+                if step is None:
+                    continue
+                for g1 in arrows:
+                    g12 = G.compose.get((g1, g2))
+                    if G.source[g1] != G.target[g2] or g12 is None:
+                        continue
+                    one, both = act(g1, step), act(g12, m)
+                    if one is not None and both is not None and one != both:
+                        found.append((g1, g2, m))
+    else:
+        for m in points:
+            for g1 in arrows:
+                step = act(m, g1) if anchored(m, G.target[g1]) else None
+                if step is None:
+                    continue
+                for g2 in arrows:
+                    g12 = G.compose.get((g1, g2))
+                    if G.target[g2] != G.source[g1] or g12 is None:
+                        continue
+                    one, both = act(step, g2), act(m, g12)
+                    if one is not None and both is not None and one != both:
+                        found.append((m, g1, g2))
+    return found
 
 
 def relabel_bundle_points(

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,36 @@ def test_ggt_identity_invert_compose(tmp_path, unit_z2, capsys):
     assert "needs two ggt files" in capsys.readouterr().err
 
 
+def test_ggt_invert_refuses_a_non_equivariant_ggt(tmp_path, unit_z2, capsys):
+    K = identity_ggt(unit_z2)
+    assert K.values[("a", "a")] == "e"
+    k = tmp_path / "k.ggt"
+    k.write_text(dumps(replace(K, values={**K.values, ("a", "a"): "a"})))
+    assert main(["validate", str(k)]) == 1
+    report = capsys.readouterr().out
+    assert report.startswith(f"{k}: 6 violations\n")
+    assert report.count("ggt.equivariance") == 6
+
+    assert main(["ggt", "invert", str(k)]) == 1
+    out = capsys.readouterr().out
+    assert out == report
+
+
+def test_ggt_compose_names_a_missing_value(tmp_path, unit_z2, capsys):
+    K = identity_ggt(unit_z2)
+    ident = tmp_path / "id.ggt"
+    ident.write_text(dumps(K))
+    values = dict(K.values)
+    del values[("a", "a")]
+    missing = tmp_path / "missing.ggt"
+    missing.write_text(dumps(replace(K, values=values)))
+
+    assert main(["ggt", "compose", str(ident), str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{missing}: 1 violations\n  table.values.missing[a,a]\n"
+    assert captured.err == ""
+
+
 def test_ggt_rejects_wrong_document_kind(capsys):
     assert main(["ggt", "identity", Z2]) == 2
     assert "expected a bundle document, got groupoid" in capsys.readouterr().err
@@ -208,6 +239,15 @@ def test_check_theorems_passes_and_reports(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert report.read_bytes() == first_report
+
+
+def test_check_theorems_exits_1_when_a_check_is_empty(tmp_path, capsys):
+    assert main(["check-theorems", "--max-size", "1", "--fixtures", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    marks = [line.split()[0] for line in lines[:-1]]
+    assert marks.count("EMPTY") == 18 and marks.count("PASS") == 2
+    assert "EMPTY prop-genconj (0 instances)" in lines
+    assert lines[-1] == "2/20 checks passed"
 
 
 def test_check_theorems_rejects_bad_dir(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from gpdkit import (
     CONJUGATION_VARIANTS,
     EquivariantMapWitness,
+    GeneratorSpec,
     GroupoidMorphism,
     LeftAction,
     RightAction,
@@ -18,6 +21,7 @@ from gpdkit import (
     isotropy_group,
     pair_id,
     product_groupoid,
+    random_groupoid,
     split_pair,
     transporters,
     validate_action,
@@ -25,7 +29,7 @@ from gpdkit import (
     validate_groupoid,
     validate_morphism,
 )
-from helpers import groupoid_mutations, violation_holds
+from helpers import groupoid_mutations, naive_action_compose, violation_holds
 
 FIXTURE_NAMES = (
     "z2",
@@ -137,8 +141,17 @@ def test_isotropy_group_rejects_unknown_object(z2):
 
 
 def test_pair_id_round_trips():
-    for a, b in (("x", "y"), ("a,b", 'c"d'), ("", "]")):
-        assert split_pair(pair_id(a, b)) == (a, b)
+    # pair_id must give the bytes of json.dumps, the reference here
+    plain = ["x", "", "a,b", 'c"d', "]", "back\\slash", "\u00e9t\u00e9",
+             "\u03c9", "\u2603", "\U0001d54a", "tab\tnl\n\x00\x1f\x7f"]
+    nested = [pair_id(a, b) for a in plain[:5] for b in plain[3:7]]
+    twice = [pair_id(a, b) for a in nested[:3] for b in plain[4:7]]
+    ids = plain + nested + twice
+    for a in ids:
+        for b in ids:
+            ab = pair_id(a, b)
+            assert ab == json.dumps([a, b], separators=(",", ":"))
+            assert split_pair(ab) == (a, b)
 
 
 def test_product_groupoid_validates(z2, pair2):
@@ -237,6 +250,31 @@ def test_broken_action_reports_momentum_and_unit(z2, pair2):
         LeftAction(B.groupoid, B.carrier, momentum, dict(B.act))
     )
     assert not report.ok
+
+
+def test_action_compose_witnesses_match_a_naive_scan(s3):
+    # One object (s3) and three objects (a random groupoid with 9 arrows),
+    # so arrows that do not meet are skipped; every sixth act entry is
+    # rewritten to a carrier point chosen by a fixed seed.
+    R = random_groupoid(GeneratorSpec(2, max_objects=3, max_group_order=3))
+    assert len(R.objects) > 1
+    rng = random.Random(0)
+    compared = 0
+    for G in (s3, R):
+        for variant in CONJUGATION_VARIANTS:
+            A = generalized_conjugation(G, variant)
+            points = sorted(A.carrier)
+            for key in sorted(A.act)[::6]:
+                res = rng.choice([p for p in points if p != A.act[key]])
+                B = replace(A, act={**A.act, key: res})
+                got = [
+                    v.witness
+                    for v in validate_action(B).violations
+                    if v.rule == "action.compose"
+                ]
+                assert got == naive_action_compose(B), (variant, key, res)
+                compared += bool(got)
+    assert compared > 50
 
 
 def test_equivariant_map_identity_and_breakage(s3, pair2):

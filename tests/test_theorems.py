@@ -73,6 +73,24 @@ def test_render_report_shape(docs):
     assert [c["check"] for c in doc["checks"]] == list(EXPECTED_IDS)
 
 
+def test_a_check_without_instances_is_empty_not_passed():
+    results = run_checks(seed=42, max_size=1, fixtures={})
+    empty = [r.check for r in results if r.instances == 0]
+    assert len(empty) == 18
+    assert all(not r.ok and r.status == "EMPTY" for r in results if r.instances == 0)
+    lines = render_report(results).splitlines()
+    for line, r in zip(lines, results):
+        if r.instances == 0:
+            assert line == f"EMPTY {r.check} (0 instances)"
+        else:
+            assert line.startswith(f"PASS {r.check} (")
+    assert lines[-1] == f"2/{len(EXPECTED_IDS)} checks passed"
+
+    doc = json.loads(report_document(results, 42, 1))
+    assert doc["ok"] is False
+    assert [c["check"] for c in doc["checks"] if not c["ok"]] == empty
+
+
 def test_corrupted_groupoid_fails_only_its_own_check(docs):
     broken = dict(docs)
     pair2 = broken["pair2.gpd"]
