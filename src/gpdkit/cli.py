@@ -9,6 +9,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -144,19 +145,26 @@ def _cmd_morphisms(args) -> int:
     return 0
 
 
+_GGT_FILES = {
+    "compose": (2, "ggt compose needs two ggt files (outer, inner)"),
+    "invert": (1, "ggt invert needs one ggt file"),
+    "identity": (1, "ggt identity needs one bundle file"),
+}
+
+
 def _cmd_ggt(args) -> int:
+    count, usage = _GGT_FILES[args.action]
+    if len(args.files) != count:
+        raise _CliError(2, usage)
     if args.action == "identity":
         B = _load_as(args.files[0], PrincipalBundle, "bundle")
         print(dumps(identity_ggt(B)), end="")
         return 0
-    if args.action == "compose" and len(args.files) != 2:
-        raise _CliError(2, "ggt compose needs two ggt files (outer, inner)")
-    paths = args.files[:1] if args.action == "invert" else args.files
-    ggts = [_load_as(path, GGT, "ggt") for path in paths]
+    ggts = [_load_as(path, GGT, "ggt") for path in args.files]
     # invert and star assume valid inputs; refuse with the witnesses
     # that gpdkit validate prints instead of computing from a bad table.
     bad = False
-    for path, K in zip(paths, ggts):
+    for path, K in zip(args.files, ggts):
         report = validate_ggt(K)
         if not report.ok:
             bad = True
@@ -265,7 +273,10 @@ def _cmd_check_theorems(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args returns a fresh namespace and
+    # leaves the parser unchanged, so every main call can share it.
     parser = argparse.ArgumentParser(
         prog="gpdkit",
         description="Finite groupoids, principal bundles and gauge groupoids.",

@@ -1,23 +1,28 @@
 """JSON documents for every structure the library builds.
 
 A document is {"kind": ..., "version": 1, "body": ...}; dumps renders
-it canonically (sorted keys, indent 1, trailing newline), so equal
-structures serialize to identical bytes.  Tables keyed by pairs are
-stored as entry lists [key0, key1, value].
+it canonically, so equal structures serialize to identical bytes.  Its
+bytes equal json.dumps(doc, sort_keys=True, indent=1) plus a trailing
+newline; _write produces them with json's C string encoder instead of
+the per-leaf Python calls that indent forces on json.dumps.  Tables
+keyed by pairs are stored as entry lists [key0, key1, value].
 
 loads is strict about shape: wrong types, missing or unexpected keys,
 duplicate entries and ids that do not resolve raise SchemaError with
-the offending path, e.g. body.compose[3].  Totality and the algebraic
-laws are left to the validators, so a well-formed file can still fail
-validation.
+the offending path, e.g. body.compose[3].  An entry table is checked
+whole; when a check fails, the error names the first bad entry, with
+shape and duplicate faults anywhere in the table reported before an
+unknown id.  Totality and the algebraic laws are left to the
+validators, so a well-formed file can still fail validation.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .bundles import PrincipalBundle
-from .core import FiniteGroupoid, GroupoidMorphism, LeftAction, RightAction
+from .core import FiniteGroupoid, GroupoidMorphism, LeftAction, RightAction, _quote
 from .gauge import GGT, BundleMorphism
 from .hs import HSBundleMorphism, HSMorphism
 
@@ -76,50 +81,69 @@ def _str_list(value: object, path: str) -> list[str]:
 def _str_map(
     value: object,
     path: str,
-    keys: frozenset | set | None,
+    keys: frozenset | set,
     key_kind: str,
-    values: frozenset | set | None,
+    values: frozenset | set,
     value_kind: str,
 ) -> dict[str, str]:
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object mapping ids to ids")
-    out = {}
     for k, v in value.items():
-        sub = _join(path, str(k))
         if not isinstance(v, str):
-            raise SchemaError(sub, "expected an id string")
-        if keys is not None and k not in keys:
-            raise SchemaError(sub, f"unknown {key_kind} {k!r}")
-        if values is not None and v not in values:
-            raise SchemaError(sub, f"unknown {value_kind} {v!r}")
-        out[k] = v
-    return out
+            raise SchemaError(_join(path, k), "expected an id string")
+        if k not in keys:
+            raise SchemaError(_join(path, k), f"unknown {key_kind} {k!r}")
+        if v not in values:
+            raise SchemaError(_join(path, k), f"unknown {value_kind} {v!r}")
+    return dict(value)
 
 
-def _entries(value: object, path: str, width: int) -> list[tuple[str, ...]]:
+def _table(
+    value: object, path: str, *columns: tuple[frozenset | set, str]
+) -> dict[tuple[str, ...], str]:
+    """An entry list [[k0, k1, v], ...] as {(k0, k1): v}.
+
+    columns holds one (pool, kind) pair per entry position.  The table
+    is checked whole: every entry a list of len(columns) strings (leaf
+    types before any leaf is hashed), unique keys, each column inside
+    its pool.  Only a table that fails a check is scanned in order, to
+    name the first bad entry: shape and duplicate faults anywhere come
+    before an unknown id, which is found by entry, then by column.
+    """
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of entries")
-    out = []
+    width = len(columns)
+    if (
+        set(map(type, value)) <= {list}
+        and set(map(len, value)) <= {width}
+        and set(map(type, chain.from_iterable(value))) <= {str}
+    ):
+        cols = list(zip(*value)) or [()] * width
+        keys = list(zip(*cols[:-1]))
+        if len(set(keys)) == len(keys) and all(
+            pool.issuperset(col) for col, (pool, _) in zip(cols, columns)
+        ):
+            return dict(zip(keys, cols[-1]))
+    # The scan tests exact types, as the checks above do, so it raises
+    # whenever one of them failed.
     seen = set()
     for i, item in enumerate(value):
-        sub = f"{path}[{i}]"
         if (
-            not isinstance(item, list)
+            type(item) is not list
             or len(item) != width
-            or not all(isinstance(x, str) for x in item)
+            or not all(type(x) is str for x in item)
         ):
-            raise SchemaError(sub, f"expected an entry of {width} id strings")
+            raise SchemaError(
+                f"{path}[{i}]", f"expected an entry of {width} id strings"
+            )
         key = tuple(item[:-1])
         if key in seen:
-            raise SchemaError(sub, f"duplicate entry for {key!r}")
+            raise SchemaError(f"{path}[{i}]", f"duplicate entry for {key!r}")
         seen.add(key)
-        out.append(tuple(item))
-    return out
-
-
-def _resolve(entry_path: str, item: str, pool: frozenset | set, kind: str) -> None:
-    if item not in pool:
-        raise SchemaError(entry_path, f"unknown {kind} {item!r}")
+    for i, item in enumerate(value):
+        for x, (pool, kind) in zip(item, columns):
+            if x not in pool:
+                raise SchemaError(f"{path}[{i}]", f"unknown {kind} {x!r}")
 
 
 def _groupoid_body(G: FiniteGroupoid) -> dict:
@@ -147,12 +171,8 @@ def _parse_groupoid(body: object, path: str) -> FiniteGroupoid:
     target = _str_map(obj["target"], _join(path, "target"), aset, "arrow", oset, "object")
     unit = _str_map(obj["unit"], _join(path, "unit"), oset, "object", aset, "arrow")
     inverse = _str_map(obj["inverse"], _join(path, "inverse"), aset, "arrow", aset, "arrow")
-    compose = {}
-    for i, (a, b, c) in enumerate(_entries(obj["compose"], _join(path, "compose"), 3)):
-        sub = f"{_join(path, 'compose')}[{i}]"
-        for x in (a, b, c):
-            _resolve(sub, x, aset, "arrow")
-        compose[(a, b)] = c
+    arrow = (aset, "arrow")
+    compose = _table(obj["compose"], _join(path, "compose"), arrow, arrow, arrow)
     return FiniteGroupoid(
         frozenset(objects), frozenset(arrows), source, target, unit, inverse, compose
     )
@@ -203,17 +223,9 @@ def _parse_action(body: object, path: str) -> LeftAction | RightAction:
     momentum = _str_map(
         obj["momentum"], _join(path, "momentum"), cset, "point", G.objects, "object"
     )
-    act = {}
-    for i, (k0, k1, v) in enumerate(_entries(obj["act"], _join(path, "act"), 3)):
-        sub = f"{_join(path, 'act')}[{i}]"
-        if side == "left":
-            _resolve(sub, k0, G.arrows, "arrow")
-            _resolve(sub, k1, cset, "point")
-        else:
-            _resolve(sub, k0, cset, "point")
-            _resolve(sub, k1, G.arrows, "arrow")
-        _resolve(sub, v, cset, "point")
-        act[(k0, k1)] = v
+    arrow, point = (G.arrows, "arrow"), (cset, "point")
+    keys = (arrow, point) if side == "left" else (point, arrow)
+    act = _table(obj["act"], _join(path, "act"), *keys, point)
     cls = LeftAction if side == "left" else RightAction
     return cls(G, frozenset(carrier), momentum, act)
 
@@ -243,13 +255,8 @@ def _parse_bundle(body: object, path: str) -> PrincipalBundle:
     momentum = _str_map(
         obj["momentum"], _join(path, "momentum"), tset, "point", G.objects, "object"
     )
-    act = {}
-    for i, (p, g, q) in enumerate(_entries(obj["act"], _join(path, "act"), 3)):
-        sub = f"{_join(path, 'act')}[{i}]"
-        _resolve(sub, p, tset, "point")
-        _resolve(sub, g, G.arrows, "arrow")
-        _resolve(sub, q, tset, "point")
-        act[(p, g)] = q
+    point = (tset, "point")
+    act = _table(obj["act"], _join(path, "act"), point, (G.arrows, "arrow"), point)
     return PrincipalBundle(G, frozenset(total), frozenset(base), projection, momentum, act)
 
 
@@ -283,13 +290,10 @@ def _parse_ggt(body: object, path: str) -> GGT:
     obj = _require_keys(body, path, ("source", "target", "values"))
     src = _parse_bundle(obj["source"], _join(path, "source"))
     dst = _parse_bundle(obj["target"], _join(path, "target"))
-    values = {}
-    for i, (p1, p2, g) in enumerate(_entries(obj["values"], _join(path, "values"), 3)):
-        sub = f"{_join(path, 'values')}[{i}]"
-        _resolve(sub, p1, src.total, "point")
-        _resolve(sub, p2, dst.total, "point")
-        _resolve(sub, g, src.groupoid.arrows, "arrow")
-        values[(p1, p2)] = g
+    values = _table(
+        obj["values"], _join(path, "values"),
+        (src.total, "point"), (dst.total, "point"), (src.groupoid.arrows, "arrow"),
+    )
     return GGT(src, dst, values)
 
 
@@ -322,20 +326,13 @@ def _parse_hs(body: object, path: str) -> HSMorphism:
     momentum = _str_map(
         obj["momentum"], _join(path, "momentum"), tset, "point", cod.objects, "object"
     )
-    act = {}
-    for i, (p, k, q) in enumerate(_entries(obj["right_act"], _join(path, "right_act"), 3)):
-        sub = f"{_join(path, 'right_act')}[{i}]"
-        _resolve(sub, p, tset, "point")
-        _resolve(sub, k, cod.arrows, "arrow")
-        _resolve(sub, q, tset, "point")
-        act[(p, k)] = q
-    left_act = {}
-    for i, (g, p, q) in enumerate(_entries(obj["left_act"], _join(path, "left_act"), 3)):
-        sub = f"{_join(path, 'left_act')}[{i}]"
-        _resolve(sub, g, dom.arrows, "arrow")
-        _resolve(sub, p, tset, "point")
-        _resolve(sub, q, tset, "point")
-        left_act[(g, p)] = q
+    point = (tset, "point")
+    act = _table(
+        obj["right_act"], _join(path, "right_act"), point, (cod.arrows, "arrow"), point
+    )
+    left_act = _table(
+        obj["left_act"], _join(path, "left_act"), (dom.arrows, "arrow"), point, point
+    )
     bundle = PrincipalBundle(
         cod, frozenset(total), frozenset(dom.objects), projection, momentum, act
     )
@@ -404,10 +401,36 @@ def kind_of(obj: object) -> str:
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
+def _write(value: object, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=1) nested at pad.
+
+    pad is a newline and the indent of the line that closes value.  A
+    document's lists hold either ids or entry rows of ids, so a list is
+    written from its first item's type with str.join over quoted ids.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + " "
+    sep = "," + inner
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_write(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if isinstance(value[0], list):
+        row_sep = sep + " "
+        items = [f"[{inner} {row_sep.join(map(_quote, row))}{inner}]" for row in value]
+    else:
+        items = map(_quote, value)
+    return "[" + inner + sep.join(items) + pad + "]"
+
+
 def dumps(obj: object) -> str:
     """Canonical document text for a structure; stable across runs."""
     doc = {"kind": kind_of(obj), "version": 1, "body": _BODY_BUILDERS[kind_of(obj)](obj)}
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return _write(doc, "\n") + "\n"
 
 
 def _reject_duplicate_keys(pairs):
@@ -428,9 +451,12 @@ def loads(text: str) -> object:
     except ValueError as e:
         raise SchemaError("$", f"invalid JSON: {e}") from None
     doc = _require_keys(doc, "", ("kind", "version", "body"))
-    kind = doc["kind"]
+    kind, version = doc["kind"], doc["version"]
+    if not isinstance(kind, str):
+        raise SchemaError("kind", "expected a kind string")
     if kind not in _BODY_PARSERS:
         raise SchemaError("kind", f"unknown kind {kind!r}")
-    if doc["version"] != 1:
-        raise SchemaError("version", f"unsupported version {doc['version']!r}")
+    # True == 1 and 1.0 == 1 in Python, so compare the type as well
+    if type(version) is not int or version != 1:
+        raise SchemaError("version", f"unsupported version {version!r}")
     return _BODY_PARSERS[kind](doc["body"], "body")

@@ -7,6 +7,8 @@ reported against, so tests can assert that every witness in a report
 is real rather than trusting the validator's bookkeeping.
 naive_action_compose finds every failure of an action's compose law by
 brute force over all arrow triples, as a reference for validate_action.
+naive_table_error names the first bad entry of a document's entry table
+by a plain scan, as a reference for the errors loads raises.
 """
 
 from __future__ import annotations
@@ -219,6 +221,36 @@ def naive_action_compose(A: LeftAction | RightAction) -> list[tuple[str, ...]]:
                     if one is not None and both is not None and one != both:
                         found.append((m, g1, g2))
     return found
+
+
+def naive_table_error(
+    entries: object, path: str, columns: list[tuple[set, str]]
+) -> str | None:
+    """The SchemaError text loads gives for an entry table, or None.
+
+    columns holds one (pool, kind) pair per entry position.  Entries are
+    visited one at a time: first every entry's shape and key (a list of
+    len(columns) strings whose key, all but the last id, is new), then
+    every entry's ids, column by column, against the pools.
+    """
+    if not isinstance(entries, list):
+        return f"{path}: expected a list of entries"
+    keys: list[tuple] = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != len(columns):
+            return f"{path}[{i}]: expected an entry of {len(columns)} id strings"
+        for x in entry:
+            if not isinstance(x, str):
+                return f"{path}[{i}]: expected an entry of {len(columns)} id strings"
+        key = tuple(entry[:-1])
+        if key in keys:
+            return f"{path}[{i}]: duplicate entry for {key!r}"
+        keys.append(key)
+    for i, entry in enumerate(entries):
+        for j, (pool, kind) in enumerate(columns):
+            if entry[j] not in pool:
+                return f"{path}[{i}]: unknown {kind} {entry[j]!r}"
+    return None
 
 
 def relabel_bundle_points(

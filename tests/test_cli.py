@@ -60,6 +60,11 @@ def test_validate_rejects_malformed_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "invalid JSON" in err
 
+    mangled.write_text('{"kind": [], "version": 1, "body": {}}')
+    assert main(["validate", str(mangled)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {mangled}: kind: expected a kind string\n"
+
 
 def test_validate_missing_file(capsys):
     assert main(["validate", "no-such-file.gpd"]) == 2
@@ -108,6 +113,14 @@ def test_ggt_identity_invert_compose(tmp_path, unit_z2, capsys):
 
     assert main(["ggt", "compose", str(k)]) == 2
     assert "needs two ggt files" in capsys.readouterr().err
+
+    assert main(["ggt", "invert", str(k), str(tmp_path / "missing.ggt")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: ggt invert needs one ggt file\n")
+
+    assert main(["ggt", "identity", UNIT, UNIT]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: ggt identity needs one bundle file\n")
 
 
 def test_ggt_invert_refuses_a_non_equivariant_ggt(tmp_path, unit_z2, capsys):
@@ -195,6 +208,20 @@ def test_gen_is_deterministic(capsys):
     assert main(["gen", "groupoid", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
     assert loads(first) == random_groupoid(GeneratorSpec(3))
+
+
+def test_parser_is_shared_between_calls(capsys):
+    assert main(["gen", "groupoid", "--seed", "3", "--max-objects", "2"]) == 0
+    capsys.readouterr()
+    assert main(["gen", "groupoid", "--seed", "3"]) == 0
+    second = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "gpdkit", "gen", "groupoid", "--seed", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert fresh.returncode == 0
+    assert second == fresh.stdout
 
 
 def test_gen_bundle_and_hs_validate(capsys):

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from gpdkit import (
+    CONJUGATION_VARIANTS,
+    FiniteGroupoid,
     GroupoidMorphism,
     HSBundleMorphism,
     KINDS,
@@ -22,7 +24,12 @@ from gpdkit import (
     kind_of,
     loads,
     make_pair_groupoid,
+    pair_id,
+    product_groupoid,
+    unit_bundle,
 )
+from gpdkit.serialize import _BODY_BUILDERS
+from helpers import naive_table_error
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,6 +75,37 @@ def test_dumps_is_canonical(s3, pair2):
     assert dumps(make_pair_groupoid(2)) == dumps(pair2)
 
 
+AWKWARD_IDS = [
+    '"quoted"',
+    "back\\slash",
+    "caf\u00e9",
+    "\U0001d4a2",
+    "tab\tnewline\nbell\x07\x1f\x7f",
+    "",
+    pair_id('"', pair_id("\\", "\U0001d4a2")),
+]
+
+
+def test_dumps_bytes_equal_json_dumps(z2, unit_z2):
+    empty = FiniteGroupoid(frozenset(), frozenset(), {}, {}, {}, {}, {})
+    awkward = make_pair_groupoid(AWKWARD_IDS)
+    structures = [
+        *_samples(z2, unit_z2).values(),
+        unit_z2.right_action(),
+        empty,
+        awkward,
+        unit_bundle(awkward),
+        product_groupoid(z2, awkward),
+        *(generalized_conjugation(z2, v) for v in CONJUGATION_VARIANTS),
+    ]
+    for obj in structures:
+        kind = kind_of(obj)
+        doc = {"kind": kind, "version": 1, "body": _BODY_BUILDERS[kind](obj)}
+        assert dumps(obj) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert loads(dumps(obj)) == obj
+    assert '"objects": [],' in dumps(empty) and '"source": {},' in dumps(empty)
+
+
 def test_fixture_files_hold_canonical_bytes():
     for name, obj in fixture_documents().items():
         assert (FIXTURES_DIR / name).read_text() == dumps(obj), name
@@ -94,10 +132,14 @@ def test_top_level_schema_errors(z2):
     with pytest.raises(SchemaError, match="kind: unknown kind 'nope'"):
         loads('{"kind": "nope", "version": 1, "body": {}}')
 
-    doc = _doc(z2)
-    doc["version"] = 2
-    with pytest.raises(SchemaError, match="version: unsupported version 2"):
-        loads(json.dumps(doc))
+    with pytest.raises(SchemaError, match="kind: expected a kind string"):
+        loads('{"kind": [], "version": 1, "body": {}}')
+
+    for version, shown in ((2, "2"), (True, "True"), (1.0, "1.0"), ("1", "'1'")):
+        doc = _doc(z2)
+        doc["version"] = version
+        with pytest.raises(SchemaError, match=f"version: unsupported version {shown}$"):
+            loads(json.dumps(doc))
 
 
 def test_body_schema_errors(z2):
@@ -148,3 +190,88 @@ def test_schema_error_carries_path_and_message():
         assert str(e) == "kind: missing"
     else:
         raise AssertionError("expected a SchemaError")
+
+
+def _arrows(body: dict) -> tuple[set, str]:
+    return (set(body["arrows"]), "arrow")
+
+
+def _entry_tables(node: dict, path: str):
+    """(path, holder, key, columns) for each entry table under a body.
+
+    columns pairs each entry position with the ids it must come from,
+    read off the enclosing body's own lists.
+    """
+    for key, value in node.items():
+        sub = f"{path}.{key}"
+        if isinstance(value, dict):
+            yield from _entry_tables(value, sub)
+            continue
+        if key not in ("compose", "act", "values", "right_act", "left_act"):
+            continue
+        if key == "compose":
+            columns = [_arrows(node)] * 3
+        elif key == "values":
+            columns = [
+                (set(node["source"]["total"]), "point"),
+                (set(node["target"]["total"]), "point"),
+                _arrows(node["source"]["groupoid"]),
+            ]
+        elif key in ("right_act", "left_act"):
+            point = (set(node["total"]), "point")
+            if key == "right_act":
+                columns = [point, _arrows(node["cod"]), point]
+            else:
+                columns = [_arrows(node["dom"]), point, point]
+        elif "side" in node:
+            point = (set(node["carrier"]), "point")
+            keys = [_arrows(node["groupoid"]), point]
+            columns = (keys if node["side"] == "left" else keys[::-1]) + [point]
+        else:
+            point = (set(node["total"]), "point")
+            columns = [point, _arrows(node["groupoid"]), point]
+        yield sub, node, key, columns
+
+
+def _table_mutations(entries: list):
+    """Single faults in an entry table, plus a later shape fault after an
+    earlier unknown id, which must be the one reported."""
+    yield {"not": "a list"}
+    for i, entry in enumerate(entries):
+        def put(new, at=i):
+            return entries[:at] + [new] + entries[at + 1:]
+
+        yield put(entry[:-1])
+        yield put(entry + [entry[-1]])
+        yield put(entry[0])
+        yield put({"entry": entry})
+        for j in range(len(entry)):
+            yield put(entry[:j] + [7] + entry[j + 1:])
+            yield put(entry[:j] + [[entry[j]]] + entry[j + 1:])
+            yield put(entry[:j] + ["zz-unknown"] + entry[j + 1:])
+        yield entries + [list(entry)]
+        yield entries[:i] + [entry[:-1] + ["zz-unknown"]] + entries[i:]
+        if i + 1 < len(entries):
+            unknown = put(["zz-unknown"] + entry[1:])
+            yield unknown[:-1] + [entries[-1][:-1]]
+            yield unknown + [list(entries[-1])]
+
+
+def test_table_errors_match_a_naive_scan(z2, unit_z2):
+    structures = [*_samples(z2, unit_z2).values(), unit_z2.right_action()]
+    checked = 0
+    for obj in structures:
+        doc = _doc(obj)
+        for path, holder, key, columns in list(_entry_tables(doc["body"], "body")):
+            original = holder[key]
+            for entries in _table_mutations(original):
+                holder[key] = entries
+                expected = naive_table_error(entries, path, columns)
+                assert expected is not None
+                with pytest.raises(SchemaError) as info:
+                    loads(json.dumps(doc))
+                assert str(info.value) == expected
+                checked += 1
+            holder[key] = original
+        assert loads(json.dumps(doc)) == obj
+    assert checked > 1000
