@@ -65,12 +65,6 @@ class PrincipalBundle:
     momentum: dict[str, str]
     act: dict[tuple[str, str], str]
 
-    def ract(self, p: str, g: str) -> str:
-        try:
-            return self.act[(p, g)]
-        except KeyError:
-            raise KeyError(f"action undefined: {p!r} by {g!r}") from None
-
     def fiber(self, m: str) -> tuple[str, ...]:
         """Total points over base point m, sorted."""
         return tuple(

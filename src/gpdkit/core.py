@@ -161,6 +161,18 @@ def _check_total(
             r.add(f"table.{name}.dangling", k, str(table[k]))
 
 
+def _structure_ok(r: ValidationReport, G: FiniteGroupoid, prefix: str = "") -> bool:
+    """Report G's source, target, unit and inverse tables as table.*
+    rules after prefix; whether all are total, so law loops may index them."""
+    sub = ValidationReport()
+    _check_total(sub, "source", G.source, G.arrows, G.objects)
+    _check_total(sub, "target", G.target, G.arrows, G.objects)
+    _check_total(sub, "unit", G.unit, G.objects, G.arrows)
+    _check_total(sub, "inverse", G.inverse, G.arrows, G.arrows)
+    r.extend(sub, prefix)
+    return sub.ok
+
+
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom over the whole of G's tables.
 
@@ -177,10 +189,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """
     r = ValidationReport()
     obj, arr = G.objects, G.arrows
-    _check_total(r, "source", G.source, arr, obj)
-    _check_total(r, "target", G.target, arr, obj)
-    _check_total(r, "unit", G.unit, obj, arr)
-    _check_total(r, "inverse", G.inverse, arr, arr)
+    _structure_ok(r, G)
 
     src, tgt = G.source, G.target
     known = [
@@ -357,6 +366,10 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     G, H = m.domain, m.codomain
     _check_total(r, "object_map", m.object_map, G.objects, H.objects)
     _check_total(r, "arrow_map", m.arrow_map, G.arrows, H.arrows)
+    # The laws index the domain's tables and compare with the codomain's.
+    domain_ok = _structure_ok(r, G, "domain.")
+    if not (_structure_ok(r, H, "codomain.") and domain_ok):
+        return r
     phi = m.object_map.get
     F = m.arrow_map.get
 
@@ -439,6 +452,9 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     r = ValidationReport()
     G = A.groupoid
     _check_total(r, "momentum", A.momentum, A.carrier, G.objects)
+    # Everything below indexes G's tables.
+    if not _structure_ok(r, G):
+        return r
     left = isinstance(A, LeftAction)
     J = A.momentum.get
 

@@ -19,12 +19,18 @@ where d2 is the division map of P2.  GGTs compose by the star product
     (K23 * K12)(p1, p3) = K23(p2, p3) K12(p1, p2)
 
 whose value does not depend on the interpolating point p2; evaluation
-picks the least p2 and re-checks independence on the others.  Bundles
-with GGTs as arrows form a groupoid, built here explicitly with GGTs
-interned by content so it can be fed back to validate_groupoid.  Its
-composition goes through the bijection: the composite of two arrows is
-the arrow whose bundle morphism is the composite map, which equals their
-star product.  star itself serves GGTs given from outside.
+picks the least p2 and re-checks independence on the others.
+
+Bundles with GGTs as arrows form a groupoid, built here explicitly with
+GGTs interned by content so it can be fed back to validate_groupoid.
+Its hom sets are constructed: _morphisms fixes each bundle morphism by
+one image per fiber, spread by the division map, and the arrows are
+their GGTs; gauge group elements are the automorphisms, read as
+G(p) = d(p, sigma(p)).  The brute-force oracles in builders share no
+code with this and only cross-check it.  Composition goes through the
+bijection: the composite of two arrows is the arrow whose morphism is
+the composite map, which equals their star product.  star itself
+serves GGTs given from outside.
 
 This module is the one place that assembles gauge groupoids and
 tabulates gauge groups.  The bibundle versions in hs are the same
@@ -34,6 +40,7 @@ constructions with the arrows or elements filtered by left invariance.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -146,12 +153,15 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
         if B2.momentum.get(q) != B1.momentum.get(p):
             r.add("morphism.momentum", p)
 
-    for (p, g), pg in sorted(B1.act.items()):
+    # Found in table order, reported in sorted order: sorting the whole
+    # act table on every call would cost more than the check.
+    unequivariant = []
+    for (p, g), pg in B1.act.items():
         q, qg = sig(p), sig(pg)
-        if q is None or qg is None:
-            continue
-        if B2.act.get((q, g)) != qg:
-            r.add("morphism.equivariance", p, g)
+        if q is not None and qg is not None and B2.act.get((q, g)) != qg:
+            unequivariant.append((p, g))
+    for p, g in sorted(unequivariant):
+        r.add("morphism.equivariance", p, g)
 
     image: dict[str, str] = {}
     for p in sorted(B1.total):
@@ -164,6 +174,40 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
     if len(image) == len(B1.total) and len(B2.total) != len(B1.total):
         r.add("derived.bijective", note="total spaces differ in size")
     return r
+
+
+def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]:
+    """Every bundle morphism B1 -> B2: per base point m, the least point
+    r over m goes to any q of B2 over m with momentum(q) == momentum(r),
+    and the fiber follows through sigma(r.g) = q.g, g = d1(r, p).  Each
+    morphism is validated once; a failure is an IntegrityError."""
+    F1 = _fibers(B1)
+    F2 = F1 if B2 is B1 else _fibers(B2)
+    choices = []
+    for m in sorted(B1.base):
+        fiber = F1.get(m)
+        if not fiber:
+            raise IntegrityError(f"empty fiber over {m!r}")
+        r = fiber[0]
+        moves = [(p, division_map(B1, r, p)) for p in fiber]
+        choices.append([
+            {p: B2.act.get((q, g)) for p, g in moves}
+            for q in F2.get(m, ())
+            if B2.momentum.get(q) == B1.momentum.get(r)
+        ])
+    morphisms = []
+    for pieces in itertools.product(*choices):
+        mapping: dict[str, str] = {}
+        for piece in pieces:
+            mapping.update(piece)
+        f = BundleMorphism(B1, B2, mapping)
+        report = validate_bundle_morphism(f)
+        if not report.ok:
+            raise IntegrityError(
+                "constructed bundle morphism fails validation: " + report.render()
+            )
+        morphisms.append(f)
+    return morphisms
 
 
 def validate_ggt(K: GGT) -> ValidationReport:
@@ -254,10 +298,8 @@ def validate_gauge_transformation(t: GaugeTransformation) -> ValidationReport:
 def morphism_to_ggt(f: BundleMorphism) -> GGT:
     """The GGT of a bundle morphism: K(p1, p2) = d2(p2, sigma(p1))."""
     B1, B2 = f.source, f.target
-    values = {}
-    for (p1, p2) in _fibred_pairs(B1, B2):
-        values[(p1, p2)] = division_map(B2, p2, f.mapping[p1])
-    return GGT(B1, B2, values)
+    pairs = _fibred_pairs(B1, B2)
+    return GGT(B1, B2, {(p1, p2): division_map(B2, p2, f.mapping[p1]) for p1, p2 in pairs})
 
 
 def ggt_to_morphism(K: GGT) -> BundleMorphism:
@@ -375,44 +417,13 @@ def _content_key(values: dict) -> tuple:
 
 
 def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
-    """Every gauge transformation of B, re-validated, in content order.
-
-    A gauge transformation is fixed by one isotropy choice per fiber:
-    values spread from a fiber representative r through G(r.g) = g^-1 c g.
-    """
-    import itertools
-
-    G = B.groupoid
-    fibers = _fibers(B)
-    reps = []
-    for m in sorted(B.base):
-        fiber = fibers.get(m, [])
-        if not fiber:
-            raise IntegrityError(f"empty fiber over {m!r}")
-        reps.append(fiber[0])
-    choice_pools = []
-    for p in reps:
-        x = B.momentum[p]
-        pool = tuple(
-            sorted(k for k in G.arrows if G.source[k] == x and G.target[k] == x)
-        )
-        choice_pools.append(pool)
-
-    elements = []
-    for picks in itertools.product(*choice_pools):
-        values: dict[str, str] = {}
-        for p, c in zip(reps, picks):
-            for q in fibers[B.projection[p]]:
-                g = division_map(B, p, q)
-                values[q] = G.mul(G.mul(G.inv(g), c), g)
-        t = GaugeTransformation(B, values)
-        report = validate_gauge_transformation(t)
-        if not report.ok:
-            raise IntegrityError(
-                "enumerated gauge transformation fails validation: "
-                + report.render()
-            )
-        elements.append(t)
+    """Every gauge transformation of B, in content order: the
+    automorphisms sigma of B as G(p) = d(p, sigma(p))."""
+    points = sorted(B.total)
+    elements = [
+        GaugeTransformation(B, {p: division_map(B, p, f.mapping[p]) for p in points})
+        for f in _morphisms(B, B)
+    ]
     elements.sort(key=lambda t: _content_key(t.values))
     return elements
 
@@ -459,10 +470,8 @@ def _tabulate(
 
 
 def gauge_group(B: PrincipalBundle) -> GaugeGroup:
-    """Enumerate every gauge transformation of B and tabulate the group.
-
-    Each candidate is re-validated before being admitted.
-    """
+    """Every gauge transformation of B, tabulated as a group; each
+    automorphism behind one is validated before it is admitted."""
     return _tabulate(B, _gauge_elements(B))
 
 
@@ -506,11 +515,10 @@ def build_gauge_groupoid(
     """Assemble the groupoid of all GGTs between the given bundles.
 
     The bundles must share base and structure groupoid.  Hom sets are
-    filled by the independent enumeration oracle, composition through
-    the bundle morphisms of the arrows (composite maps, looked up by
-    content), units by identity_ggt and inversion by invert_ggt; any
-    composite or unit missing from the enumerated arrows is an
-    IntegrityError.
+    the GGTs of the constructed bundle morphisms, composition runs
+    through those morphisms (composite maps, looked up by content),
+    units are identity_ggt and inverses invert_ggt; any composite or
+    unit missing from the arrows is an IntegrityError.
     """
     if not bundles:
         raise ValueError("need at least one bundle")
@@ -526,20 +534,17 @@ def _assemble(
     keep: Callable[[int, int, GGT], bool],
     noun: str = "bundle",
 ) -> GaugeGroupoid:
-    """The gauge groupoid on the enumerated GGTs K from bundles[i] to
-    bundles[j] with keep(i, j, K); ids default to P0, P1, ...
+    """The gauge groupoid on the GGTs K = morphism_to_ggt(sigma) of the
+    bundle morphisms sigma from bundles[i] to bundles[j] with
+    keep(i, j, K); ids default to P0, P1, ...  Each hom set is sorted by
+    content.
 
-    Composition runs through the GGT-morphism bijection.  Each arrow's
-    morphism is solved once by ggt_to_morphism, which re-checks that it
-    does not depend on the interpolating point, and must give the arrow
-    back under morphism_to_ggt.  The composite of two arrows is then the
-    arrow whose morphism is sigma23 o sigma12; by the round trip and the
-    equivariance of sigma23 it is star(K23, K12).  Units and inverses are
-    looked up by content.  A unit, inverse or composite that was not kept
-    is an IntegrityError naming which.
+    Composition runs through the GGT-morphism bijection: the composite
+    of two arrows is the arrow whose morphism is sigma23 o sigma12,
+    which by the equivariance of sigma23 is star(K23, K12).  Units and
+    inverses are looked up by content.  A unit, inverse or composite
+    that was not kept is an IntegrityError naming which.
     """
-    from .builders import enumerate_ggts
-
     if ids is None:
         ids = [f"P{i}" for i in range(len(bundles))]
     if len(ids) != len(bundles) or len(set(ids)) != len(ids):
@@ -548,18 +553,8 @@ def _assemble(
     arrows: dict[str, GGT] = {}
     by_key: dict[tuple, str] = {}
     homs: dict[tuple[int, int], list[str]] = {}
-
-    def intern(i: int, j: int, K: GGT) -> str:
-        key = (i, j, _content_key(K.values))
-        found = by_key.get(key)
-        if found is not None:
-            return found
-        aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, K.values)}"
-        if aid in arrows:
-            raise IntegrityError(f"arrow id {aid!r} names two different GGTs")
-        by_key[key] = aid
-        arrows[aid] = K
-        return aid
+    source: dict[str, str] = {}
+    target: dict[str, str] = {}
 
     def lookup(i: int, j: int, K: GGT, what: str) -> str:
         found = by_key.get((i, j, _content_key(K.values)))
@@ -569,12 +564,6 @@ def _assemble(
             )
         return found
 
-    for i, Bi in enumerate(bundles):
-        for j, Bj in enumerate(bundles):
-            homs[(i, j)] = [
-                intern(i, j, K) for K in enumerate_ggts(Bi, Bj) if keep(i, j, K)
-            ]
-
     # An arrow's morphism as a row: the position in bundles[j]'s sorted
     # points of the image of each of bundles[i]'s sorted points.  Composite
     # rows go through a list, for the reason given in _tabulate.
@@ -582,23 +571,26 @@ def _assemble(
     position = [{p: n for n, p in enumerate(pts)} for pts in points]
     rows: dict[str, tuple[int, ...]] = {}
     by_row: dict[tuple[int, int], dict[tuple[int, ...], str]] = {}
-    for (i, j), names in sorted(homs.items()):
-        for aid in names:
-            K = arrows[aid]
-            f = ggt_to_morphism(K)
-            if morphism_to_ggt(f).values != K.values:
-                raise IntegrityError(
-                    f"arrow {aid!r} does not round-trip through its morphism"
-                )
-            rows[aid] = tuple(position[j][f.mapping[p]] for p in points[i])
-            by_row.setdefault((i, j), {})[rows[aid]] = aid
+    for i, Bi in enumerate(bundles):
+        for j, Bj in enumerate(bundles):
+            kept = []
+            for f in _morphisms(Bi, Bj):
+                K = morphism_to_ggt(f)
+                if keep(i, j, K):
+                    kept.append((_content_key(K.values), K, f))
+            kept.sort(key=lambda entry: entry[0])
+            homs[(i, j)] = []
+            for key, K, f in kept:
+                aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, K.values)}"
+                if aid in arrows:
+                    raise IntegrityError(f"arrow id {aid!r} names two different GGTs")
+                by_key[(i, j, key)] = aid
+                arrows[aid] = K
+                homs[(i, j)].append(aid)
+                source[aid], target[aid] = ids[i], ids[j]
+                rows[aid] = tuple(position[j][f.mapping[p]] for p in points[i])
+                by_row.setdefault((i, j), {})[rows[aid]] = aid
 
-    source = {}
-    target = {}
-    for (i, j), names in sorted(homs.items()):
-        for aid in names:
-            source[aid] = ids[i]
-            target[aid] = ids[j]
     unit = {
         ids[i]: lookup(i, i, identity_ggt(B), "unit") for i, B in enumerate(bundles)
     }

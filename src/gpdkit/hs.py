@@ -43,7 +43,6 @@ from .gauge import (
     BundleMorphism,
     GaugeGroup,
     GaugeGroupoid,
-    GaugeTransformation,
     _assemble,
     _gauge_elements,
     _tabulate,
@@ -84,12 +83,6 @@ class HSMorphism:
     cod: FiniteGroupoid
     bundle: PrincipalBundle
     left_act: dict[tuple[str, str], str]
-
-    def lact(self, g: str, p: str) -> str:
-        try:
-            return self.left_act[(g, p)]
-        except KeyError:
-            raise KeyError(f"left action undefined: {g!r} on {p!r}") from None
 
     def left_action(self) -> LeftAction:
         return LeftAction(
@@ -279,16 +272,24 @@ def validate_hs_morphism(f: HSBundleMorphism) -> ValidationReport:
     return r
 
 
+def _left_invariance_violations(h1: HSMorphism, h2: HSMorphism, K: GGT):
+    """Each (g, p1, p2) with K(g.p1, g.p2) != K(p1, p2), in sorted order;
+    entries outside the tables are skipped."""
+    movers = h1.dom.by_source()
+    for (p1, p2), k in sorted(K.values.items()):
+        for g in movers.get(h1.bundle.projection.get(p1), ()):
+            q1 = h1.left_act.get((g, p1))
+            q2 = h2.left_act.get((g, p2))
+            if q1 is None or q2 is None:
+                continue
+            moved = K.values.get((q1, q2))
+            if moved is not None and moved != k:
+                yield g, p1, p2
+
+
 def is_left_invariant_ggt(h1: HSMorphism, h2: HSMorphism, K: GGT) -> bool:
     """Whether K(g.p1, g.p2) == K(p1, p2) throughout."""
-    for (p1, p2), k in K.values.items():
-        x = h1.bundle.projection[p1]
-        for g in h1.dom.arrows:
-            if h1.dom.source[g] != x:
-                continue
-            if K.values[(h1.left_act[(g, p1)], h2.left_act[(g, p2)])] != k:
-                return False
-    return True
+    return next(_left_invariance_violations(h1, h2, K), None) is None
 
 
 def validate_hs_ggt(h1: HSMorphism, h2: HSMorphism, K: GGT) -> ValidationReport:
@@ -298,18 +299,8 @@ def validate_hs_ggt(h1: HSMorphism, h2: HSMorphism, K: GGT) -> ValidationReport:
     if not _hs_context(r, h1, h2):
         return r
     r.extend(validate_ggt(K))
-    for (p1, p2), k in sorted(K.values.items()):
-        x = h1.bundle.projection.get(p1)
-        for g in sorted(h1.dom.arrows):
-            if h1.dom.source[g] != x:
-                continue
-            q1 = h1.left_act.get((g, p1))
-            q2 = h2.left_act.get((g, p2))
-            if q1 is None or q2 is None:
-                continue
-            moved = K.values.get((q1, q2))
-            if moved is not None and moved != k:
-                r.add("ggt.left-invariance", g, p1, p2)
+    for witness in _left_invariance_violations(h1, h2, K):
+        r.add("ggt.left-invariance", *witness)
     return r
 
 
@@ -335,16 +326,14 @@ def hs_ggt_to_morphism(h1: HSMorphism, h2: HSMorphism, K: GGT) -> HSBundleMorphi
     return hsm
 
 
-def _is_left_invariant_gauge(h: HSMorphism, t: GaugeTransformation) -> bool:
-    return all(
-        t.values[gp] == t.values[p] for (g, p), gp in h.left_act.items()
-    )
-
-
 def hs_gauge_group(h: HSMorphism) -> GaugeGroup:
     """Gauge transformations of the bundle that are constant on left
     orbits, as a subgroup of gauge_group(h.bundle)."""
-    kept = [t for t in _gauge_elements(h.bundle) if _is_left_invariant_gauge(h, t)]
+    kept = [
+        t
+        for t in _gauge_elements(h.bundle)
+        if all(t.values[gp] == t.values[p] for (g, p), gp in h.left_act.items())
+    ]
     return _tabulate(h.bundle, kept)
 
 

@@ -355,6 +355,13 @@ def run_checks(
         gg = build_gauge_groupoid(family)
         report = validate_groupoid(gg.groupoid)
         detail = first(report)
+        ids = gg.bundle_ids
+        for i, Bi in enumerate(family):
+            for j, Bj in enumerate(family):
+                if not detail and sorted(
+                    _table(gg.ggts[a]) for a in gg.groupoid.hom(ids[i], ids[j])
+                ) != [_table(K) for K in enumerate_ggts(Bi, Bj)]:
+                    detail = f"hom({ids[i]}, {ids[j]}) differs from the oracle"
         if not detail:
             for i, B in enumerate(family):
                 mine = {

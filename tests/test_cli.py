@@ -18,6 +18,7 @@ from gpdkit import (
     HSMorphism,
     PrincipalBundle,
     dumps,
+    generalized_conjugation,
     hs_from_groupoid_morphism,
     identity_ggt,
     loads,
@@ -51,6 +52,42 @@ def test_validate_reports_violations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"{bad}: " in out and "violations" in out
     assert "\n  " in out
+
+
+def _trivial_morphism(z2, s3):
+    (x,), (y,) = sorted(z2.objects), sorted(s3.objects)
+    return GroupoidMorphism(z2, s3, {x: y}, {g: s3.unit[y] for g in z2.arrows})
+
+
+_HOLDERS = {
+    "left.act": (lambda z2, s3: generalized_conjugation(z2, "left"), ["groupoid"]),
+    "right.act": (lambda z2, s3: generalized_conjugation(z2, "right"), ["groupoid"]),
+    "unit.bnd": (lambda z2, s3: loads(Path(UNIT).read_text()), ["groupoid"]),
+    "trivial.mor": (_trivial_morphism, ["domain", "codomain"]),
+    "trivial.hs": (
+        lambda z2, s3: hs_from_groupoid_morphism(_trivial_morphism(z2, s3)),
+        ["dom", "cod"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOLDERS))
+def test_validate_is_total_on_missing_endpoint_entries(name, z2, s3, tmp_path, capsys):
+    build, fields = _HOLDERS[name]
+    doc = json.loads(dumps(build(z2, s3)))
+    path = tmp_path / name
+    cases = 0
+    for field in fields:
+        for table in ("source", "target"):
+            for arrow in sorted(doc["body"][field][table]):
+                broken = json.loads(json.dumps(doc))
+                del broken["body"][field][table][arrow]
+                path.write_text(json.dumps(broken))
+                assert main(["validate", str(path)]) == 1, (field, table, arrow)
+                out = capsys.readouterr().out
+                assert f"table.{table}.missing[{arrow}]" in out, out
+                cases += 1
+    assert cases
 
 
 def test_validate_rejects_malformed_file(tmp_path, capsys):

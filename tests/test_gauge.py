@@ -15,6 +15,7 @@ from gpdkit import (
     GeneratorError,
     GeneratorSpec,
     IntegrityError,
+    OracleBoundError,
     build_gauge_groupoid,
     build_hs_gauge_groupoid,
     check_division_invariance,
@@ -293,10 +294,13 @@ def _assert_compose_is_star(gg):
         assert _ggt_table(star(gg.ggts[a2], gg.ggts[a1])) == _ggt_table(gg.ggts[a])
 
 
-def test_gauge_groupoid_compose_is_star_on_three_bundles(unit_z2):
+def _three_bundles(unit_z2):
     twin = pullback_bundle(unit_z2, {m: m for m in unit_z2.base})
-    copy = _relabelled(unit_z2, "r:")
-    gg = build_gauge_groupoid([unit_z2, twin, copy])
+    return [unit_z2, twin, _relabelled(unit_z2, "r:")]
+
+
+def test_gauge_groupoid_compose_is_star_on_three_bundles(unit_z2):
+    gg = build_gauge_groupoid(_three_bundles(unit_z2))
     assert validate_groupoid(gg.groupoid).ok
     assert len(gg.groupoid.arrows) == 18
     _assert_compose_is_star(gg)
@@ -329,20 +333,6 @@ def test_assembly_refuses_a_composite_that_was_not_kept(unit_s3):
         )
 
 
-def test_assembly_refuses_an_arrow_that_does_not_round_trip(unit_z2, monkeypatch):
-    real = gpdkit.gauge.morphism_to_ggt
-
-    def moved(f):
-        K = real(f)
-        key = min(K.values)
-        other = "a" if K.values[key] == "e" else "e"
-        return GGT(K.source, K.target, {**K.values, key: other})
-
-    monkeypatch.setattr(gpdkit.gauge, "morphism_to_ggt", moved)
-    with pytest.raises(IntegrityError, match="ggt:P0>P0:.* does not round-trip"):
-        build_gauge_groupoid([unit_z2])
-
-
 def test_gauge_groupoid_of_the_order_144_unit_bundle_is_fast():
     U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
     start = time.perf_counter()
@@ -354,3 +344,31 @@ def test_gauge_groupoid_of_the_order_144_unit_bundle_is_fast():
     theirs = {_ggt_table(gauge_to_ggt(t)) for t in gauge_group(U).elements}
     assert mine == theirs
     assert elapsed < 2.0, f"build took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("family", ["unit_z2", "unit_s3", "unit_pair2", "three"])
+def test_constructed_hom_sets_equal_the_oracle(family, request):
+    if family == "three":
+        bundles = _three_bundles(request.getfixturevalue("unit_z2"))
+    else:
+        bundles = [request.getfixturevalue(family)]
+    gg = build_gauge_groupoid(bundles)
+    ids = gg.bundle_ids
+    for i, Bi in enumerate(bundles):
+        for j, Bj in enumerate(bundles):
+            mine = sorted(_ggt_table(gg.ggts[a]) for a in gg.groupoid.hom(ids[i], ids[j]))
+            assert mine == [_ggt_table(K) for K in enumerate_ggts(Bi, Bj)]
+
+
+def test_gauge_groupoid_above_the_oracle_bounds(s3):
+    B = random_bundle(s3, 3, GeneratorSpec(5, max_total=18))
+    assert len(B.total) == 18
+    with pytest.raises(OracleBoundError):
+        enumerate_ggts(B, B)
+    gg = build_gauge_groupoid([B])
+    assert validate_groupoid(gg.groupoid).ok
+    assert len(gg.groupoid.arrows) == 216
+    assert len(gg.groupoid.compose) == 216 * 216
+    mine = {_ggt_table(gg.ggts[a]) for a in gg.groupoid.hom("P0", "P0")}
+    theirs = {_ggt_table(gauge_to_ggt(t)) for t in gauge_group(B).elements}
+    assert mine == theirs
