@@ -36,13 +36,8 @@ __all__ = [
     "LeftAction",
     "RightAction",
     "validate_action",
-    "transporters",
-    "is_free",
-    "is_transitive",
     "generalized_conjugation",
     "CONJUGATION_VARIANTS",
-    "EquivariantMapWitness",
-    "validate_equivariant_map",
 ]
 
 
@@ -530,42 +525,6 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     return r
 
 
-def transporters(A: LeftAction | RightAction, m1: str, m2: str) -> tuple[str, ...]:
-    """All arrows moving m1 to m2 under A, sorted."""
-    if isinstance(A, LeftAction):
-        found = (g for (g, m), res in A.act.items() if m == m1 and res == m2)
-    else:
-        found = (g for (m, g), res in A.act.items() if m == m1 and res == m2)
-    return tuple(sorted(found))
-
-
-def is_free(A: LeftAction | RightAction) -> tuple[bool, tuple[str, str] | None]:
-    """Whether only units fix carrier points; returns a counterexample if not."""
-    G = A.groupoid
-    for key in sorted(A.act):
-        if A.act[key] not in A.carrier:
-            continue
-        g, m = key if isinstance(A, LeftAction) else (key[1], key[0])
-        if A.act[key] == m and g != G.unit.get(A.momentum[m]):
-            return False, (g, m)
-    return True, None
-
-
-def is_transitive(
-    A: LeftAction | RightAction,
-) -> tuple[bool, tuple[str, str] | None]:
-    """Whether every carrier point reaches every other; counterexample if not.
-
-    When the action is also free the connecting arrow is unique; that
-    uniqueness is what transporters exposes.
-    """
-    for m1 in sorted(A.carrier):
-        for m2 in sorted(A.carrier):
-            if not transporters(A, m1, m2):
-                return False, (m1, m2)
-    return True, None
-
-
 CONJUGATION_VARIANTS = ("left", "left_bar", "right", "right_bar")
 
 
@@ -620,45 +579,3 @@ def generalized_conjugation(
     if variant.startswith("left"):
         return LeftAction(GG, carrier, momentum, act)
     return RightAction(GG, carrier, momentum, act)
-
-
-@dataclass(frozen=True)
-class EquivariantMapWitness:
-    """A candidate equivariant map between two actions of one groupoid."""
-
-    source: LeftAction | RightAction
-    target: LeftAction | RightAction
-    mapping: dict[str, str]
-
-
-def validate_equivariant_map(w: EquivariantMapWitness) -> ValidationReport:
-    """Check that w.mapping preserves momentum and intertwines the actions."""
-    A, B = w.source, w.target
-    if type(A) is not type(B):
-        raise ValueError("actions must be on the same side")
-    if A.groupoid != B.groupoid:
-        raise ValueError("actions must share their groupoid")
-    r = ValidationReport()
-    _check_total(r, "mapping", w.mapping, A.carrier, B.carrier)
-    f = w.mapping.get
-
-    for m in sorted(A.carrier):
-        fm = f(m)
-        if fm is None or fm not in B.carrier:
-            continue
-        if B.momentum.get(fm) != A.momentum.get(m):
-            r.add("equivariant.momentum", m)
-
-    left = isinstance(A, LeftAction)
-    for key in sorted(A.act):
-        res = A.act[key]
-        if res not in A.carrier:
-            continue
-        g, m = key if left else (key[1], key[0])
-        fm, fres = f(m), f(res)
-        if fm is None or fres is None:
-            continue
-        other = B.act.get((g, fm) if left else (fm, g))
-        if other is not None and other != fres:
-            r.add("equivariant.compat", *key)
-    return r

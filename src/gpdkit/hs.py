@@ -262,14 +262,21 @@ def validate_hs_morphism(f: HSBundleMorphism) -> ValidationReport:
     if not _hs_context(r, f.source, f.target):
         return r
     r.extend(validate_bundle_morphism(f.as_bundle_morphism()))
+    for witness in _left_equivariance_violations(f):
+        r.add("hs-morphism.left-equivariance", *witness)
+    return r
+
+
+def _left_equivariance_violations(f: HSBundleMorphism):
+    """Each (g, p) with sigma(g.p) != g.sigma(p), in sorted order; points
+    off the mapping are skipped."""
     sig = f.mapping.get
     for (g, p), gp in sorted(f.source.left_act.items()):
         q, qg = sig(p), sig(gp)
         if q is None or qg is None:
             continue
         if f.target.left_act.get((g, q)) != qg:
-            r.add("hs-morphism.left-equivariance", g, p)
-    return r
+            yield g, p
 
 
 def _left_invariance_violations(h1: HSMorphism, h2: HSMorphism, K: GGT):
@@ -316,13 +323,9 @@ def hs_morphism_to_ggt(f: HSBundleMorphism) -> GGT:
 def hs_ggt_to_morphism(h1: HSMorphism, h2: HSMorphism, K: GGT) -> HSBundleMorphism:
     """ggt_to_morphism on the underlying bundles; left equivariance of
     the result is re-checked."""
-    f = ggt_to_morphism(K)
-    hsm = HSBundleMorphism(h1, h2, f.mapping)
-    for (g, p), gp in h1.left_act.items():
-        if h2.left_act[(g, f.mapping[p])] != f.mapping[gp]:
-            raise IntegrityError(
-                "morphism of an invariant GGT is not left equivariant"
-            )
+    hsm = HSBundleMorphism(h1, h2, ggt_to_morphism(K).mapping)
+    if next(_left_equivariance_violations(hsm), None) is not None:
+        raise IntegrityError("morphism of an invariant GGT is not left equivariant")
     return hsm
 
 

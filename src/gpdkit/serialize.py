@@ -7,6 +7,12 @@ newline; _write produces them with json's C string encoder instead of
 the per-leaf Python calls that indent forces on json.dumps.  Tables
 keyed by pairs are stored as entry lists [key0, key1, value].
 
+Each kind's body format is stated once, in _SCHEMAS: its fields in
+document order, each an id list, an id map, an entry table, a choice
+or a nested body, and for each map and table column the path of the
+id list its ids come from, e.g. domain.objects.  dumps and loads both
+walk it, so the writer and the reader cannot drift apart.
+
 loads is strict about shape: wrong types, missing or unexpected keys,
 duplicate entries and ids that do not resolve raise SchemaError with
 the offending path, e.g. body.compose[3].  An entry table is checked
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import attrgetter
+from typing import Callable
 
 from .bundles import PrincipalBundle
 from .core import FiniteGroupoid, GroupoidMorphism, LeftAction, RightAction, _quote
@@ -27,17 +35,6 @@ from .gauge import GGT, BundleMorphism
 from .hs import HSBundleMorphism, HSMorphism
 
 __all__ = ["SchemaError", "KINDS", "kind_of", "dumps", "loads"]
-
-KINDS = (
-    "groupoid",
-    "morphism",
-    "action",
-    "bundle",
-    "bundle_morphism",
-    "ggt",
-    "hs",
-    "hs_morphism",
-)
 
 
 class SchemaError(ValueError):
@@ -65,7 +62,7 @@ def _require_keys(value: object, path: str, names: tuple[str, ...]) -> dict:
     return value
 
 
-def _str_list(value: object, path: str) -> list[str]:
+def _str_list(value: object, path: str) -> frozenset[str]:
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of id strings")
     seen = set()
@@ -75,7 +72,7 @@ def _str_list(value: object, path: str) -> list[str]:
         if item in seen:
             raise SchemaError(f"{path}[{i}]", f"duplicate id {item!r}")
         seen.add(item)
-    return list(value)
+    return frozenset(seen)
 
 
 def _str_map(
@@ -99,16 +96,17 @@ def _str_map(
 
 
 def _table(
-    value: object, path: str, *columns: tuple[frozenset | set, str]
+    value: object, path: str, pools: dict, columns: tuple[tuple[str, str], ...]
 ) -> dict[tuple[str, ...], str]:
     """An entry list [[k0, k1, v], ...] as {(k0, k1): v}.
 
-    columns holds one (pool, kind) pair per entry position.  The table
-    is checked whole: every entry a list of len(columns) strings (leaf
-    types before any leaf is hashed), unique keys, each column inside
-    its pool.  Only a table that fails a check is scanned in order, to
-    name the first bad entry: shape and duplicate faults anywhere come
-    before an unknown id, which is found by entry, then by column.
+    columns holds one (pool, kind) pair per entry position, the pool
+    named by its key in pools.  The table is checked whole: every entry
+    a list of len(columns) strings (leaf types before any leaf is
+    hashed), unique keys, each column inside its pool.  Only a table
+    that fails a check is scanned in order, to name the first bad
+    entry: shape and duplicate faults anywhere come before an unknown
+    id, which is found by entry, then by column.
     """
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of entries")
@@ -121,7 +119,7 @@ def _table(
         cols = list(zip(*value)) or [()] * width
         keys = list(zip(*cols[:-1]))
         if len(set(keys)) == len(keys) and all(
-            pool.issuperset(col) for col, (pool, _) in zip(cols, columns)
+            pools[pool].issuperset(col) for col, (pool, _) in zip(cols, columns)
         ):
             return dict(zip(keys, cols[-1]))
     # The scan tests exact types, as the checks above do, so it raises
@@ -142,263 +140,181 @@ def _table(
         seen.add(key)
     for i, item in enumerate(value):
         for x, (pool, kind) in zip(item, columns):
-            if x not in pool:
+            if x not in pools[pool]:
                 raise SchemaError(f"{path}[{i}]", f"unknown {kind} {x!r}")
 
 
-def _groupoid_body(G: FiniteGroupoid) -> dict:
-    return {
-        "objects": sorted(G.objects),
-        "arrows": sorted(G.arrows),
-        "source": dict(sorted(G.source.items())),
-        "target": dict(sorted(G.target.items())),
-        "unit": dict(sorted(G.unit.items())),
-        "inverse": dict(sorted(G.inverse.items())),
-        "compose": [[a, b, c] for (a, b), c in sorted(G.compose.items())],
-    }
+_SCHEMAS: dict[str, tuple] = {}  # kind: (types, build, names, fields), filled by _kind
 
 
-def _parse_groupoid(body: object, path: str) -> FiniteGroupoid:
-    obj = _require_keys(
-        body,
-        path,
-        ("objects", "arrows", "source", "target", "unit", "inverse", "compose"),
-    )
-    objects = _str_list(obj["objects"], _join(path, "objects"))
-    arrows = _str_list(obj["arrows"], _join(path, "arrows"))
-    oset, aset = set(objects), set(arrows)
-    source = _str_map(obj["source"], _join(path, "source"), aset, "arrow", oset, "object")
-    target = _str_map(obj["target"], _join(path, "target"), aset, "arrow", oset, "object")
-    unit = _str_map(obj["unit"], _join(path, "unit"), oset, "object", aset, "arrow")
-    inverse = _str_map(obj["inverse"], _join(path, "inverse"), aset, "arrow", aset, "arrow")
-    arrow = (aset, "arrow")
-    compose = _table(obj["compose"], _join(path, "compose"), arrow, arrow, arrow)
-    return FiniteGroupoid(
-        frozenset(objects), frozenset(arrows), source, target, unit, inverse, compose
-    )
+def _field(name: str, form: str, columns: tuple | dict = (), get=None) -> tuple:
+    """One body field, a plain tuple so that loads unpacks it fast.
+
+    form is "ids", "map", "table", "choice" or a nested body's kind.
+    A column is (pool, noun): the path of an id list read earlier and
+    the noun an unknown id is reported as.  A map has a key and a value
+    column, a table one per entry position, or one tuple per value of
+    the body's choice; a choice lists its values.  A nested body's
+    columns pair each of its id lists' paths inside it and here.  get
+    reads the field off the structure, by default the named attribute.
+    """
+    if form in _SCHEMAS:
+        columns = tuple((below, f"{name}.{below}") for below in _pools(form))
+    return name, form, columns, get
 
 
-def _morphism_body(f: GroupoidMorphism) -> dict:
-    return {
-        "domain": _groupoid_body(f.domain),
-        "codomain": _groupoid_body(f.codomain),
-        "object_map": dict(sorted(f.object_map.items())),
-        "arrow_map": dict(sorted(f.arrow_map.items())),
-    }
+def _pools(kind: str):
+    """The paths of the id lists a body of kind declares."""
+    for name, form, columns, _ in _SCHEMAS[kind][-1]:
+        if form == "ids":
+            yield name
+        elif form in _SCHEMAS:
+            yield from (here for _, here in columns)
 
 
-def _parse_morphism(body: object, path: str) -> GroupoidMorphism:
-    obj = _require_keys(body, path, ("domain", "codomain", "object_map", "arrow_map"))
-    dom = _parse_groupoid(obj["domain"], _join(path, "domain"))
-    cod = _parse_groupoid(obj["codomain"], _join(path, "codomain"))
-    object_map = _str_map(
-        obj["object_map"], _join(path, "object_map"),
-        dom.objects, "object", cod.objects, "object",
-    )
-    arrow_map = _str_map(
-        obj["arrow_map"], _join(path, "arrow_map"),
-        dom.arrows, "arrow", cod.arrows, "arrow",
-    )
-    return GroupoidMorphism(dom, cod, object_map, arrow_map)
+def _kind(kind: str, types: tuple[type, ...], build: Callable, fields: tuple) -> None:
+    """Declare a kind: the classes dumped as it, a build taking the field
+    values in order, and its fields in document order."""
+    _SCHEMAS[kind] = (types, build, tuple(field[0] for field in fields), fields)
 
 
-def _action_body(A: LeftAction | RightAction) -> dict:
-    return {
-        "side": "left" if isinstance(A, LeftAction) else "right",
-        "groupoid": _groupoid_body(A.groupoid),
-        "carrier": sorted(A.carrier),
-        "momentum": dict(sorted(A.momentum.items())),
-        "act": [[k0, k1, v] for (k0, k1), v in sorted(A.act.items())],
-    }
+def _build_action(side: str, *fields) -> LeftAction | RightAction:
+    return (LeftAction if side == "left" else RightAction)(*fields)
 
 
-def _parse_action(body: object, path: str) -> LeftAction | RightAction:
-    obj = _require_keys(body, path, ("side", "groupoid", "carrier", "momentum", "act"))
-    side = obj["side"]
-    if side not in ("left", "right"):
-        raise SchemaError(_join(path, "side"), f"expected 'left' or 'right', got {side!r}")
-    G = _parse_groupoid(obj["groupoid"], _join(path, "groupoid"))
-    carrier = _str_list(obj["carrier"], _join(path, "carrier"))
-    cset = set(carrier)
-    momentum = _str_map(
-        obj["momentum"], _join(path, "momentum"), cset, "point", G.objects, "object"
-    )
-    arrow, point = (G.arrows, "arrow"), (cset, "point")
-    keys = (arrow, point) if side == "left" else (point, arrow)
-    act = _table(obj["act"], _join(path, "act"), *keys, point)
-    cls = LeftAction if side == "left" else RightAction
-    return cls(G, frozenset(carrier), momentum, act)
-
-
-def _bundle_body(B: PrincipalBundle) -> dict:
-    return {
-        "groupoid": _groupoid_body(B.groupoid),
-        "total": sorted(B.total),
-        "base": sorted(B.base),
-        "projection": dict(sorted(B.projection.items())),
-        "momentum": dict(sorted(B.momentum.items())),
-        "act": [[p, g, q] for (p, g), q in sorted(B.act.items())],
-    }
-
-
-def _parse_bundle(body: object, path: str) -> PrincipalBundle:
-    obj = _require_keys(
-        body, path, ("groupoid", "total", "base", "projection", "momentum", "act")
-    )
-    G = _parse_groupoid(obj["groupoid"], _join(path, "groupoid"))
-    total = _str_list(obj["total"], _join(path, "total"))
-    base = _str_list(obj["base"], _join(path, "base"))
-    tset, bset = set(total), set(base)
-    projection = _str_map(
-        obj["projection"], _join(path, "projection"), tset, "point", bset, "base point"
-    )
-    momentum = _str_map(
-        obj["momentum"], _join(path, "momentum"), tset, "point", G.objects, "object"
-    )
-    point = (tset, "point")
-    act = _table(obj["act"], _join(path, "act"), point, (G.arrows, "arrow"), point)
-    return PrincipalBundle(G, frozenset(total), frozenset(base), projection, momentum, act)
-
-
-def _bundle_morphism_body(f: BundleMorphism) -> dict:
-    return {
-        "source": _bundle_body(f.source),
-        "target": _bundle_body(f.target),
-        "mapping": dict(sorted(f.mapping.items())),
-    }
-
-
-def _parse_bundle_morphism(body: object, path: str) -> BundleMorphism:
-    obj = _require_keys(body, path, ("source", "target", "mapping"))
-    src = _parse_bundle(obj["source"], _join(path, "source"))
-    dst = _parse_bundle(obj["target"], _join(path, "target"))
-    mapping = _str_map(
-        obj["mapping"], _join(path, "mapping"), src.total, "point", dst.total, "point"
-    )
-    return BundleMorphism(src, dst, mapping)
-
-
-def _ggt_body(K: GGT) -> dict:
-    return {
-        "source": _bundle_body(K.source),
-        "target": _bundle_body(K.target),
-        "values": [[p1, p2, g] for (p1, p2), g in sorted(K.values.items())],
-    }
-
-
-def _parse_ggt(body: object, path: str) -> GGT:
-    obj = _require_keys(body, path, ("source", "target", "values"))
-    src = _parse_bundle(obj["source"], _join(path, "source"))
-    dst = _parse_bundle(obj["target"], _join(path, "target"))
-    values = _table(
-        obj["values"], _join(path, "values"),
-        (src.total, "point"), (dst.total, "point"), (src.groupoid.arrows, "arrow"),
-    )
-    return GGT(src, dst, values)
-
-
-def _hs_body(h: HSMorphism) -> dict:
-    return {
-        "dom": _groupoid_body(h.dom),
-        "cod": _groupoid_body(h.cod),
-        "total": sorted(h.bundle.total),
-        "projection": dict(sorted(h.bundle.projection.items())),
-        "momentum": dict(sorted(h.bundle.momentum.items())),
-        "right_act": [[p, k, q] for (p, k), q in sorted(h.bundle.act.items())],
-        "left_act": [[g, p, q] for (g, p), q in sorted(h.left_act.items())],
-    }
-
-
-def _parse_hs(body: object, path: str) -> HSMorphism:
-    obj = _require_keys(
-        body,
-        path,
-        ("dom", "cod", "total", "projection", "momentum", "right_act", "left_act"),
-    )
-    dom = _parse_groupoid(obj["dom"], _join(path, "dom"))
-    cod = _parse_groupoid(obj["cod"], _join(path, "cod"))
-    total = _str_list(obj["total"], _join(path, "total"))
-    tset = set(total)
-    projection = _str_map(
-        obj["projection"], _join(path, "projection"),
-        tset, "point", dom.objects, "base point",
-    )
-    momentum = _str_map(
-        obj["momentum"], _join(path, "momentum"), tset, "point", cod.objects, "object"
-    )
-    point = (tset, "point")
-    act = _table(
-        obj["right_act"], _join(path, "right_act"), point, (cod.arrows, "arrow"), point
-    )
-    left_act = _table(
-        obj["left_act"], _join(path, "left_act"), (dom.arrows, "arrow"), point, point
-    )
-    bundle = PrincipalBundle(
-        cod, frozenset(total), frozenset(dom.objects), projection, momentum, act
-    )
+def _build_hs(dom, cod, total, projection, momentum, right_act, left_act) -> HSMorphism:
+    bundle = PrincipalBundle(cod, total, dom.objects, projection, momentum, right_act)
     return HSMorphism(dom, cod, bundle, left_act)
 
 
-def _hs_morphism_body(f: HSBundleMorphism) -> dict:
-    return {
-        "source": _hs_body(f.source),
-        "target": _hs_body(f.target),
-        "mapping": dict(sorted(f.mapping.items())),
-    }
-
-
-def _parse_hs_morphism(body: object, path: str) -> HSBundleMorphism:
-    obj = _require_keys(body, path, ("source", "target", "mapping"))
-    src = _parse_hs(obj["source"], _join(path, "source"))
-    dst = _parse_hs(obj["target"], _join(path, "target"))
-    mapping = _str_map(
-        obj["mapping"], _join(path, "mapping"),
-        src.bundle.total, "point", dst.bundle.total, "point",
-    )
-    return HSBundleMorphism(src, dst, mapping)
-
-
-_BODY_BUILDERS = {
-    "groupoid": _groupoid_body,
-    "morphism": _morphism_body,
-    "action": _action_body,
-    "bundle": _bundle_body,
-    "bundle_morphism": _bundle_morphism_body,
-    "ggt": _ggt_body,
-    "hs": _hs_body,
-    "hs_morphism": _hs_morphism_body,
-}
-
-_BODY_PARSERS = {
-    "groupoid": _parse_groupoid,
-    "morphism": _parse_morphism,
-    "action": _parse_action,
-    "bundle": _parse_bundle,
-    "bundle_morphism": _parse_bundle_morphism,
-    "ggt": _parse_ggt,
-    "hs": _parse_hs,
-    "hs_morphism": _parse_hs_morphism,
-}
-
-_KIND_OF_TYPE = (
-    (FiniteGroupoid, "groupoid"),
-    (GroupoidMorphism, "morphism"),
-    (LeftAction, "action"),
-    (RightAction, "action"),
-    (PrincipalBundle, "bundle"),
-    (BundleMorphism, "bundle_morphism"),
-    (GGT, "ggt"),
-    (HSMorphism, "hs"),
-    (HSBundleMorphism, "hs_morphism"),
-)
+_kind("groupoid", (FiniteGroupoid,), FiniteGroupoid, (
+    _field("objects", "ids"),
+    _field("arrows", "ids"),
+    _field("source", "map", (("arrows", "arrow"), ("objects", "object"))),
+    _field("target", "map", (("arrows", "arrow"), ("objects", "object"))),
+    _field("unit", "map", (("objects", "object"), ("arrows", "arrow"))),
+    _field("inverse", "map", (("arrows", "arrow"), ("arrows", "arrow"))),
+    _field("compose", "table", (("arrows", "arrow"),) * 3),
+))
+_kind("morphism", (GroupoidMorphism,), GroupoidMorphism, (
+    _field("domain", "groupoid"),
+    _field("codomain", "groupoid"),
+    _field("object_map", "map", (("domain.objects", "object"), ("codomain.objects", "object"))),
+    _field("arrow_map", "map", (("domain.arrows", "arrow"), ("codomain.arrows", "arrow"))),
+))
+_kind("action", (LeftAction, RightAction), _build_action, (
+    _field(
+        "side", "choice", ("left", "right"),
+        lambda A: "left" if isinstance(A, LeftAction) else "right",
+    ),
+    _field("groupoid", "groupoid"),
+    _field("carrier", "ids"),
+    _field("momentum", "map", (("carrier", "point"), ("groupoid.objects", "object"))),
+    _field("act", "table", {
+        "left": (("groupoid.arrows", "arrow"), ("carrier", "point"), ("carrier", "point")),
+        "right": (("carrier", "point"), ("groupoid.arrows", "arrow"), ("carrier", "point")),
+    }),
+))
+_kind("bundle", (PrincipalBundle,), PrincipalBundle, (
+    _field("groupoid", "groupoid"),
+    _field("total", "ids"),
+    _field("base", "ids"),
+    _field("projection", "map", (("total", "point"), ("base", "base point"))),
+    _field("momentum", "map", (("total", "point"), ("groupoid.objects", "object"))),
+    _field("act", "table", (
+        ("total", "point"), ("groupoid.arrows", "arrow"), ("total", "point"),
+    )),
+))
+_kind("bundle_morphism", (BundleMorphism,), BundleMorphism, (
+    _field("source", "bundle"),
+    _field("target", "bundle"),
+    _field("mapping", "map", (("source.total", "point"), ("target.total", "point"))),
+))
+_kind("ggt", (GGT,), GGT, (
+    _field("source", "bundle"),
+    _field("target", "bundle"),
+    _field("values", "table", (
+        ("source.total", "point"),
+        ("target.total", "point"),
+        ("source.groupoid.arrows", "arrow"),
+    )),
+))
+_kind("hs", (HSMorphism,), _build_hs, (
+    _field("dom", "groupoid"),
+    _field("cod", "groupoid"),
+    _field("total", "ids", get=attrgetter("bundle.total")),
+    _field("projection", "map", (
+        ("total", "point"), ("dom.objects", "base point"),
+    ), attrgetter("bundle.projection")),
+    _field("momentum", "map", (
+        ("total", "point"), ("cod.objects", "object"),
+    ), attrgetter("bundle.momentum")),
+    _field("right_act", "table", (
+        ("total", "point"), ("cod.arrows", "arrow"), ("total", "point"),
+    ), attrgetter("bundle.act")),
+    _field("left_act", "table", (
+        ("dom.arrows", "arrow"), ("total", "point"), ("total", "point"),
+    )),
+))
+_kind("hs_morphism", (HSBundleMorphism,), HSBundleMorphism, (
+    _field("source", "hs"),
+    _field("target", "hs"),
+    _field("mapping", "map", (("source.total", "point"), ("target.total", "point"))),
+))
+KINDS = tuple(_SCHEMAS)
 
 
 def kind_of(obj: object) -> str:
     """The document kind that serializes obj."""
-    for cls, kind in _KIND_OF_TYPE:
-        if isinstance(obj, cls):
+    for kind, (types, *_) in _SCHEMAS.items():
+        if isinstance(obj, types):
             return kind
     raise TypeError(f"no document kind for {type(obj).__name__}")
+
+
+def _body(kind: str, obj: object) -> dict:
+    """The body of obj's document; _write sorts the maps."""
+    body = {}
+    for name, form, _, get in _SCHEMAS[kind][-1]:
+        value = get(obj) if get else getattr(obj, name)
+        if form == "ids":
+            value = sorted(value)
+        elif form == "table":
+            value = [[*key, v] for key, v in sorted(value.items())]
+        elif form in _SCHEMAS:
+            value = _body(form, value)
+        body[name] = value
+    return body
+
+
+def _read(kind: str, value: object, path: str) -> tuple[object, dict]:
+    """The structure of kind at path, and the id sets its body declares
+    by their paths (see _pools)."""
+    _, build, names, fields = _SCHEMAS[kind]
+    body = _require_keys(value, path, names)
+    values, pools = [], {}
+    for name, form, columns, _ in fields:
+        at, value = _join(path, name), body[name]
+        if form == "map":
+            (keys, key_kind), (targets, value_kind) = columns
+            value = _str_map(value, at, pools[keys], key_kind, pools[targets], value_kind)
+        elif form == "ids":
+            value = pools[name] = _str_list(value, at)
+        elif form == "table":
+            if isinstance(columns, dict):
+                columns = columns[choice]
+            value = _table(value, at, pools, columns)
+        elif form == "choice":
+            if value not in columns:
+                allowed = " or ".join(map(repr, columns))
+                raise SchemaError(at, f"expected {allowed}, got {value!r}")
+            choice = value
+        else:
+            value, inner = _read(form, value, at)
+            for below, here in columns:
+                pools[here] = inner[below]
+        values.append(value)
+    return build(*values), pools
 
 
 def _write(value: object, pad: str) -> str:
@@ -429,7 +345,8 @@ def _write(value: object, pad: str) -> str:
 
 def dumps(obj: object) -> str:
     """Canonical document text for a structure; stable across runs."""
-    doc = {"kind": kind_of(obj), "version": 1, "body": _BODY_BUILDERS[kind_of(obj)](obj)}
+    kind = kind_of(obj)
+    doc = {"kind": kind, "version": 1, "body": _body(kind, obj)}
     return _write(doc, "\n") + "\n"
 
 
@@ -454,9 +371,9 @@ def loads(text: str) -> object:
     kind, version = doc["kind"], doc["version"]
     if not isinstance(kind, str):
         raise SchemaError("kind", "expected a kind string")
-    if kind not in _BODY_PARSERS:
+    if kind not in _SCHEMAS:
         raise SchemaError("kind", f"unknown kind {kind!r}")
     # True == 1 and 1.0 == 1 in Python, so compare the type as well
     if type(version) is not int or version != 1:
         raise SchemaError("version", f"unsupported version {version!r}")
-    return _BODY_PARSERS[kind](doc["body"], "body")
+    return _read(kind, doc["body"], "body")[0]

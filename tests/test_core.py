@@ -10,22 +10,17 @@ import pytest
 
 from gpdkit import (
     CONJUGATION_VARIANTS,
-    EquivariantMapWitness,
     GeneratorSpec,
     GroupoidMorphism,
     LeftAction,
     RightAction,
     generalized_conjugation,
-    is_free,
-    is_transitive,
     isotropy_group,
     pair_id,
     product_groupoid,
     random_groupoid,
     split_pair,
-    transporters,
     validate_action,
-    validate_equivariant_map,
     validate_groupoid,
     validate_morphism,
 )
@@ -226,15 +221,6 @@ def test_conjugation_recovers_ordinary_conjugation(s3):
     assert A.apply(pair_id(g, g), m) == expected
 
 
-def test_two_sided_translation_is_transitive_not_free(s3):
-    A = generalized_conjugation(s3, "left")
-    free, pair = is_free(A)
-    assert not free and pair is not None
-    transitive, _ = is_transitive(A)
-    assert transitive
-    assert transporters(A, "012", "012")
-
-
 def test_broken_action_reports_momentum_and_unit(z2, pair2):
     A = generalized_conjugation(z2, "left")
     act = dict(A.act)
@@ -275,29 +261,3 @@ def test_action_compose_witnesses_match_a_naive_scan(s3):
                 assert got == naive_action_compose(B), (variant, key, res)
                 compared += bool(got)
     assert compared > 50
-
-
-def test_equivariant_map_identity_and_breakage(s3, pair2):
-    A = generalized_conjugation(s3, "left")
-    ident = EquivariantMapWitness(A, A, {m: m for m in A.carrier})
-    assert validate_equivariant_map(ident).ok
-
-    constant = EquivariantMapWitness(A, A, {m: "012" for m in A.carrier})
-    assert "equivariant.compat" in validate_equivariant_map(constant).rules()
-
-    B = generalized_conjugation(pair2, "left")
-    mapping = {m: m for m in B.carrier}
-    mapping["(1,0)"], mapping["(0,1)"] = "(0,1)", "(1,0)"
-    assert "equivariant.momentum" in validate_equivariant_map(
-        EquivariantMapWitness(B, B, mapping)
-    ).rules()
-
-
-def test_equivariant_map_requires_matching_context(z2, s3):
-    A = generalized_conjugation(z2, "left")
-    B = generalized_conjugation(z2, "right")
-    with pytest.raises(ValueError, match="same side"):
-        validate_equivariant_map(EquivariantMapWitness(A, B, {}))
-    C = generalized_conjugation(s3, "left")
-    with pytest.raises(ValueError, match="share their groupoid"):
-        validate_equivariant_map(EquivariantMapWitness(A, C, {}))

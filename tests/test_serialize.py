@@ -28,7 +28,6 @@ from gpdkit import (
     product_groupoid,
     unit_bundle,
 )
-from gpdkit.serialize import _BODY_BUILDERS
 from helpers import naive_table_error
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -99,8 +98,7 @@ def test_dumps_bytes_equal_json_dumps(z2, unit_z2):
         *(generalized_conjugation(z2, v) for v in CONJUGATION_VARIANTS),
     ]
     for obj in structures:
-        kind = kind_of(obj)
-        doc = {"kind": kind, "version": 1, "body": _BODY_BUILDERS[kind](obj)}
+        doc = json.loads(dumps(obj))
         assert dumps(obj) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
         assert loads(dumps(obj)) == obj
     assert '"objects": [],' in dumps(empty) and '"source": {},' in dumps(empty)
@@ -142,7 +140,84 @@ def test_top_level_schema_errors(z2):
             loads(json.dumps(doc))
 
 
-def test_body_schema_errors(z2):
+# Each kind's body fields, written out apart from serialize: a nested
+# body is named by its kind, an id map by the nouns its unknown keys and
+# values are reported as, any other field by None.
+BODY_FIELDS = {
+    "groupoid": {
+        "objects": None,
+        "arrows": None,
+        "source": ("arrow", "object"),
+        "target": ("arrow", "object"),
+        "unit": ("object", "arrow"),
+        "inverse": ("arrow", "arrow"),
+        "compose": None,
+    },
+    "morphism": {
+        "domain": "groupoid",
+        "codomain": "groupoid",
+        "object_map": ("object", "object"),
+        "arrow_map": ("arrow", "arrow"),
+    },
+    "action": {
+        "side": None,
+        "groupoid": "groupoid",
+        "carrier": None,
+        "momentum": ("point", "object"),
+        "act": None,
+    },
+    "bundle": {
+        "groupoid": "groupoid",
+        "total": None,
+        "base": None,
+        "projection": ("point", "base point"),
+        "momentum": ("point", "object"),
+        "act": None,
+    },
+    "bundle_morphism": {
+        "source": "bundle",
+        "target": "bundle",
+        "mapping": ("point", "point"),
+    },
+    "ggt": {"source": "bundle", "target": "bundle", "values": None},
+    "hs": {
+        "dom": "groupoid",
+        "cod": "groupoid",
+        "total": None,
+        "projection": ("point", "base point"),
+        "momentum": ("point", "object"),
+        "right_act": None,
+        "left_act": None,
+    },
+    "hs_morphism": {
+        "source": "hs",
+        "target": "hs",
+        "mapping": ("point", "point"),
+    },
+}
+
+
+def _bodies(kind: str, path: str):
+    """(path, kind) of a body and of every body nested in it."""
+    yield path, kind
+    for name, spec in BODY_FIELDS[kind].items():
+        if isinstance(spec, str):
+            yield from _bodies(spec, f"{path}.{name}")
+
+
+def _at(doc: dict, path: str) -> dict:
+    for name in path.split("."):
+        doc = doc[name]
+    return doc
+
+
+def _refused(doc: dict) -> str:
+    with pytest.raises(SchemaError) as info:
+        loads(json.dumps(doc))
+    return str(info.value)
+
+
+def test_body_schema_errors(z2, unit_z2):
     doc = _doc(z2)
     del doc["body"]["source"]
     with pytest.raises(SchemaError, match="body.source: missing"):
@@ -179,6 +254,57 @@ def test_body_schema_errors(z2):
     doc["body"]["compose"].append(list(doc["body"]["compose"][0]))
     with pytest.raises(SchemaError, match=r"body.compose\[4\]: duplicate entry"):
         loads(json.dumps(doc))
+
+    doc = _doc(generalized_conjugation(z2, "right"))
+    doc["body"]["side"] = "up"
+    assert _refused(doc) == "body.side: expected 'left' or 'right', got 'up'"
+
+    # Every field of every body, nested ones included: a deleted field is
+    # missing, an extra key is unexpected, and each id map names the
+    # noun of an unknown key and of an unknown value.
+    samples = [*_samples(z2, unit_z2).values(), unit_z2.right_action()]
+    texts = []
+
+    def refused_as(doc: dict, expected: str) -> None:
+        assert _refused(doc) == expected
+        texts.append(expected)
+
+    for obj in samples:
+        for path, kind in _bodies(kind_of(obj), "body"):
+            fields = BODY_FIELDS[kind]
+            assert sorted(_at(_doc(obj), path)) == sorted(fields), path
+            for name, spec in fields.items():
+                doc = _doc(obj)
+                del _at(doc, path)[name]
+                refused_as(doc, f"{path}.{name}: missing")
+                if not isinstance(spec, tuple):
+                    continue
+                key_noun, value_noun = spec
+                doc = _doc(obj)
+                mapping = _at(doc, f"{path}.{name}")
+                first = min(mapping)
+                mapping["zz"] = mapping[first]
+                refused_as(doc, f"{path}.{name}.zz: unknown {key_noun} 'zz'")
+                mapping.pop("zz")
+                mapping[first] = "zz"
+                refused_as(doc, f"{path}.{name}.{first}: unknown {value_noun} 'zz'")
+            doc = _doc(obj)
+            _at(doc, path)["extra"] = []
+            refused_as(doc, f"{path}.extra: unexpected key")
+    assert len(texts) == 388
+    for text in (
+        "body.codomain.inverse: missing",
+        "body.groupoid.compose: missing",
+        "body.target.groupoid.unit.*: unknown arrow 'zz'",
+        "body.source.projection.a: unknown base point 'zz'",
+        "body.source.dom.source.a: unknown object 'zz'",
+        "body.target.cod.objects: missing",
+        "body.target.left_act: missing",
+        "body.mapping.a: unknown point 'zz'",
+        'body.mapping.["*","a"]: unknown point \'zz\'',
+        "body.act: missing",
+    ):
+        assert text in texts, text
 
 
 def test_schema_error_carries_path_and_message():
