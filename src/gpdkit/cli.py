@@ -31,12 +31,16 @@ from .bundles import (
 )
 from .core import (
     FiniteGroupoid,
+    GroupoidMorphism,
+    LeftAction,
+    RightAction,
     validate_action,
     validate_groupoid,
     validate_morphism,
 )
 from .gauge import (
     GGT,
+    BundleMorphism,
     build_gauge_groupoid,
     gauge_group,
     identity_ggt,
@@ -46,6 +50,7 @@ from .gauge import (
     validate_ggt,
 )
 from .hs import (
+    HSBundleMorphism,
     HSMorphism,
     build_hs_gauge_groupoid,
     hs_gauge_group,
@@ -83,16 +88,17 @@ def _load_as(path: str, cls: type, kind: str):
     return doc
 
 
-_VALIDATORS = {
-    "groupoid": validate_groupoid,
-    "morphism": validate_morphism,
-    "action": validate_action,
-    "bundle": validate_bundle,
-    "bundle_morphism": validate_bundle_morphism,
-    "ggt": validate_ggt,
-    "hs": validate_hs,
-    "hs_morphism": validate_hs_morphism,
-}
+_VALIDATORS = (
+    (FiniteGroupoid, validate_groupoid),
+    (GroupoidMorphism, validate_morphism),
+    (LeftAction, validate_action),
+    (RightAction, validate_action),
+    (PrincipalBundle, validate_bundle),
+    (BundleMorphism, validate_bundle_morphism),
+    (GGT, validate_ggt),
+    (HSMorphism, validate_hs),
+    (HSBundleMorphism, validate_hs_morphism),
+)
 
 
 def _print_violations(path: str, report) -> None:
@@ -105,7 +111,12 @@ def _cmd_validate(args) -> int:
     bad = False
     for path in args.files:
         doc = _load(path)
-        report = _VALIDATORS[kind_of(doc)](doc)
+        for cls, validator in _VALIDATORS:
+            if isinstance(doc, cls):
+                report = validator(doc)
+                break
+        else:
+            raise _CliError(2, f"{path}: no validator for {kind_of(doc)}")
         if report.ok:
             print(f"{path}: ok")
         else:

@@ -115,13 +115,20 @@ def test_invariant_ggt_counts(hs_z2, hs_s3):
 
 
 def test_validate_hs_ggt_flags_non_invariant(hs_s3):
-    culprit = next(
+    culprits = [
         K
         for K in enumerate_ggts(hs_s3.bundle, hs_s3.bundle)
         if not is_left_invariant_ggt(hs_s3, hs_s3, K)
-    )
-    report = validate_hs_ggt(hs_s3, hs_s3, culprit)
-    assert "ggt.left-invariance" in report.rules()
+    ]
+    assert len(culprits) == 5
+    for K in culprits:
+        report = validate_hs_ggt(hs_s3, hs_s3, K)
+        assert "ggt.left-invariance" in report.rules()
+        with pytest.raises(
+            IntegrityError,
+            match="^morphism of an invariant GGT is not left equivariant$",
+        ):
+            hs_ggt_to_morphism(hs_s3, hs_s3, K)
 
 
 def test_hs_morphisms_match_invariant_ggts(hs_s3):
@@ -153,21 +160,6 @@ def test_hs_morphism_to_ggt_rejects_non_equivariant(hs_s3):
     )
     with pytest.raises(IntegrityError, match="not invariant"):
         hs_morphism_to_ggt(HSBundleMorphism(hs_s3, hs_s3, shifted.mapping))
-
-
-def test_hs_ggt_to_morphism_rejects_non_invariant(hs_s3):
-    culprits = [
-        K
-        for K in enumerate_ggts(hs_s3.bundle, hs_s3.bundle)
-        if not is_left_invariant_ggt(hs_s3, hs_s3, K)
-    ]
-    assert len(culprits) == 5
-    for K in culprits:
-        with pytest.raises(
-            IntegrityError,
-            match="^morphism of an invariant GGT is not left equivariant$",
-        ):
-            hs_ggt_to_morphism(hs_s3, hs_s3, K)
 
 
 def test_hs_gauge_group_orders(hs_z2, hs_s3, hs_embed):
