@@ -20,7 +20,9 @@ from .core import (
     RightAction,
     ValidationReport,
     _check_total,
+    _PairIds,
     pair_id,
+    product_groupoid,
     split_pair,
     validate_action,
 )
@@ -238,13 +240,16 @@ def pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
     for m in sorted(f):
         for p in B.fiber(f[m]):
             total.append((m, p))
-    projection = {pair_id(m, p): m for m, p in total}
-    momentum = {pair_id(m, p): B.momentum[p] for m, p in total}
+    ids = _PairIds()
+    projection = {ids[m][p]: m for m, p in total}
+    momentum = {ids[m][p]: B.momentum[p] for m, p in total}
+    moves: dict[str, list[tuple[str, str]]] = {}
+    for (p, g), q in B.act.items():
+        moves.setdefault(p, []).append((g, q))
     act = {}
     for m, p in total:
-        for (pp, g), q in B.act.items():
-            if pp == p:
-                act[(pair_id(m, p), g)] = pair_id(m, q)
+        for g, q in moves.get(p, ()):
+            act[(ids[m][p], g)] = ids[m][q]
     return PrincipalBundle(
         groupoid=B.groupoid,
         total=frozenset(projection),
@@ -257,22 +262,17 @@ def pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
 
 def product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     """Componentwise product bundle over the product of the bases."""
-    from .core import product_groupoid
-
     GG = product_groupoid(B1.groupoid, B2.groupoid)
+    ids = _PairIds()
     total = [(p1, p2) for p1 in sorted(B1.total) for p2 in sorted(B2.total)]
-    projection = {
-        pair_id(p1, p2): pair_id(B1.projection[p1], B2.projection[p2])
-        for p1, p2 in total
-    }
-    momentum = {
-        pair_id(p1, p2): pair_id(B1.momentum[p1], B2.momentum[p2])
-        for p1, p2 in total
-    }
+    projection = {ids[p1][p2]: ids[B1.projection[p1]][B2.projection[p2]] for p1, p2 in total}
+    momentum = {ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for p1, p2 in total}
     act = {}
+    entries2 = sorted(B2.act.items())
     for (p1, g1), q1 in sorted(B1.act.items()):
-        for (p2, g2), q2 in sorted(B2.act.items()):
-            act[(pair_id(p1, p2), pair_id(g1, g2))] = pair_id(q1, q2)
+        rp, rg, rq = ids[p1], ids[g1], ids[q1]
+        for (p2, g2), q2 in entries2:
+            act[(rp[p2], rg[g2])] = rq[q2]
     return PrincipalBundle(
         groupoid=GG,
         total=frozenset(projection),
@@ -288,30 +288,28 @@ def fibred_product(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     groupoid over the shared base."""
     if B1.base != B2.base:
         raise ValueError("fibred product needs a shared base")
-    from .core import product_groupoid
-
     GG = product_groupoid(B1.groupoid, B2.groupoid)
     total = []
     for m in sorted(B1.base):
         for p1 in B1.fiber(m):
             for p2 in B2.fiber(m):
                 total.append((m, p1, p2))
-    projection = {pair_id(p1, p2): m for m, p1, p2 in total}
+    ids = _PairIds()
+    projection = {ids[p1][p2]: m for m, p1, p2 in total}
     momentum = {
-        pair_id(p1, p2): pair_id(B1.momentum[p1], B2.momentum[p2])
-        for m, p1, p2 in total
+        ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for m, p1, p2 in total
     }
+    # each point's moves (g, p.g), in arrow order
+    moves1, moves2 = {}, {}
+    for B, moves in ((B1, moves1), (B2, moves2)):
+        for (p, g), q in sorted(B.act.items()):
+            if g in B.groupoid.arrows and q is not None:
+                moves.setdefault(p, []).append((g, q))
     act = {}
     for m, p1, p2 in total:
-        for g1 in sorted(B1.groupoid.arrows):
-            if B1.act.get((p1, g1)) is None:
-                continue
-            for g2 in sorted(B2.groupoid.arrows):
-                if B2.act.get((p2, g2)) is None:
-                    continue
-                act[(pair_id(p1, p2), pair_id(g1, g2))] = pair_id(
-                    B1.act[(p1, g1)], B2.act[(p2, g2)]
-                )
+        for g1, q1 in moves1.get(p1, ()):
+            for g2, q2 in moves2.get(p2, ()):
+                act[(ids[p1][p2], ids[g1][g2])] = ids[q1][q2]
     return PrincipalBundle(
         groupoid=GG,
         total=frozenset(projection),

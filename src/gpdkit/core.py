@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 __all__ = [
     "Violation",
@@ -256,15 +257,22 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         if q is not None and e_s is not None and q != e_s:
             r.add("inverse.left", g)
 
+    # rows[g1][g2] is "g1 after g2".  Each (g1, g2) reads (g1 g2) g3 and
+    # g1 (g2 g3) for all its g3 at once; only differing lists are searched.
+    rows: dict[str, dict[str, str]] = {}
+    for (g1, g2), g3 in G.compose.items():
+        rows.setdefault(g1, {})[g2] = g3
     for g1 in known:
+        row1 = rows.get(g1, {})
         for g2 in by_target.get(src[g1], ()):
-            a = mul((g1, g2))
-            for g3 in by_target.get(src[g2], ()):
-                b = mul((g2, g3))
-                left = mul((a, g3)) if a is not None else None
-                right = mul((g1, b)) if b is not None else None
-                if left is not None and right is not None and left != right:
-                    r.add("associativity", g1, g2, g3)
+            row2, row_a = rows.get(g2, {}), rows.get(row1.get(g2), {})
+            third = by_target.get(src[g2], ())
+            lefts = list(map(row_a.get, third))
+            rights = list(map(row1.get, map(row2.get, third)))
+            if lefts != rights:
+                for g3, left, right in zip(third, lefts, rights):
+                    if left is not None and right is not None and left != right:
+                        r.add("associativity", g1, g2, g3)
 
     hit_s = {src[g] for g in known}
     hit_t = {tgt[g] for g in known}
@@ -311,32 +319,44 @@ def split_pair(ab: str) -> tuple[str, str]:
     return a, b
 
 
+class _PairIds(dict):
+    """ids[a][b] == pair_id(a, b), built once per distinct pair; ids[a] is a's row."""
+
+    def __init__(self, a: str | None = None) -> None:
+        self.a = a
+
+    def __missing__(self, key: str):
+        self[key] = value = _PairIds(key) if self.a is None else pair_id(self.a, key)
+        return value
+
+
 def product_groupoid(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
-    """Componentwise product; objects and arrows get pair_id ids."""
-    objects = frozenset(
-        pair_id(x1, x2) for x1 in G1.objects for x2 in G2.objects
-    )
-    arrows = frozenset(
-        pair_id(g1, g2) for g1 in G1.arrows for g2 in G2.arrows
-    )
+    """Componentwise product; objects and arrows get pair_id ids, each
+    built once (_PairIds).  compose pairs G1's sorted entries with G2's,
+    sorted once."""
+    ids = _PairIds()
+    objects = frozenset(ids[x1][x2] for x1 in G1.objects for x2 in G2.objects)
+    arrows = frozenset(ids[g1][g2] for g1 in G1.arrows for g2 in G2.arrows)
     source = {}
     target = {}
     inverse = {}
     for g1 in sorted(G1.arrows):
         for g2 in sorted(G2.arrows):
-            g = pair_id(g1, g2)
-            source[g] = pair_id(G1.source[g1], G2.source[g2])
-            target[g] = pair_id(G1.target[g1], G2.target[g2])
-            inverse[g] = pair_id(G1.inverse[g1], G2.inverse[g2])
+            g = ids[g1][g2]
+            source[g] = ids[G1.source[g1]][G2.source[g2]]
+            target[g] = ids[G1.target[g1]][G2.target[g2]]
+            inverse[g] = ids[G1.inverse[g1]][G2.inverse[g2]]
     unit = {
-        pair_id(x1, x2): pair_id(G1.unit[x1], G2.unit[x2])
+        ids[x1][x2]: ids[G1.unit[x1]][G2.unit[x2]]
         for x1 in sorted(G1.objects)
         for x2 in sorted(G2.objects)
     }
     compose = {}
+    entries2 = sorted(G2.compose.items())
     for (a1, b1), c1 in sorted(G1.compose.items()):
-        for (a2, b2), c2 in sorted(G2.compose.items()):
-            compose[(pair_id(a1, a2), pair_id(b1, b2))] = pair_id(c1, c2)
+        ra, rb, rc = ids[a1], ids[b1], ids[c1]
+        for (a2, b2), c2 in entries2:
+            compose[(ra[a2], rb[b2])] = rc[c2]
     return FiniteGroupoid(objects, arrows, source, target, unit, inverse, compose)
 
 
@@ -443,6 +463,10 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
 
     Covers domain exactness of the act table (rules table.act.*), the
     momentum law, compatibility with composition and the unit law.
+    One pass over act builds rows[m][g], g acting on m on either side,
+    where that lands in the carrier; the sorted table.act.* scan runs only
+    when an entry is missing, unknown, extra or dangling.  The laws run
+    in one g-major loop; a right action's witnesses are sorted after it.
     """
     r = ValidationReport()
     G = A.groupoid
@@ -464,62 +488,64 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     # compose keys and witnesses are the left side's tuples reversed.
     endpoint, far = (G.source, G.target) if left else (G.target, G.source)
     side = (lambda t: t) if left else (lambda t: t[::-1])
-    expected: set[tuple[str, str]] = set()
-    meets: dict[str, list[str]] = {}
-    for g in sorted(G.arrows):
-        meets.setdefault(endpoint[g], []).append(g)
-        for m in anchored.get(endpoint[g], ()):
-            key = side((g, m))
-            expected.add(key)
-            if key not in A.act:
-                r.add("table.act.missing", *key)
-    for key in sorted(A.act):
-        g, m = side(key)
-        if g not in G.arrows or m not in A.carrier:
-            r.add("table.act.unknown-key", *key)
-        elif key not in expected:
-            r.add("table.act.extra", *key)
-        elif A.act[key] not in A.carrier:
-            r.add("table.act.dangling", *key, A.act[key])
+    meets = G.by_source() if left else G.by_target()
+    rows: dict[str, dict[str, str]] = {m: {} for m in A.carrier}
+    for key, v in A.act.items():
+        if v in A.carrier:
+            g, m = side(key)
+            rows.setdefault(m, {})[g] = v
 
-    # moves[(g, m)] is g acting on m, on either side, where that lands in
-    # the carrier; entries that do not are reported above and skipped.
-    moves = {side(key): v for key, v in A.act.items() if v in A.carrier}
-    ordered = sorted(expected)
-    for key in ordered:
-        g, m = side(key)
-        res = moves.get((g, m))
-        if res is not None and J(res) != far[g]:
-            r.add("action.momentum", *key)
+    # Scan the table only if some entry is off the carrier or off the anchors.
+    meet_sets = {x: set(gs) for x, gs in meets.items()}
+    if len(rows) > len(A.carrier) or sum(map(len, rows.values())) < len(A.act) or any(
+        row.keys() != meet_sets.get(J(m), set()) for m, row in rows.items()
+    ):
+        expected: set[tuple[str, str]] = set()
+        for g in sorted(G.arrows):
+            for m in anchored.get(endpoint[g], ()):
+                key = side((g, m))
+                expected.add(key)
+                if key not in A.act:
+                    r.add("table.act.missing", *key)
+        for key in sorted(A.act):
+            g, m = side(key)
+            if g not in G.arrows or m not in A.carrier:
+                r.add("table.act.unknown-key", *key)
+            elif key not in expected:
+                r.add("table.act.extra", *key)
+            elif A.act[key] not in A.carrier:
+                r.add("table.act.dangling", *key, A.act[key])
 
     # Compose law: acting by g and then by each h that meets g's far end
     # equals acting by their composite gh, "h after g" (on the right side
-    # "g after h", which is h after g in the opposite groupoid).  after[g]
-    # lists those (h, gh) once per arrow.
-    after: dict[str, list[tuple[str, str | None]]] = {}
-    for key in ordered:
-        g, m = side(key)
-        step = moves.get((g, m))
-        if step is None:
-            continue
-        if g not in after:
-            after[g] = [
-                (h, G.compose.get(side((h, g)))) for h in meets.get(far[g], ())
-            ]
-        for h, gh in after[g]:
-            one = moves.get((h, step))
-            both = moves.get((gh, m)) if gh is not None else None
-            if one is not None and both is not None and one != both:
-                r.add("action.compose", *side((h, g, m)))
+    # "g after h", h after g in the opposite groupoid).  Per point both
+    # sides are read for every h at once; only differing lists are searched.
+    momentum_law, compose_law = [], []
+    for g in sorted(G.arrows):
+        f, hs = far[g], meets.get(far[g], [])
+        composites = zip(hs, repeat(g)) if left else zip(repeat(g), hs)
+        ghs = list(map(G.compose.get, composites))
+        for m in anchored.get(endpoint[g], ()):
+            step = rows[m].get(g)
+            if step is None:
+                continue
+            if J(step) != f:
+                momentum_law.append(side((g, m)))
+            ones, boths = list(map(rows[step].get, hs)), list(map(rows[m].get, ghs))
+            if ones != boths:
+                for h, one, both in zip(hs, ones, boths):
+                    if one is not None and both is not None and one != both:
+                        compose_law.append(side((h, g, m)))
+    if not left:  # a right action's act keys, and so its witnesses, are point-major
+        momentum_law.sort()
+        compose_law.sort()
+    for w in momentum_law:
+        r.add("action.momentum", *w)
+    for w in compose_law:
+        r.add("action.compose", *w)
 
     for m in sorted(A.carrier):
-        x = J(m)
-        if x not in G.objects:
-            continue
-        e = G.unit.get(x)
-        if e is None:
-            continue
-        res = moves.get((e, m))
+        res = rows[m].get(G.unit.get(J(m)))
         if res is not None and res != m:
             r.add("action.unit", m)
     return r
@@ -547,8 +573,9 @@ def generalized_conjugation(
     GG = product_groupoid(G, G)
     carrier = frozenset(G.arrows)
     flip = variant in ("left_bar", "right_bar")
+    ids = _PairIds()
     momentum = {
-        m: pair_id(G.source[m], G.target[m]) if flip else pair_id(G.target[m], G.source[m])
+        m: ids[G.source[m]][G.target[m]] if flip else ids[G.target[m]][G.source[m]]
         for m in sorted(G.arrows)
     }
     by_source = G.by_source()
@@ -560,22 +587,22 @@ def generalized_conjugation(
             for g1 in by_source.get(t_m, ()):
                 for g2 in by_source.get(s_m, ()):
                     res = G.mul(G.mul(g1, m), G.inv(g2))
-                    act[(pair_id(g1, g2), m)] = res
+                    act[(ids[g1][g2], m)] = res
         elif variant == "left_bar":
             for g1 in by_source.get(s_m, ()):
                 for g2 in by_source.get(t_m, ()):
                     res = G.mul(G.mul(g2, m), G.inv(g1))
-                    act[(pair_id(g1, g2), m)] = res
+                    act[(ids[g1][g2], m)] = res
         elif variant == "right":
             for g1 in by_target.get(t_m, ()):
                 for g2 in by_target.get(s_m, ()):
                     res = G.mul(G.mul(G.inv(g1), m), g2)
-                    act[(m, pair_id(g1, g2))] = res
+                    act[(m, ids[g1][g2])] = res
         else:
             for g1 in by_target.get(s_m, ()):
                 for g2 in by_target.get(t_m, ()):
                     res = G.mul(G.mul(G.inv(g2), m), g1)
-                    act[(m, pair_id(g1, g2))] = res
+                    act[(m, ids[g1][g2])] = res
     if variant.startswith("left"):
         return LeftAction(GG, carrier, momentum, act)
     return RightAction(GG, carrier, momentum, act)

@@ -33,6 +33,7 @@ from .core import (
     GroupoidMorphism,
     LeftAction,
     ValidationReport,
+    _PairIds,
     pair_id,
     product_groupoid,
     split_pair,
@@ -172,10 +173,13 @@ def hs_from_groupoid_morphism(m: GroupoidMorphism) -> HSMorphism:
 def hs_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
     """Componentwise product bibundle between the product groupoids."""
     bundle = product_bundle(h1.bundle, h2.bundle)
+    ids = _PairIds()
     left_act = {}
+    entries2 = sorted(h2.left_act.items())
     for (g1, p1), q1 in sorted(h1.left_act.items()):
-        for (g2, p2), q2 in sorted(h2.left_act.items()):
-            left_act[(pair_id(g1, g2), pair_id(p1, p2))] = pair_id(q1, q2)
+        rg, rp, rq = ids[g1], ids[p1], ids[q1]
+        for (g2, p2), q2 in entries2:
+            left_act[(rg[g2], rp[p2])] = rq[q2]
     return HSMorphism(
         product_groupoid(h1.dom, h2.dom),
         product_groupoid(h1.cod, h2.cod),
@@ -190,16 +194,13 @@ def hs_fibred_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
     if h1.dom != h2.dom:
         raise ValueError("fibred product needs a shared domain")
     bundle = fibred_product(h1.bundle, h2.bundle)
+    movers = h1.dom.by_source()
+    ids = _PairIds()
     left_act = {}
     for p in sorted(bundle.total):
-        x = bundle.projection[p]
         p1, p2 = split_pair(p)
-        for g in sorted(h1.dom.arrows):
-            if h1.dom.source[g] != x:
-                continue
-            left_act[(g, p)] = pair_id(
-                h1.left_act[(g, p1)], h2.left_act[(g, p2)]
-            )
+        for g in movers.get(bundle.projection[p], ()):
+            left_act[(g, p)] = ids[h1.left_act[(g, p1)]][h2.left_act[(g, p2)]]
     return HSMorphism(
         h1.dom,
         product_groupoid(h1.cod, h2.cod),

@@ -279,6 +279,14 @@ def run_checks(
             and len(B.base) <= bounds.max_base
         )
 
+    # one enumeration per bundle pair; the bundles outlive the run, so ids stay unique
+    oracle_ggts: dict[tuple[int, int], tuple] = {}
+
+    def ggts_of(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple:
+        if (id(B1), id(B2)) not in oracle_ggts:
+            oracle_ggts[id(B1), id(B2)] = enumerate_ggts(B1, B2)
+        return oracle_ggts[id(B1), id(B2)]
+
     oracle_bundles = [(label, B) for label, B in valid_bundles if within(B)]
     hom_pairs: list[tuple[str, PrincipalBundle, PrincipalBundle]] = []
     for label, B in oracle_bundles:
@@ -289,7 +297,7 @@ def run_checks(
 
     for label, B1, B2 in hom_pairs:
         morphisms = enumerate_bundle_morphisms(B1, B2)
-        ggts = enumerate_ggts(B1, B2)
+        ggts = ggts_of(B1, B2)
         bad = ""
         for f in morphisms:
             image = sorted(f.mapping[p] for p in f.mapping)
@@ -334,8 +342,8 @@ def run_checks(
             (i, j) for i in range(gg.order) for j in range(gg.order)
         ):
             bad = "product table not total"
-        elif gg.order != len(enumerate_ggts(B, B)):
-            bad = f"order {gg.order} vs {len(enumerate_ggts(B, B))} self-GGTs"
+        elif gg.order != len(ggts_of(B, B)):
+            bad = f"order {gg.order} vs {len(ggts_of(B, B))} self-GGTs"
         else:
             for i, t in enumerate(gg.elements):
                 back = ggt_to_gauge(gauge_to_ggt(t))
@@ -360,7 +368,7 @@ def run_checks(
             for j, Bj in enumerate(family):
                 if not detail and sorted(
                     _table(gg.ggts[a]) for a in gg.groupoid.hom(ids[i], ids[j])
-                ) != [_table(K) for K in enumerate_ggts(Bi, Bj)]:
+                ) != [_table(K) for K in ggts_of(Bi, Bj)]:
                     detail = f"hom({ids[i]}, {ids[j]}) differs from the oracle"
         if not detail:
             for i, B in enumerate(family):
@@ -440,7 +448,7 @@ def run_checks(
             if validate_hs_morphism(HSBundleMorphism(h1, h2, f.mapping)).ok
         ]
         invariant = [
-            K for K in enumerate_ggts(h1.bundle, h2.bundle)
+            K for K in ggts_of(h1.bundle, h2.bundle)
             if is_left_invariant_ggt(h1, h2, K)
         ]
         bad = ""

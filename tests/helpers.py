@@ -6,7 +6,12 @@ violation directly from the raw tables of the structure it was
 reported against, so tests can assert that every witness in a report
 is real rather than trusting the validator's bookkeeping.
 naive_action_compose finds every failure of an action's compose law by
-brute force over all arrow triples, as a reference for validate_action.
+brute force over all arrow triples, and naive_action_violations every
+violation of an action whose groupoid is valid, as references for
+validate_action; naive_associativity does the same for the
+associativity witnesses of validate_groupoid.  The reference_*
+constructions build every entry of a product with its own pair_id call,
+as references for the products of core, bundles and hs.
 naive_table_error names the first bad entry of a document's entry table
 by a plain scan, as a reference for the errors loads raises.
 """
@@ -16,7 +21,15 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator
 
-from gpdkit import FiniteGroupoid, LeftAction, PrincipalBundle, RightAction, Violation
+from gpdkit import (
+    FiniteGroupoid,
+    HSMorphism,
+    LeftAction,
+    PrincipalBundle,
+    RightAction,
+    Violation,
+    pair_id,
+)
 
 
 def groupoid_mutations(
@@ -221,6 +234,202 @@ def naive_action_compose(A: LeftAction | RightAction) -> list[tuple[str, ...]]:
                     if one is not None and both is not None and one != both:
                         found.append((m, g1, g2))
     return found
+
+
+def naive_action_violations(A: LeftAction | RightAction) -> list[tuple]:
+    """(rule, witness) of every violation of A, in validate_action's order.
+
+    Assumes A's momentum table and its groupoid's endpoint, unit and
+    inverse tables are total.  Act entries are checked one at a time:
+    missing ones by arrow then point, the table's own entries in key
+    order, then the momentum, compose and unit laws.
+    """
+    G, left = A.groupoid, isinstance(A, LeftAction)
+    arrows, points = sorted(G.arrows), sorted(A.carrier)
+
+    def key(g: str, m: str) -> tuple[str, str]:
+        return (g, m) if left else (m, g)
+
+    def feet(g: str) -> tuple[str, str]:
+        # the object g acts from and the one it moves points to
+        s, t = G.source[g], G.target[g]
+        return (s, t) if left else (t, s)
+
+    def expected(g: str, m: str) -> bool:
+        return g in G.arrows and m in A.carrier and A.momentum[m] == feet(g)[0]
+
+    found = []
+    for g in arrows:
+        for m in points:
+            if expected(g, m) and key(g, m) not in A.act:
+                found.append(("table.act.missing", key(g, m)))
+    for k in sorted(A.act):
+        g, m = k if left else k[::-1]
+        if g not in G.arrows or m not in A.carrier:
+            found.append(("table.act.unknown-key", k))
+        elif not expected(g, m):
+            found.append(("table.act.extra", k))
+        elif A.act[k] not in A.carrier:
+            found.append(("table.act.dangling", (*k, A.act[k])))
+    for k in sorted(A.act):
+        g, m = k if left else k[::-1]
+        res = A.act[k]
+        if expected(g, m) and res in A.carrier and A.momentum[res] != feet(g)[1]:
+            found.append(("action.momentum", k))
+    found.extend(("action.compose", w) for w in naive_action_compose(A))
+    for m in points:
+        res = A.act.get(key(G.unit[A.momentum[m]], m))
+        if res in A.carrier and res != m:
+            found.append(("action.unit", (m,)))
+    return found
+
+
+def naive_associativity(G: FiniteGroupoid) -> list[tuple[str, str, str]]:
+    """Associativity witnesses of G, in validate_groupoid's order.
+
+    Every triple of arrows with declared endpoints is tried in sorted
+    order; a triple fails when it is composable, both bracketings are in
+    the compose table and they differ.
+    """
+    known = sorted(_known(G))
+    mul = G.compose.get
+    found = []
+    for g1 in known:
+        for g2 in known:
+            for g3 in known:
+                if G.source[g1] != G.target[g2] or G.source[g2] != G.target[g3]:
+                    continue
+                a, b = mul((g1, g2)), mul((g2, g3))
+                left = mul((a, g3)) if a is not None else None
+                right = mul((g1, b)) if b is not None else None
+                if left is not None and right is not None and left != right:
+                    found.append((g1, g2, g3))
+    return found
+
+
+def _pairs(t1: dict, t2: dict) -> dict:
+    """Componentwise pairing of two tables, keys and values by pair_id."""
+    return {
+        (pair_id(k1[0], k2[0]), pair_id(k1[1], k2[1]))
+        if isinstance(k1, tuple)
+        else pair_id(k1, k2): pair_id(v1, v2)
+        for k1, v1 in t1.items()
+        for k2, v2 in t2.items()
+    }
+
+
+def reference_product_groupoid(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
+    return FiniteGroupoid(
+        objects=frozenset(pair_id(x, y) for x in G1.objects for y in G2.objects),
+        arrows=frozenset(pair_id(g, h) for g in G1.arrows for h in G2.arrows),
+        source=_pairs(G1.source, G2.source),
+        target=_pairs(G1.target, G2.target),
+        unit=_pairs(G1.unit, G2.unit),
+        inverse=_pairs(G1.inverse, G2.inverse),
+        compose=_pairs(G1.compose, G2.compose),
+    )
+
+
+def reference_conjugation(G: FiniteGroupoid, variant: str) -> LeftAction | RightAction:
+    """generalized_conjugation from the formulas in its docstring."""
+    mul, inv, s, t = G.compose.__getitem__, G.inverse.__getitem__, G.source, G.target
+    act = {}
+    for m in G.arrows:
+        for g1 in G.arrows:
+            for g2 in G.arrows:
+                if variant == "left" and s[g1] == t[m] and s[g2] == s[m]:
+                    act[(pair_id(g1, g2), m)] = mul((mul((g1, m)), inv(g2)))
+                elif variant == "left_bar" and s[g1] == s[m] and s[g2] == t[m]:
+                    act[(pair_id(g1, g2), m)] = mul((mul((g2, m)), inv(g1)))
+                elif variant == "right" and t[g1] == t[m] and t[g2] == s[m]:
+                    act[(m, pair_id(g1, g2))] = mul((mul((inv(g1), m)), g2))
+                elif variant == "right_bar" and t[g1] == s[m] and t[g2] == t[m]:
+                    act[(m, pair_id(g1, g2))] = mul((mul((inv(g2), m)), g1))
+    ends = (s, t) if variant.endswith("bar") else (t, s)
+    momentum = {m: pair_id(ends[0][m], ends[1][m]) for m in G.arrows}
+    side = LeftAction if variant.startswith("left") else RightAction
+    return side(reference_product_groupoid(G, G), frozenset(G.arrows), momentum, act)
+
+
+def reference_product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
+    projection = _pairs(B1.projection, B2.projection)
+    return PrincipalBundle(
+        groupoid=reference_product_groupoid(B1.groupoid, B2.groupoid),
+        total=frozenset(projection),
+        base=frozenset(projection.values()),
+        projection=projection,
+        momentum=_pairs(B1.momentum, B2.momentum),
+        act=_pairs(B1.act, B2.act),
+    )
+
+
+def reference_fibred_product(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
+    over = B1.projection.get
+    projection = {
+        pair_id(p1, p2): m
+        for p1, m in B1.projection.items()
+        for p2, m2 in B2.projection.items()
+        if m == m2
+    }
+    return PrincipalBundle(
+        groupoid=reference_product_groupoid(B1.groupoid, B2.groupoid),
+        total=frozenset(projection),
+        base=B1.base,
+        projection=projection,
+        momentum={
+            pair_id(p1, p2): pair_id(B1.momentum[p1], B2.momentum[p2])
+            for p1 in B1.total
+            for p2 in B2.total
+            if over(p1) == B2.projection[p2]
+        },
+        act={
+            (pair_id(p1, p2), pair_id(g1, g2)): pair_id(q1, q2)
+            for (p1, g1), q1 in B1.act.items()
+            for (p2, g2), q2 in B2.act.items()
+            if over(p1) == B2.projection[p2]
+        },
+    )
+
+
+def reference_pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
+    over = {p: [m for m in f if f[m] == x] for p, x in B.projection.items()}
+    projection = {pair_id(m, p): m for p in B.total for m in over[p]}
+    return PrincipalBundle(
+        groupoid=B.groupoid,
+        total=frozenset(projection),
+        base=frozenset(f),
+        projection=projection,
+        momentum={pair_id(m, p): B.momentum[p] for p in B.total for m in over[p]},
+        act={
+            (pair_id(m, p), g): pair_id(m, q)
+            for (p, g), q in B.act.items()
+            for m in over[p]
+        },
+    )
+
+
+def reference_hs_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
+    return HSMorphism(
+        reference_product_groupoid(h1.dom, h2.dom),
+        reference_product_groupoid(h1.cod, h2.cod),
+        reference_product_bundle(h1.bundle, h2.bundle),
+        _pairs(h1.left_act, h2.left_act),
+    )
+
+
+def reference_hs_fibred_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
+    over1, over2 = h1.bundle.projection, h2.bundle.projection
+    return HSMorphism(
+        h1.dom,
+        reference_product_groupoid(h1.cod, h2.cod),
+        reference_fibred_product(h1.bundle, h2.bundle),
+        {
+            (g, pair_id(p1, p2)): pair_id(q1, q2)
+            for (g, p1), q1 in h1.left_act.items()
+            for (g2, p2), q2 in h2.left_act.items()
+            if g == g2 and over1[p1] == over2[p2]
+        },
+    )
 
 
 def naive_table_error(

@@ -10,21 +10,45 @@ import pytest
 
 from gpdkit import (
     CONJUGATION_VARIANTS,
+    FiniteGroupoid,
+    GeneratorError,
     GeneratorSpec,
     GroupoidMorphism,
     LeftAction,
     RightAction,
+    dumps,
+    fibred_product,
     generalized_conjugation,
+    hs_fibred_product,
+    hs_product,
     isotropy_group,
     pair_id,
+    product_bundle,
     product_groupoid,
+    pullback_bundle,
+    random_bundle,
     random_groupoid,
+    random_hs,
     split_pair,
+    unit_bundle,
     validate_action,
     validate_groupoid,
     validate_morphism,
 )
-from helpers import groupoid_mutations, naive_action_compose, violation_holds
+from helpers import (
+    groupoid_mutations,
+    naive_action_compose,
+    naive_action_violations,
+    naive_associativity,
+    reference_conjugation,
+    reference_fibred_product,
+    reference_hs_fibred_product,
+    reference_hs_product,
+    reference_product_bundle,
+    reference_product_groupoid,
+    reference_pullback_bundle,
+    violation_holds,
+)
 
 FIXTURE_NAMES = (
     "z2",
@@ -261,3 +285,121 @@ def test_action_compose_witnesses_match_a_naive_scan(s3):
                 assert got == naive_action_compose(B), (variant, key, res)
                 compared += bool(got)
     assert compared > 50
+
+
+def test_action_witnesses_match_a_naive_scan(s3):
+    # The full violation list, table.act.* included, under act rewrites,
+    # deletions, an entry keyed by an unknown arrow, extra entries, a
+    # dangling value and momentum rewrites, on both sides.
+    R = random_groupoid(GeneratorSpec(2, max_objects=3, max_group_order=3))
+    rng = random.Random(1)
+    compared = set()
+    for G in (s3, R):
+        for variant in CONJUGATION_VARIANTS:
+            A = generalized_conjugation(G, variant)
+            left = isinstance(A, LeftAction)
+            points, keys = sorted(A.carrier), sorted(A.act)
+            arrows = sorted(A.groupoid.arrows)
+            mutants = [A]
+            for key in keys[::15]:
+                res = rng.choice([p for p in points if p != A.act[key]])
+                mutants.append(replace(A, act={**A.act, key: res}))
+                mutants.append(replace(A, act={k: v for k, v in A.act.items() if k != key}))
+                mutants.append(replace(A, act={**A.act, key: "gone\u00e9"}))
+            for m in points[::2]:
+                g = rng.choice(arrows)
+                for key in ((g, m), ("no\"arrow", m)):
+                    key = key if left else key[::-1]
+                    if key not in A.act:
+                        mutants.append(replace(A, act={**A.act, key: rng.choice(points)}))
+                for x in sorted(A.groupoid.objects - {A.momentum[m]})[:1]:
+                    mutants.append(replace(A, momentum={**A.momentum, m: x}))
+            for B in mutants:
+                got = [(v.rule, v.witness) for v in validate_action(B).violations]
+                assert got == naive_action_violations(B), variant
+                compared.update(rule for rule, _ in got)
+    assert compared == {
+        "table.act.missing",
+        "table.act.unknown-key",
+        "table.act.extra",
+        "table.act.dangling",
+        "action.momentum",
+        "action.compose",
+        "action.unit",
+    }
+
+
+def test_associativity_witnesses_match_a_naive_scan(s3, pair3):
+    R = random_groupoid(GeneratorSpec(2, max_objects=3, max_group_order=3))
+    assert len(R.objects) == 3
+    found = 0
+    for G in (s3, pair3, R):
+        for desc, mutant in groupoid_mutations(G):
+            if not desc.startswith("compose["):
+                continue
+            got = [
+                v.witness
+                for v in validate_groupoid(mutant).violations
+                if v.rule == "associativity"
+            ]
+            assert got == naive_associativity(mutant), desc
+            found += bool(got)
+    assert found > 100
+
+
+def _escaped(G: FiniteGroupoid, tag: str) -> FiniteGroupoid:
+    # ids that pair_id must escape: a quote, a backslash, non-ASCII
+    f = {x: f'{x}"\\{tag}\u00e9\u2603' for x in G.objects | G.arrows}.__getitem__
+    return FiniteGroupoid(
+        frozenset(map(f, G.objects)),
+        frozenset(map(f, G.arrows)),
+        {f(g): f(x) for g, x in G.source.items()},
+        {f(g): f(x) for g, x in G.target.items()},
+        {f(x): f(g) for x, g in G.unit.items()},
+        {f(g): f(h) for g, h in G.inverse.items()},
+        {(f(a), f(b)): f(c) for (a, b), c in G.compose.items()},
+    )
+
+
+def test_products_match_a_pair_id_reference(z2, pair2, s3):
+    def same(got, want):
+        assert got == want
+        assert dumps(got) == dumps(want)
+
+    R = random_groupoid(GeneratorSpec(2, max_objects=3, max_group_order=3))
+    groupoids = [_escaped(G, str(i)) for i, G in enumerate((z2, pair2, s3, R))]
+    for G1 in groupoids:
+        for G2 in groupoids[:2]:
+            same(product_groupoid(G1, G2), reference_product_groupoid(G1, G2))
+        for variant in CONJUGATION_VARIANTS:
+            same(generalized_conjugation(G1, variant), reference_conjugation(G1, variant))
+
+    bundles = [unit_bundle(G) for G in groupoids]
+    for i, G in enumerate(groupoids):
+        try:
+            bundles.append(random_bundle(G, 2, GeneratorSpec(10 + i, max_total=12)))
+        except GeneratorError:
+            pass
+    assert len(bundles) > len(groupoids)
+    for B1 in bundles:
+        f = {f'n"{i}\u00e9': x for i, x in enumerate(sorted(B1.base) * 2)}
+        same(pullback_bundle(B1, f), reference_pullback_bundle(B1, f))
+        for B2 in bundles[:2]:
+            same(product_bundle(B1, B2), reference_product_bundle(B1, B2))
+        for B2 in bundles:
+            if B1.base == B2.base:
+                same(fibred_product(B1, B2), reference_fibred_product(B1, B2))
+
+    built = 0
+    for seed in range(6):
+        G = _escaped(random_groupoid(GeneratorSpec(seed, max_objects=2, max_group_order=4)), "d")
+        H = _escaped(random_groupoid(GeneratorSpec(seed + 40, max_objects=2, max_group_order=3)), "c")
+        try:
+            h1 = random_hs(G, H, GeneratorSpec(seed + 80, max_total=8))
+            h2 = random_hs(G, H, GeneratorSpec(seed + 120, max_total=8))
+        except GeneratorError:
+            continue
+        same(hs_product(h1, h2), reference_hs_product(h1, h2))
+        same(hs_fibred_product(h1, h2), reference_hs_fibred_product(h1, h2))
+        built += 1
+    assert built >= 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from gpdkit import (
@@ -56,6 +57,17 @@ def test_reports_are_deterministic(docs):
     assert a == b
     assert render_report(a) == render_report(b)
     assert report_document(a, 7, 10) == report_document(b, 7, 10)
+
+
+def test_report_bytes_are_pinned(docs):
+    # Determinism alone passes a change that alters the report the same
+    # way on every run; these digests hold on Python 3.10 to 3.13.
+    for max_size, digest in (
+        (12, "1b308a0a8fee504f47bf8ac85a926a1cdc24821fb600cef1e1e5eac0fbb3c62c"),
+        (4, "2f64919aa61bbbe88eb8974675aa3238948c4ceea0825ad3aa1608269a352c17"),
+    ):
+        text = render_report(run_checks(42, max_size, docs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, max_size
 
 
 def test_render_report_shape(docs):
