@@ -293,9 +293,9 @@ def make_gauge_groupoid_example(
         groupoid=group,
         total=frozenset(total),
         base=frozenset(base),
-        projection=dict(projection),
+        projection=projection,
         momentum={p: obj for p in total},
-        act=dict(action),
+        act=action,
     )
     report = validate_bundle(B)
     if not report.ok:
@@ -423,9 +423,7 @@ def random_bundle(G: FiniteGroupoid, base_size: int, spec: GeneratorSpec) -> Pri
     if base_size < 1:
         raise ValueError("base_size must be at least 1")
     rng = random.Random(f"bundle:{spec.seed}")
-    by_target: dict[str, list[str]] = {x: [] for x in sorted(G.objects)}
-    for g in sorted(G.arrows):
-        by_target[G.target[g]].append(g)
+    by_target = G.by_target()
     budget = spec.max_total
     alpha: dict[str, str] = {}
     for i in range(max(1, base_size)):
@@ -448,9 +446,7 @@ def random_bundle(G: FiniteGroupoid, base_size: int, spec: GeneratorSpec) -> Pri
     momentum = {label[(m, g)]: G.source[g] for m, g in points}
     act = {}
     for m, g in points:
-        for h in sorted(G.arrows):
-            if G.target[h] != G.source[g]:
-                continue
+        for h in by_target[G.source[g]]:
             act[(label[(m, g)], h)] = label[(m, G.compose[(g, h)])]
     B = PrincipalBundle(
         groupoid=G,
@@ -488,9 +484,10 @@ def _spanning_arrows(G: FiniteGroupoid, component: list[str]) -> dict[str, str]:
     x0 = min(component)
     tau = {x0: G.unit[x0]}
     frontier = [x0]
+    by_source, by_target = G.by_source(), G.by_target()
     while frontier:
         x = frontier.pop(0)
-        for g in sorted(G.arrows):
+        for g in sorted({*by_source[x], *by_target[x]}):
             if G.source[g] == x and G.target[g] not in tau:
                 tau[G.target[g]] = G.mul(g, tau[x])
                 frontier.append(G.target[g])
@@ -525,9 +522,8 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
     not fit.
     """
     rng = random.Random(f"hs:{spec.seed}")
-    fiber_size = {y: 0 for y in H.objects}
-    for k in H.arrows:
-        fiber_size[H.target[k]] += 1
+    into, out_of = H.by_target(), H.by_source()
+    fiber_size = {y: len(into[y]) for y in H.objects}
 
     def assemble(pick) -> GroupoidMorphism:
         object_map: dict[str, str] = {}
@@ -551,8 +547,7 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
         cod = tuple(sorted(isotropy_group(H, y0).arrows))
         homs = _group_homs(G, iso, H, cod)
         rho = rng.choice(homs)
-        outgoing = sorted(k for k in H.arrows if H.source[k] == y0)
-        u = {x: rng.choice(outgoing) for x in sorted(component)}
+        u = {x: rng.choice(out_of[y0]) for x in sorted(component)}
         return y0, rho, u
 
     def minimal_pick(component, iso):
@@ -645,6 +640,15 @@ def _check_bounds(B1: PrincipalBundle, B2: PrincipalBundle, bounds: OracleBounds
         )
 
 
+def _scan_fibers(B: PrincipalBundle) -> dict[str, list[str]]:
+    """Sorted points by projection value, scanned from the raw table: the
+    oracles' own, so they share no index with the bundle."""
+    fibers: dict[str, list[str]] = {}
+    for p in sorted(B.total):
+        fibers.setdefault(B.projection.get(p), []).append(p)
+    return fibers
+
+
 def _oracle_context(B1: PrincipalBundle, B2: PrincipalBundle, bounds) -> OracleBounds:
     if B1.groupoid != B2.groupoid or B1.base != B2.base:
         raise ValueError("enumeration needs a shared base and groupoid")
@@ -664,9 +668,10 @@ def enumerate_bundle_morphisms(
     maps are then re-checked against all three morphism laws.
     """
     _oracle_context(B1, B2, bounds)
+    F1, F2 = _scan_fibers(B1), _scan_fibers(B2)
     per_fiber: list[list[dict[str, str]]] = []
     for m in sorted(B1.base):
-        fib1, fib2 = B1.fiber(m), B2.fiber(m)
+        fib1, fib2 = F1.get(m, []), F2.get(m, [])
         p = fib1[0] if fib1 else None
         local: list[dict[str, str]] = []
         if p is None:
@@ -745,9 +750,10 @@ def enumerate_ggts(
             out[q] = gs[0]
         return out
 
+    F1, F2 = _scan_fibers(B1), _scan_fibers(B2)
     per_fiber: list[list[dict[tuple[str, str], str]]] = []
     for m in sorted(B1.base):
-        fib1, fib2 = B1.fiber(m), B2.fiber(m)
+        fib1, fib2 = F1.get(m, []), F2.get(m, [])
         if not fib1 or not fib2:
             per_fiber.append([{}])
             continue

@@ -7,13 +7,15 @@ transitive on each projection fiber; equivalently (p, g) -> (p, p.g) is
 a bijection onto the set of same-fiber pairs.
 
 The division map of a principal bundle sends a same-fiber pair (p, q)
-to the unique arrow g with p.g == q.  It is computed once per bundle by
-scanning the action table and cached on the instance.
+to the unique arrow g with p.g == q.  It is read off the bundle's
+division table, one of the indexes built on first use from read-only
+copies of its act and projection tables, so no index can go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     FiniteGroupoid,
@@ -51,13 +53,31 @@ class IntegrityError(ValueError):
     """Raised when a computation contradicts principality or a theorem."""
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a bundle's act and projection tables are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # copy and pickle rebuild a dict subclass item by item otherwise
+        return _ReadOnlyDict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class PrincipalBundle:
     """A candidate principal bundle; validate_bundle decides principality.
 
     act maps (p, g) to p.g and is defined exactly when
     momentum(p) == target(g); then momentum(p.g) == source(g) and
-    projection(p.g) == projection(p).
+    projection(p.g) == projection(p).  act and projection are read-only
+    copies; the fibers, moves and divisions indexes are built on first
+    use and shared by every reader, which must not edit them.
     """
 
     groupoid: FiniteGroupoid
@@ -67,11 +87,39 @@ class PrincipalBundle:
     momentum: dict[str, str]
     act: dict[tuple[str, str], str]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "projection", _ReadOnlyDict(self.projection))
+        object.__setattr__(self, "act", _ReadOnlyDict(self.act))
+
+    @cached_property
+    def fibers(self) -> dict[str, tuple[str, ...]]:
+        """Sorted points by projection value, None and non-base ones too."""
+        groups: dict[str, list[str]] = {}
+        for p in sorted(self.total):
+            groups.setdefault(self.projection.get(p), []).append(p)
+        return {m: tuple(points) for m, points in groups.items()}
+
+    @cached_property
+    def moves(self) -> dict[str, dict[str, str]]:
+        """moves[p][g] == p.g for every act entry, rows in point order and
+        each row in arrow order."""
+        rows: dict[str, dict[str, str]] = {}
+        for (p, g), q in sorted(self.act.items()):
+            rows.setdefault(p, {})[g] = q
+        return rows
+
+    @cached_property
+    def divisions(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """The sorted arrows g with p.g == q, by (p, q)."""
+        table: dict[tuple[str, str], list[str]] = {}
+        for p, row in self.moves.items():
+            for g, q in row.items():
+                table.setdefault((p, q), []).append(g)
+        return {pq: tuple(gs) for pq, gs in table.items()}
+
     def fiber(self, m: str) -> tuple[str, ...]:
         """Total points over base point m, sorted."""
-        return tuple(
-            sorted(p for p in self.total if self.projection.get(p) == m)
-        )
+        return self.fibers.get(m, ())
 
     def right_action(self) -> RightAction:
         return RightAction(self.groupoid, self.total, self.momentum, self.act)
@@ -97,48 +145,26 @@ def validate_bundle(B: PrincipalBundle) -> ValidationReport:
         if m not in hit:
             r.add("bundle.projection-surjective", m)
 
-    for (p, g) in sorted(B.act):
-        q = B.act[(p, g)]
-        if q not in B.total or p not in B.total:
-            continue
-        if pi(q) != pi(p):
-            r.add("bundle.projection-invariant", p, g)
+    for p, row in B.moves.items():
+        for g, q in row.items():
+            if q in B.total and p in B.total and pi(q) != pi(p):
+                r.add("bundle.projection-invariant", p, g)
 
     # Fiberwise: g -> p.g injective for each p, image all of p's fiber.
-    by_point: dict[str, dict[str, str]] = {}
-    for (p, g) in sorted(B.act):
-        q = B.act[(p, g)]
-        if q in B.total:
-            by_point.setdefault(p, {})[g] = q
-    fibers: dict[str, list[str]] = {}
-    for p in sorted(B.total):
-        m = pi(p)
-        if m in B.base:
-            fibers.setdefault(m, []).append(p)
-    for m in sorted(fibers):
-        for p in fibers[m]:
+    for m in sorted(B.base):
+        fiber = B.fiber(m)
+        for p in fiber:
             seen: dict[str, str] = {}
-            for g, q in sorted(by_point.get(p, {}).items()):
-                if q in seen and seen[q] != g:
+            for g, q in B.moves.get(p, {}).items():
+                if q not in B.total:
+                    continue
+                if q in seen:
                     r.add("bundle.free", p, seen[q], g)
                 seen.setdefault(q, g)
-            for q in fibers[m]:
+            for q in fiber:
                 if q not in seen:
                     r.add("bundle.transitive", p, q)
     return r
-
-
-def _division_table(B: PrincipalBundle) -> dict[tuple[str, str], tuple[str, ...]]:
-    cached = getattr(B, "_division_cache", None)
-    if cached is not None:
-        return cached
-    table: dict[tuple[str, str], list[str]] = {}
-    for (p, g) in sorted(B.act):
-        q = B.act[(p, g)]
-        table.setdefault((p, q), []).append(g)
-    frozen = {pq: tuple(sorted(gs)) for pq, gs in table.items()}
-    object.__setattr__(B, "_division_cache", frozen)
-    return frozen
 
 
 def division_map(B: PrincipalBundle, p: str, q: str) -> str:
@@ -155,7 +181,7 @@ def division_map(B: PrincipalBundle, p: str, q: str) -> str:
         raise NotSameFiberError(
             f"{p!r} and {q!r} lie over different base points"
         )
-    sols = _division_table(B).get((p, q), ())
+    sols = B.divisions.get((p, q), ())
     if len(sols) == 1:
         return sols[0]
     kind = "no solution" if not sols else "multiple solutions"
@@ -176,17 +202,17 @@ def verify_division_properties(B: PrincipalBundle) -> ValidationReport:
     """
     r = ValidationReport()
     G = B.groupoid
-    fibers = {m: B.fiber(m) for m in sorted(B.base)}
     d: dict[tuple[str, str], str] = {}
-    for m in sorted(fibers):
-        for p in fibers[m]:
-            for q in fibers[m]:
+    for m in sorted(B.base):
+        fiber = B.fiber(m)
+        for p in fiber:
+            for q in fiber:
                 try:
                     d[(p, q)] = division_map(B, p, q)
                 except IntegrityError:
                     r.add("division.defined", p, q)
     for (p, q), g in sorted(d.items()):
-        if B.act.get((p, g)) != q:
+        if B.moves.get(p, {}).get(g) != q:
             r.add("division.defining", p, q)
         if G.source.get(g) != B.momentum.get(q) or G.target.get(g) != B.momentum.get(p):
             r.add("division.endpoints", p, q)
@@ -195,14 +221,9 @@ def verify_division_properties(B: PrincipalBundle) -> ValidationReport:
         back = d.get((q, p))
         if back is not None and G.inverse.get(back) != g:
             r.add("division.symmetry", p, q)
-    by_point: dict[str, list[str]] = {}
-    for (p, g) in sorted(B.act):
-        by_point.setdefault(p, []).append(g)
     for (p, q), g in sorted(d.items()):
-        for g1 in by_point.get(p, ()):
-            p1 = B.act[(p, g1)]
-            for g2 in by_point.get(q, ()):
-                q2 = B.act[(q, g2)]
+        for g1, p1 in B.moves.get(p, {}).items():
+            for g2, q2 in B.moves.get(q, {}).items():
                 moved = d.get((p1, q2))
                 if moved is None:
                     continue
@@ -220,9 +241,9 @@ def unit_bundle(G: FiniteGroupoid) -> PrincipalBundle:
         groupoid=G,
         total=frozenset(G.arrows),
         base=frozenset(G.objects),
-        projection=dict(G.target),
+        projection=G.target,
         momentum=dict(G.source),
-        act=dict(G.compose),
+        act=G.compose,
     )
 
 
@@ -243,12 +264,9 @@ def pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
     ids = _PairIds()
     projection = {ids[m][p]: m for m, p in total}
     momentum = {ids[m][p]: B.momentum[p] for m, p in total}
-    moves: dict[str, list[tuple[str, str]]] = {}
-    for (p, g), q in B.act.items():
-        moves.setdefault(p, []).append((g, q))
     act = {}
     for m, p in total:
-        for g, q in moves.get(p, ()):
+        for g, q in B.moves.get(p, {}).items():
             act[(ids[m][p], g)] = ids[m][q]
     return PrincipalBundle(
         groupoid=B.groupoid,
@@ -299,12 +317,14 @@ def fibred_product(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     momentum = {
         ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for m, p1, p2 in total
     }
-    # each point's moves (g, p.g), in arrow order
-    moves1, moves2 = {}, {}
-    for B, moves in ((B1, moves1), (B2, moves2)):
-        for (p, g), q in sorted(B.act.items()):
-            if g in B.groupoid.arrows and q is not None:
-                moves.setdefault(p, []).append((g, q))
+    # each point's moves (g, p.g) along the groupoid's arrows
+    moves1, moves2 = (
+        {
+            p: [(g, q) for g, q in row.items() if g in B.groupoid.arrows and q is not None]
+            for p, row in B.moves.items()
+        }
+        for B in (B1, B2)
+    )
     act = {}
     for m, p1, p2 in total:
         for g1, q1 in moves1.get(p1, ()):

@@ -112,22 +112,12 @@ def _context_ok(r: ValidationReport, B1: PrincipalBundle, B2: PrincipalBundle) -
     return True
 
 
-def _fibers(B: PrincipalBundle) -> dict[str, list[str]]:
-    """B's points grouped by base point, each group sorted: B.fiber(m)
-    is _fibers(B).get(m, []) for every m in B.base."""
-    groups: dict[str, list[str]] = {}
-    for p in sorted(B.total):
-        groups.setdefault(B.projection.get(p), []).append(p)
-    return groups
-
-
 def _fibred_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, str]]:
-    F1, F2 = _fibers(B1), _fibers(B2)
     return [
         (p1, p2)
         for m in sorted(B1.base)
-        for p1 in F1.get(m, [])
-        for p2 in F2.get(m, [])
+        for p1 in B1.fiber(m)
+        for p2 in B2.fiber(m)
     ]
 
 
@@ -153,15 +143,16 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
         if B2.momentum.get(q) != B1.momentum.get(p):
             r.add("morphism.momentum", p)
 
-    # Found in table order, reported in sorted order: sorting the whole
-    # act table on every call would cost more than the check.
-    unequivariant = []
-    for (p, g), pg in B1.act.items():
-        q, qg = sig(p), sig(pg)
-        if q is not None and qg is not None and B2.act.get((q, g)) != qg:
-            unequivariant.append((p, g))
-    for p, g in sorted(unequivariant):
-        r.add("morphism.equivariance", p, g)
+    # B1's rows are in sorted order, so the witnesses come out sorted.
+    for p, row in B1.moves.items():
+        q = sig(p)
+        if q is None:
+            continue
+        row2 = B2.moves.get(q, {})
+        for g, pg in row.items():
+            qg = sig(pg)
+            if qg is not None and row2.get(g) != qg:
+                r.add("morphism.equivariance", p, g)
 
     image: dict[str, str] = {}
     for p in sorted(B1.total):
@@ -181,20 +172,19 @@ def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]
     r over m goes to any q of B2 over m with momentum(q) == momentum(r),
     and the fiber follows through sigma(r.g) = q.g, g = d1(r, p).  Each
     morphism is validated once; a failure is an IntegrityError."""
-    F1 = _fibers(B1)
-    F2 = F1 if B2 is B1 else _fibers(B2)
     choices = []
     for m in sorted(B1.base):
-        fiber = F1.get(m)
+        fiber = B1.fiber(m)
         if not fiber:
             raise IntegrityError(f"empty fiber over {m!r}")
         r = fiber[0]
         moves = [(p, division_map(B1, r, p)) for p in fiber]
-        choices.append([
-            {p: B2.act.get((q, g)) for p, g in moves}
-            for q in F2.get(m, ())
-            if B2.momentum.get(q) == B1.momentum.get(r)
-        ])
+        pieces = []
+        for q in B2.fiber(m):
+            if B2.momentum.get(q) == B1.momentum.get(r):
+                row = B2.moves.get(q, {})
+                pieces.append({p: row.get(g) for p, g in moves})
+        choices.append(pieces)
     morphisms = []
     for pieces in itertools.product(*choices):
         mapping: dict[str, str] = {}
@@ -252,12 +242,13 @@ def validate_ggt(K: GGT) -> ValidationReport:
         k = K.values.get((p1, p2))
         if k is None or k not in G.arrows or (p1, p2) in misfooted:
             continue
+        row1, row2 = B1.moves.get(p1, {}), B2.moves.get(p2, {})
         for g1 in by_target.get(B1.momentum.get(p1), ()):
-            q1 = B1.act.get((p1, g1))
+            q1 = row1.get(g1)
             if q1 is None:
                 continue
             for g2 in by_target.get(B2.momentum.get(p2), ()):
-                q2 = B2.act.get((p2, g2))
+                q2 = row2.get(g2)
                 if q2 is None:
                     continue
                 moved = K.values.get((q1, q2))
@@ -310,16 +301,13 @@ def ggt_to_morphism(K: GGT) -> BundleMorphism:
     raised if it fails, rather than silently picking a point.
     """
     B1, B2 = K.source, K.target
-    F1, F2 = _fibers(B1), _fibers(B2)
     mapping = {}
     for m in sorted(B1.base):
-        fiber2 = F2.get(m, [])
+        fiber2 = B2.fiber(m)
         if not fiber2:
             raise IntegrityError(f"empty fiber over {m!r}")
-        for p1 in F1.get(m, []):
-            images = []
-            for p2 in fiber2:
-                images.append(B2.act[(p2, K.apply(p1, p2))])
+        for p1 in B1.fiber(m):
+            images = [B2.act[(p2, K.apply(p1, p2))] for p2 in fiber2]
             if len(set(images)) != 1:
                 raise IntegrityError(
                     f"value at {p1!r} depends on the interpolating point"
@@ -354,14 +342,13 @@ def star(K23: GGT, K12: GGT) -> GGT:
         raise ValueError("middle bundles differ")
     B1, B2, B3 = K12.source, K12.target, K23.target
     G = B1.groupoid
-    F1, F2, F3 = _fibers(B1), _fibers(B2), _fibers(B3)
     values = {}
     for m in sorted(B1.base):
-        fiber2 = F2.get(m, [])
+        fiber2 = B2.fiber(m)
         if not fiber2:
             raise IntegrityError(f"empty fiber over {m!r}")
-        for p1 in F1.get(m, []):
-            for p3 in F3.get(m, []):
+        for p1 in B1.fiber(m):
+            for p3 in B3.fiber(m):
                 candidates = {
                     G.mul(K23.apply(p2, p3), K12.apply(p1, p2))
                     for p2 in fiber2

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .bundles import (
     IntegrityError,
     PrincipalBundle,
+    division_map,
     fibred_product,
     product_bundle,
     validate_bundle,
@@ -34,7 +35,6 @@ from .core import (
     LeftAction,
     ValidationReport,
     _PairIds,
-    pair_id,
     product_groupoid,
     split_pair,
     validate_action,
@@ -111,9 +111,6 @@ def validate_hs(h: HSMorphism) -> ValidationReport:
     r.extend(validate_bundle(h.bundle))
     r.extend(validate_action(h.left_action()), prefix="left-")
 
-    act_by_point: dict[str, list[tuple[str, str]]] = {}
-    for (p, k), pk in sorted(h.bundle.act.items()):
-        act_by_point.setdefault(p, []).append((k, pk))
     eps = h.bundle.momentum.get
     for (g, p) in sorted(h.left_act):
         gp = h.left_act[(g, p)]
@@ -121,9 +118,10 @@ def validate_hs(h: HSMorphism) -> ValidationReport:
             continue
         if eps(gp) != eps(p):
             r.add("hs.momentum-invariant", g, p)
-        for k, pk in act_by_point.get(p, ()):
+        row = h.bundle.moves.get(gp, {})
+        for k, pk in h.bundle.moves.get(p, {}).items():
             moved = h.left_act.get((g, pk))
-            other = h.bundle.act.get((gp, k))
+            other = row.get(k)
             if moved is not None and other is not None and moved != other:
                 r.add("hs.commute", g, p, k)
     return r
@@ -138,19 +136,16 @@ def hs_from_groupoid_morphism(m: GroupoidMorphism) -> HSMorphism:
     arrow image.
     """
     G, H = m.domain, m.codomain
-    points = []
-    for x in sorted(G.objects):
-        y = m.object_map[x]
-        for k in sorted(H.arrows):
-            if H.target[k] == y:
-                points.append((x, k))
-    projection = {pair_id(x, k): x for x, k in points}
-    momentum = {pair_id(x, k): H.source[k] for x, k in points}
+    into, out_of = H.by_target(), G.by_source()
+    ids = _PairIds()
+    points = [(x, k) for x in sorted(G.objects) for k in into.get(m.object_map[x], ())]
+    projection = {ids[x][k]: x for x, k in points}
+    momentum = {ids[x][k]: H.source[k] for x, k in points}
     act = {}
     for x, k in points:
-        for (kk, k2), k3 in H.compose.items():
-            if kk == k:
-                act[(pair_id(x, k), k2)] = pair_id(x, k3)
+        row = ids[x]
+        for k2 in into.get(H.source[k], ()):
+            act[(row[k], k2)] = row[H.compose[(k, k2)]]
     bundle = PrincipalBundle(
         groupoid=H,
         total=frozenset(projection),
@@ -161,17 +156,17 @@ def hs_from_groupoid_morphism(m: GroupoidMorphism) -> HSMorphism:
     )
     left_act = {}
     for x, k in points:
-        for g in sorted(G.arrows):
-            if G.source[g] != x:
-                continue
-            left_act[(g, pair_id(x, k))] = pair_id(
-                G.target[g], H.mul(m.arrow_map[g], k)
-            )
+        for g in out_of.get(x, ()):
+            left_act[(g, ids[x][k])] = ids[G.target[g]][H.mul(m.arrow_map[g], k)]
     return HSMorphism(G, H, bundle, left_act)
 
 
 def hs_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
-    """Componentwise product bibundle between the product groupoids."""
+    """Componentwise product bibundle between the product groupoids;
+    each factor's bundle groupoid must be its codomain."""
+    for side, h in (("first", h1), ("second", h2)):
+        if h.bundle.groupoid != h.cod:
+            raise ValueError(f"{side} factor's bundle groupoid is not its codomain")
     bundle = product_bundle(h1.bundle, h2.bundle)
     ids = _PairIds()
     left_act = {}
@@ -180,12 +175,7 @@ def hs_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
         rg, rp, rq = ids[g1], ids[p1], ids[q1]
         for (g2, p2), q2 in entries2:
             left_act[(rg[g2], rp[p2])] = rq[q2]
-    return HSMorphism(
-        product_groupoid(h1.dom, h2.dom),
-        product_groupoid(h1.cod, h2.cod),
-        bundle,
-        left_act,
-    )
+    return HSMorphism(product_groupoid(h1.dom, h2.dom), bundle.groupoid, bundle, left_act)
 
 
 def hs_fibred_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
@@ -214,17 +204,15 @@ def verify_hs_division_properties(h: HSMorphism) -> ValidationReport:
 
     division.left-invariance  witness (g, p, q): d(g.p, g.q) != d(p, q)
     """
-    from .bundles import division_map
-
     r = verify_division_properties(h.bundle)
     B = h.bundle
+    by_source = h.dom.by_source()
     for x in sorted(B.base):
         fiber = B.fiber(x)
-        movers = [g for g in sorted(h.dom.arrows) if h.dom.source[g] == x]
         for p in fiber:
             for q in fiber:
                 d = division_map(B, p, q)
-                for g in movers:
+                for g in by_source.get(x, ()):
                     moved = division_map(
                         B, h.left_act[(g, p)], h.left_act[(g, q)]
                     )

@@ -222,9 +222,7 @@ def run_checks(
         U = unit_bundle(G)
         bad = ""
         for g in sorted(U.total):
-            for h in sorted(U.total):
-                if U.projection[g] != U.projection[h]:
-                    continue
+            for h in U.fiber(U.projection[g]):
                 if division_map(U, g, h) != G.mul(G.inv(g), h):
                     bad = f"at ({g!r}, {h!r})"
                     break
@@ -243,9 +241,7 @@ def run_checks(
             detail = first(report)
             if not detail:
                 for p in sorted(P.total):
-                    for q in sorted(P.total):
-                        if P.projection[p] != P.projection[q]:
-                            continue
+                    for q in P.fiber(P.projection[p]):
                         pa, pb = split_pair(p)
                         qa, qb = split_pair(q)
                         want_a = division_map(B1, pa, qa)

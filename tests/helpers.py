@@ -14,6 +14,8 @@ constructions build every entry of a product with its own pair_id call,
 as references for the products of core, bundles and hs.
 naive_table_error names the first bad entry of a document's entry table
 by a plain scan, as a reference for the errors loads raises.
+naive_fibers, naive_moves and naive_divisions rebuild a bundle's indexes
+by trying every key of its raw tables, as references for PrincipalBundle.
 """
 
 from __future__ import annotations
@@ -480,3 +482,29 @@ def reversal_relabeling(B: PrincipalBundle) -> dict[str, str]:
     """A nontrivial renaming: sorted points mapped to reversed fresh ids."""
     points = sorted(B.total)
     return {p: f"r{i}" for i, p in enumerate(reversed(points))}
+
+
+def naive_fibers(B: PrincipalBundle) -> dict[str | None, tuple[str, ...]]:
+    """Sorted points per projection value (None for a missing one)."""
+    over = [B.projection.get(p) for p in B.total]
+    return {
+        m: tuple(sorted(p for p in B.total if B.projection.get(p) == m))
+        for m in over
+    }
+
+
+def naive_moves(B: PrincipalBundle) -> list[tuple[str, list[tuple[str, str]]]]:
+    """Each act key's point, in sorted order, with its (g, p.g) in arrow order."""
+    points = sorted({key[0] for key in B.act})
+    return [
+        (p, [(g, B.act[(p, g)]) for g in sorted(k[1] for k in B.act if k[0] == p)])
+        for p in points
+    ]
+
+
+def naive_divisions(B: PrincipalBundle) -> dict[tuple[str, str], tuple[str, ...]]:
+    """Per (p, q) hit by the act table, the sorted arrows g with p.g == q."""
+    return {
+        (p, q): tuple(sorted(g for (p2, g), q2 in B.act.items() if (p2, q2) == (p, q)))
+        for (p, _), q in B.act.items()
+    }

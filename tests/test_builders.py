@@ -14,6 +14,8 @@ from gpdkit import (
     GeneratorSpec,
     OracleBoundError,
     OracleBounds,
+    PrincipalBundle,
+    division_map,
     enumerate_bundle_morphisms,
     enumerate_ggts,
     fixture_documents,
@@ -292,3 +294,25 @@ def test_library_checks_do_not_rely_on_assert():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_oracles_share_no_index_with_the_bundle(unit_z2, unit_s3, unit_pair2, monkeypatch):
+    G = random_groupoid(GeneratorSpec(1, max_objects=2, max_group_order=4))
+    b1 = random_bundle(G, 2, GeneratorSpec(11, max_total=10))
+    b2 = random_bundle(G, 2, GeneratorSpec(12, max_total=10))
+    assert b1.base == b2.base
+    twin = relabel_bundle_points(unit_pair2, reversal_relabeling(unit_pair2))
+    pairs = [(unit_z2, unit_z2), (unit_s3, unit_s3), (unit_pair2, twin), (b1, b2)]
+    want = [(enumerate_ggts(*pair), enumerate_bundle_morphisms(*pair)) for pair in pairs]
+    assert all(ggts and morphisms for ggts, morphisms in want)
+
+    def refuse(*args):
+        raise AssertionError("an oracle read a bundle index")
+
+    monkeypatch.setattr(PrincipalBundle, "fiber", refuse)
+    for index in ("fibers", "moves", "divisions"):
+        monkeypatch.setattr(PrincipalBundle, index, property(refuse))
+    with pytest.raises(AssertionError, match="bundle index"):
+        division_map(unit_z2, "e", "a")
+    got = [(enumerate_ggts(*pair), enumerate_bundle_morphisms(*pair)) for pair in pairs]
+    assert got == want

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -25,6 +27,8 @@ from gpdkit import (
     validate_bundle,
     verify_division_properties,
 )
+
+from helpers import naive_divisions, naive_fibers, naive_moves
 
 
 def test_unit_bundles_validate(z2, s3, pair3, z2_swap):
@@ -196,3 +200,92 @@ def test_trivialize_random_bundles():
         section = {m: B.fiber(m)[0] for m in sorted(B.base)}
         iso = trivialize(B, section)
         assert set(iso.backward) == set(iso.target.total)
+
+
+def test_act_and_projection_are_read_only(z2):
+    # Once an index is built, a table edit in place could leave it stale;
+    # the tables refuse every edit instead.
+    B = unit_bundle(z2)
+    assert division_map(B, "e", "a") == "a"
+    with pytest.raises(TypeError, match="read-only"):
+        B.act[("e", "a")] = "e"
+    with pytest.raises(TypeError, match="read-only"):
+        B.projection["a"] = "*"
+    for table in (B.act, B.projection):
+        key = next(iter(table))
+        edits = (
+            lambda: table.__delitem__(key),
+            lambda: table.pop(key),
+            lambda: table.popitem(),
+            lambda: table.setdefault(key, "x"),
+            lambda: table.update({key: "x"}),
+            lambda: table.__ior__({key: "x"}),
+            lambda: table.clear(),
+        )
+        for edit in edits:
+            with pytest.raises(TypeError, match="read-only"):
+                edit()
+    assert B.act == z2.compose and B.projection == z2.target
+    assert division_map(B, "e", "a") == "a"
+    assert validate_bundle(B).ok
+    for twin in (copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
+        assert twin == B
+        with pytest.raises(TypeError, match="read-only"):
+            twin.act[("e", "a")] = "e"
+
+
+def test_bundle_keeps_its_own_copy_of_the_callers_tables(z2):
+    projection, act = dict(z2.target), dict(z2.compose)
+    B = PrincipalBundle(
+        z2, frozenset(z2.arrows), frozenset(z2.objects), projection, dict(z2.source), act
+    )
+    # edits before the indexes are built, and after
+    act[("e", "a")] = "e"
+    projection["a"] = "elsewhere"
+    assert division_map(B, "e", "a") == "a"
+    del act[("a", "a")]
+    assert division_map(B, "a", "e") == "a"
+    assert B.act == z2.compose and B.projection == z2.target
+    assert validate_bundle(B).ok and verify_division_properties(B).ok
+    # a changed table makes a new bundle with indexes of its own
+    fat = replace(B, act={**B.act, ("e", "a"): "e"})
+    with pytest.raises(IntegrityError, match="no solution"):
+        division_map(fat, "e", "a")
+    assert division_map(B, "e", "a") == "a"
+
+
+def _single_entry_mutants(B):
+    points, bases = sorted(B.total), sorted(B.base) + ["elsewhere"]
+    for key in sorted(B.act):
+        yield replace(B, act={k: v for k, v in B.act.items() if k != key})
+        other = points[(points.index(B.act[key]) + 1) % len(points)]
+        yield replace(B, act={**B.act, key: other})
+    for p in points:
+        yield replace(B, projection={k: v for k, v in B.projection.items() if k != p})
+        other = bases[(bases.index(B.projection[p]) + 1) % len(bases)]
+        yield replace(B, projection={**B.projection, p: other})
+
+
+def test_indexes_match_naive_scans(unit_z2, unit_s3):
+    bundles = [unit_z2]
+    seed = 0
+    while len(bundles) < 21:
+        G = random_groupoid(GeneratorSpec(seed, max_objects=3, max_group_order=4))
+        try:
+            bundles.append(random_bundle(G, 2, GeneratorSpec(seed + 30, max_total=12)))
+        except GeneratorError:
+            pass
+        seed += 1
+    # the naive scans are quadratic in the act table, so keep these small
+    small = [B for B in bundles if 8 < len(B.act) <= 40][:3]
+    products = [product_bundle(unit_z2, B) for B in small]
+    products += [fibred_product(B, B) for B in small]
+    mutants = [M for B in [unit_z2, unit_s3, *small] for M in _single_entry_mutants(B)]
+    assert len(mutants) > 100
+    for B in bundles + products + mutants:
+        fibers = naive_fibers(B)
+        assert B.fibers == fibers
+        for m in sorted(B.base) + ["elsewhere"]:
+            assert B.fiber(m) == fibers.get(m, ())
+        assert [(p, list(row.items())) for p, row in B.moves.items()] == naive_moves(B)
+        assert B.divisions == naive_divisions(B)

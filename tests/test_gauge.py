@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -372,3 +373,14 @@ def test_gauge_groupoid_above_the_oracle_bounds(s3):
     mine = {_ggt_table(gg.ggts[a]) for a in gg.groupoid.hom("P0", "P0")}
     theirs = {_ggt_table(gauge_to_ggt(t)) for t in gauge_group(B).elements}
     assert mine == theirs
+
+
+def test_gauge_groupoid_export_bytes_are_pinned():
+    # ROADMAP's U; the digest is the same on Python 3.10 to 3.13
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
+    data = dumps(build_gauge_groupoid([U]).groupoid).encode()
+    assert len(data) == 2_096_000
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "fc4e47771f3143bb7e041133285d68e583ada03e7b5bd15ee56fec1b835ba742"
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from gpdkit import (
@@ -221,3 +223,13 @@ def test_random_bibundles_validate_and_restrict():
         built += 1
         seed += 1
     assert built == 3
+
+
+def test_hs_product_refuses_a_bundle_off_its_codomain(hs_z2, hs_s3):
+    off = replace(hs_z2, cod=hs_s3.cod)
+    assert validate_hs(off).rules() == {"context.mismatch"}
+    with pytest.raises(ValueError, match="first factor's bundle groupoid"):
+        hs_product(off, hs_z2)
+    with pytest.raises(ValueError, match="second factor's bundle groupoid"):
+        hs_product(hs_z2, off)
+    assert validate_hs(hs_product(hs_z2, hs_s3)).ok
