@@ -598,6 +598,22 @@ class OracleBounds:
     max_arrows: int = 36
     max_base: int = 6
 
+    def refusal(self, B1: PrincipalBundle, B2: PrincipalBundle) -> str:
+        """Why the oracles refuse B1 -> B2, or "" when both are within
+        bounds; B1 and B2 share a groupoid and a base."""
+        for size, bound, noun in (
+            (len(B1.total), self.max_total, "points"),
+            (len(B2.total), self.max_total, "points"),
+            (len(B1.groupoid.arrows), self.max_arrows, "arrows"),
+            (len(B1.base), self.max_base, "base points"),
+        ):
+            if size > bound:
+                return (
+                    f"refusing enumeration: {size} {noun} exceeds {bound}; "
+                    f"raise {ORACLE_BOUNDS_ENV} to override"
+                )
+        return ""
+
 
 ORACLE_BOUNDS_ENV = "GPDKIT_ORACLE_BOUNDS"
 
@@ -621,25 +637,6 @@ def oracle_bounds() -> OracleBounds:
     return OracleBounds(**kwargs)
 
 
-def _check_bounds(B1: PrincipalBundle, B2: PrincipalBundle, bounds: OracleBounds) -> None:
-    for B in (B1, B2):
-        if len(B.total) > bounds.max_total:
-            raise OracleBoundError(
-                f"refusing enumeration: {len(B.total)} points exceeds "
-                f"{bounds.max_total}; raise {ORACLE_BOUNDS_ENV} to override"
-            )
-    if len(B1.groupoid.arrows) > bounds.max_arrows:
-        raise OracleBoundError(
-            f"refusing enumeration: {len(B1.groupoid.arrows)} arrows exceeds "
-            f"{bounds.max_arrows}; raise {ORACLE_BOUNDS_ENV} to override"
-        )
-    if len(B1.base) > bounds.max_base:
-        raise OracleBoundError(
-            f"refusing enumeration: {len(B1.base)} base points exceeds "
-            f"{bounds.max_base}; raise {ORACLE_BOUNDS_ENV} to override"
-        )
-
-
 def _scan_fibers(B: PrincipalBundle) -> dict[str, list[str]]:
     """Sorted points by projection value, scanned from the raw table: the
     oracles' own, so they share no index with the bundle."""
@@ -653,7 +650,9 @@ def _oracle_context(B1: PrincipalBundle, B2: PrincipalBundle, bounds) -> OracleB
     if B1.groupoid != B2.groupoid or B1.base != B2.base:
         raise ValueError("enumeration needs a shared base and groupoid")
     resolved = bounds if bounds is not None else oracle_bounds()
-    _check_bounds(B1, B2, resolved)
+    why = resolved.refusal(B1, B2)
+    if why:
+        raise OracleBoundError(why)
     return resolved
 
 

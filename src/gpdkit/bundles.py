@@ -23,6 +23,7 @@ from .core import (
     ValidationReport,
     _check_total,
     _PairIds,
+    _product_table,
     pair_id,
     product_groupoid,
     split_pair,
@@ -285,19 +286,13 @@ def product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     total = [(p1, p2) for p1 in sorted(B1.total) for p2 in sorted(B2.total)]
     projection = {ids[p1][p2]: ids[B1.projection[p1]][B2.projection[p2]] for p1, p2 in total}
     momentum = {ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for p1, p2 in total}
-    act = {}
-    entries2 = sorted(B2.act.items())
-    for (p1, g1), q1 in sorted(B1.act.items()):
-        rp, rg, rq = ids[p1], ids[g1], ids[q1]
-        for (p2, g2), q2 in entries2:
-            act[(rp[p2], rg[g2])] = rq[q2]
     return PrincipalBundle(
         groupoid=GG,
         total=frozenset(projection),
         base=frozenset(projection.values()),
         projection=projection,
         momentum=momentum,
-        act=act,
+        act=_product_table(ids, B1.act, B2.act),
     )
 
 

@@ -330,10 +330,22 @@ class _PairIds(dict):
         return value
 
 
+def _product_table(ids: _PairIds, t1: dict, t2: dict) -> dict:
+    """Entrywise product of two tables keyed by pairs: ((a1, b1), c1) and
+    ((a2, b2), c2) give ((ids[a1][a2], ids[b1][b2]), ids[c1][c2]).  t1's
+    sorted entries are paired with t2's, sorted once."""
+    table = {}
+    entries2 = sorted(t2.items())
+    for (a1, b1), c1 in sorted(t1.items()):
+        ra, rb, rc = ids[a1], ids[b1], ids[c1]
+        for (a2, b2), c2 in entries2:
+            table[(ra[a2], rb[b2])] = rc[c2]
+    return table
+
+
 def product_groupoid(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
     """Componentwise product; objects and arrows get pair_id ids, each
-    built once (_PairIds).  compose pairs G1's sorted entries with G2's,
-    sorted once."""
+    built once (_PairIds)."""
     ids = _PairIds()
     objects = frozenset(ids[x1][x2] for x1 in G1.objects for x2 in G2.objects)
     arrows = frozenset(ids[g1][g2] for g1 in G1.arrows for g2 in G2.arrows)
@@ -351,12 +363,7 @@ def product_groupoid(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
         for x1 in sorted(G1.objects)
         for x2 in sorted(G2.objects)
     }
-    compose = {}
-    entries2 = sorted(G2.compose.items())
-    for (a1, b1), c1 in sorted(G1.compose.items()):
-        ra, rb, rc = ids[a1], ids[b1], ids[c1]
-        for (a2, b2), c2 in entries2:
-            compose[(ra[a2], rb[b2])] = rc[c2]
+    compose = _product_table(ids, G1.compose, G2.compose)
     return FiniteGroupoid(objects, arrows, source, target, unit, inverse, compose)
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .bundles import (
     IntegrityError,
     PrincipalBundle,
-    division_map,
     fibred_product,
     product_bundle,
     validate_bundle,
@@ -35,6 +34,7 @@ from .core import (
     LeftAction,
     ValidationReport,
     _PairIds,
+    _product_table,
     product_groupoid,
     split_pair,
     validate_action,
@@ -45,6 +45,7 @@ from .gauge import (
     GaugeGroup,
     GaugeGroupoid,
     _assemble,
+    _fibred_pairs,
     _gauge_elements,
     _tabulate,
     morphism_to_ggt,
@@ -168,13 +169,7 @@ def hs_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
         if h.bundle.groupoid != h.cod:
             raise ValueError(f"{side} factor's bundle groupoid is not its codomain")
     bundle = product_bundle(h1.bundle, h2.bundle)
-    ids = _PairIds()
-    left_act = {}
-    entries2 = sorted(h2.left_act.items())
-    for (g1, p1), q1 in sorted(h1.left_act.items()):
-        rg, rp, rq = ids[g1], ids[p1], ids[q1]
-        for (g2, p2), q2 in entries2:
-            left_act[(rg[g2], rp[p2])] = rq[q2]
+    left_act = _product_table(_PairIds(), h1.left_act, h2.left_act)
     return HSMorphism(product_groupoid(h1.dom, h2.dom), bundle.groupoid, bundle, left_act)
 
 
@@ -203,21 +198,14 @@ def verify_hs_division_properties(h: HSMorphism) -> ValidationReport:
     """Division map laws plus invariance under the diagonal left action:
 
     division.left-invariance  witness (g, p, q): d(g.p, g.q) != d(p, q)
+
+    Pairs with no unique division are left to division.defined, not raised.
     """
-    r = verify_division_properties(h.bundle)
     B = h.bundle
-    by_source = h.dom.by_source()
-    for x in sorted(B.base):
-        fiber = B.fiber(x)
-        for p in fiber:
-            for q in fiber:
-                d = division_map(B, p, q)
-                for g in by_source.get(x, ()):
-                    moved = division_map(
-                        B, h.left_act[(g, p)], h.left_act[(g, q)]
-                    )
-                    if moved != d:
-                        r.add("division.left-invariance", g, p, q)
+    r = verify_division_properties(B)
+    unique = {pq: gs[0] for pq, gs in B.divisions.items() if len(gs) == 1}
+    for witness in _left_invariance_violations(h, h, _fibred_pairs(B, B), unique):
+        r.add("division.left-invariance", *witness)
     return r
 
 
@@ -268,24 +256,29 @@ def _left_equivariance_violations(f: HSBundleMorphism):
             yield g, p
 
 
-def _left_invariance_violations(h1: HSMorphism, h2: HSMorphism, K: GGT):
-    """Each (g, p1, p2) with K(g.p1, g.p2) != K(p1, p2), in sorted order;
-    entries outside the tables are skipped."""
+def _left_invariance_violations(h1: HSMorphism, h2: HSMorphism, pairs, value: dict):
+    """Each (g, p1, p2), pairs in the given order, with value(g.p1, g.p2)
+    != value(p1, p2); pairs and moves outside the tables are skipped.
+    Both the GGT and the division map laws run through here."""
     movers = h1.dom.by_source()
-    for (p1, p2), k in sorted(K.values.items()):
+    for p1, p2 in pairs:
+        k = value.get((p1, p2))
+        if k is None:
+            continue
         for g in movers.get(h1.bundle.projection.get(p1), ()):
             q1 = h1.left_act.get((g, p1))
             q2 = h2.left_act.get((g, p2))
             if q1 is None or q2 is None:
                 continue
-            moved = K.values.get((q1, q2))
+            moved = value.get((q1, q2))
             if moved is not None and moved != k:
                 yield g, p1, p2
 
 
 def is_left_invariant_ggt(h1: HSMorphism, h2: HSMorphism, K: GGT) -> bool:
     """Whether K(g.p1, g.p2) == K(p1, p2) throughout."""
-    return next(_left_invariance_violations(h1, h2, K), None) is None
+    violations = _left_invariance_violations(h1, h2, sorted(K.values), K.values)
+    return next(violations, None) is None
 
 
 def validate_hs_ggt(h1: HSMorphism, h2: HSMorphism, K: GGT) -> ValidationReport:
@@ -295,7 +288,7 @@ def validate_hs_ggt(h1: HSMorphism, h2: HSMorphism, K: GGT) -> ValidationReport:
     if not _hs_context(r, h1, h2):
         return r
     r.extend(validate_ggt(K))
-    for witness in _left_invariance_violations(h1, h2, K):
+    for witness in _left_invariance_violations(h1, h2, sorted(K.values), K.values):
         r.add("ggt.left-invariance", *witness)
     return r
 

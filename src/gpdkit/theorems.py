@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .builders import (
     GeneratorError,
@@ -92,7 +93,7 @@ CHECKS = (
     ("lem-prodhilskand1", "bibundle products validate"),
     ("lem-fibprodhils", "bibundle fibred products validate"),
     ("prop-proddivhils", "bibundle division maps are left invariant"),
-    ("thm-gengaugehils", "equivariant morphisms match invariant GGTs"),
+    ("thm-gengaugehils", "equivariant morphisms match invariant GGTs, round-trip"),
     ("prop-gaugegrhils", "invariant gauge groups close inside gauge groups"),
     ("thm-hsgaugegroupoid", "invariant GGT groupoid sits inside the full one"),
 )
@@ -119,6 +120,166 @@ def _table(x) -> tuple:
     return tuple(sorted(x.values.items()))
 
 
+def _first(report) -> str:
+    return str(report.violations[0]) if report.violations else ""
+
+
+def _identity(G: FiniteGroupoid) -> GroupoidMorphism:
+    return GroupoidMorphism(G, G, {x: x for x in G.objects}, {g: g for g in G.arrows})
+
+
+def _unit_values(B: PrincipalBundle) -> dict[str, str]:
+    """The pointwise unit: each point's unit arrow at its momentum."""
+    return {p: B.groupoid.unit[B.momentum[p]] for p in B.total}
+
+
+def _two_smallest(rows: list, bundle=lambda x: x) -> list:
+    """The two (label, x) rows whose bundles have the fewest points, ties by label."""
+    return sorted(rows, key=lambda row: (len(bundle(row[1]).total), row[0]))[:2]
+
+
+def _morphism_laws(G: FiniteGroupoid) -> str:
+    """The identity, then the isotropy inclusion at the least object, validate."""
+    if bad := _first(validate_morphism(_identity(G))):
+        return f"identity: {bad}"
+    x = min(G.objects)
+    iso = isotropy_group(G, x)
+    inclusion = GroupoidMorphism(iso, G, {x: x}, {g: g for g in iso.arrows})
+    if bad := _first(validate_morphism(inclusion)):
+        return f"isotropy at {x}: {bad}"
+    return ""
+
+
+def _unit_division(U: PrincipalBundle) -> str:
+    G = U.groupoid
+    for g in sorted(U.total):
+        for h in U.fiber(U.projection[g]):
+            if division_map(U, g, h) != G.mul(G.inv(g), h):
+                return f"at ({g!r}, {h!r})"
+    return ""
+
+
+def _product_division(B1: PrincipalBundle, B2: PrincipalBundle) -> str:
+    P = product_bundle(B1, B2)
+    if bad := _first(validate_bundle(P)):
+        return bad
+    for p in sorted(P.total):
+        for q in P.fiber(P.projection[p]):
+            (pa, pb), (qa, qb) = split_pair(p), split_pair(q)
+            want = (division_map(B1, pa, qa), division_map(B2, pb, qb))
+            if want != split_pair(division_map(P, p, q)):
+                return f"division at ({p!r}, {q!r})"
+    return ""
+
+
+def _trivializes(B: PrincipalBundle) -> str:
+    try:
+        trivialize(B, {m: B.fiber(m)[0] for m in sorted(B.base)})
+    except Exception as e:
+        return str(e)
+    return ""
+
+
+def _bijective(morphisms) -> str:
+    if any(sorted(f.mapping.values()) != sorted(f.target.total) for f in morphisms):
+        return "a non-bijective morphism"
+    return ""
+
+
+def _correspondence(morphisms, ggts, to_ggt, to_morphism, noun: str) -> str:
+    """The morphisms and the GGTs (called noun) are each other's images,
+    and both round trips are identities; bundles and bibundles alike."""
+    if len(morphisms) != len(ggts):
+        return f"{len(morphisms)} morphisms vs {len(ggts)} {noun}s"
+    images = [to_ggt(f) for f in morphisms]
+    if {_table(K) for K in images} != {_table(K) for K in ggts}:
+        return "enumerations are not each other's images"
+    for f, K in zip(morphisms, images):
+        if to_morphism(K).mapping != f.mapping:
+            return "morphism round-trip moved a point"
+    for K in ggts:
+        if _table(to_ggt(to_morphism(K))) != _table(K):
+            return f"{noun} round-trip changed a value"
+    return ""
+
+
+def _division_invariance(morphisms) -> str:
+    for f in morphisms:
+        if bad := _first(check_division_invariance(f)):
+            return bad
+    return ""
+
+
+def _gauge_group_laws(B: PrincipalBundle, self_ggts: tuple) -> str:
+    gg = gauge_group(B)
+    if gg.elements[gg.unit].values != _unit_values(B):
+        return "unit is not the pointwise unit arrow"
+    if sorted(gg.product) != [(i, j) for i in range(gg.order) for j in range(gg.order)]:
+        return "product table not total"
+    if gg.order != len(self_ggts):
+        return f"order {gg.order} vs {len(self_ggts)} self-GGTs"
+    for t in gg.elements:
+        if ggt_to_gauge(gauge_to_ggt(t)).values != t.values:
+            return "GGT correspondence moved an element"
+    return ""
+
+
+def _gauge_groupoid_laws(family: list[PrincipalBundle], ggts_of) -> str:
+    """The GGT groupoid validates, its hom sets are the oracle's, its
+    isotropy groups are the gauge groups, and compose is star."""
+    gg = build_gauge_groupoid(family)
+    if bad := _first(validate_groupoid(gg.groupoid)):
+        return bad
+    ids = gg.bundle_ids
+
+    def hom(i: int, j: int) -> list:
+        return [_table(gg.ggts[a]) for a in gg.groupoid.hom(ids[i], ids[j])]
+
+    for i, Bi in enumerate(family):
+        for j, Bj in enumerate(family):
+            if sorted(hom(i, j)) != [_table(K) for K in ggts_of(Bi, Bj)]:
+                return f"hom({ids[i]}, {ids[j]}) differs from the oracle"
+    for i, B in enumerate(family):
+        if set(hom(i, i)) != {_table(gauge_to_ggt(t)) for t in gauge_group(B).elements}:
+            return f"isotropy mismatch at {ids[i]}"
+    for (a2, a1), a in sorted(gg.groupoid.compose.items()):
+        if _table(star(gg.ggts[a2], gg.ggts[a1])) != _table(gg.ggts[a]):
+            return f"compose disagrees with star at ({a2}, {a1})"
+    return ""
+
+
+def _hs_correspondence(h1, h2, ggts_of) -> str:
+    """_correspondence of the left equivariant morphisms and invariant GGTs."""
+    found = enumerate_bundle_morphisms(h1.bundle, h2.bundle)
+    fs = [HSBundleMorphism(h1, h2, f.mapping) for f in found]
+    fs = [f for f in fs if validate_hs_morphism(f).ok]
+    Ks = [K for K in ggts_of(h1.bundle, h2.bundle) if is_left_invariant_ggt(h1, h2, K)]
+    back = partial(hs_ggt_to_morphism, h1, h2)
+    return _correspondence(fs, Ks, hs_morphism_to_ggt, back, "invariant GGT")
+
+
+def _hs_gauge_group_laws(h) -> str:
+    full = {_table(t) for t in gauge_group(h.bundle).elements}
+    sub = hs_gauge_group(h)
+    if not {_table(t) for t in sub.elements} <= full:
+        return "invariant elements escape the gauge group"
+    if sub.elements[sub.unit].values != _unit_values(h.bundle):
+        return "unit is not the pointwise unit arrow"
+    if any(k not in range(sub.order) for k in sub.product.values()):
+        return "product escapes the subgroup"
+    return ""
+
+
+def _hs_gauge_groupoid_laws(family: list) -> str:
+    gg = build_hs_gauge_groupoid(family)
+    if bad := _first(validate_groupoid(gg.groupoid)):
+        return bad
+    full = build_gauge_groupoid([h.bundle for h in family])
+    if not gg.groupoid.arrows <= full.groupoid.arrows:
+        return "an invariant arrow is missing from the full groupoid"
+    return ""
+
+
 def run_checks(
     seed: int = 42,
     max_size: int = 12,
@@ -134,65 +295,47 @@ def run_checks(
         fixtures = fixture_documents()
     rows: dict[str, list[tuple[str, str]]] = {check: [] for check, _ in CHECKS}
 
-    def add(check: str, label: str, detail: str = "") -> None:
-        rows[check].append((label, detail))
+    def sweep(check: str, instances, detail) -> None:
+        """One row per (label, *args) instance: detail(*args) is the
+        statement's first discrepancy there, or "" where it holds."""
+        for label, *args in instances:
+            rows[check].append((label, detail(*args)))
 
-    def first(report) -> str:
-        return str(report.violations[0]) if report.violations else ""
+    def valid(check: str, instances, validator) -> list:
+        """One row per (label, x) instance; returns the rows whose x validates."""
+        kept = []
+        for label, x in instances:
+            report = validator(x)
+            rows[check].append((label, _first(report)))
+            if report.ok:
+                kept.append((label, x))
+        return kept
 
     # --- groupoids -------------------------------------------------------
-    groupoids: list[tuple[str, FiniteGroupoid]] = []
-    for name, doc in sorted(fixtures.items()):
-        if isinstance(doc, FiniteGroupoid):
-            groupoids.append((name, doc))
+    docs = sorted(fixtures.items())
+    groupoids = [(name, G) for name, G in docs if isinstance(G, FiniteGroupoid)]
     for i in range(4):
         spec = GeneratorSpec(
             seed + i, max_objects=3, max_group_order=6, max_total=max_size
         )
         groupoids.append((f"groupoid[seed={spec.seed}]", random_groupoid(spec)))
-
-    valid_groupoids: list[tuple[str, FiniteGroupoid]] = []
-    for label, G in groupoids:
-        report = validate_groupoid(G)
-        add("def-groupoid", label, first(report))
-        if report.ok:
-            valid_groupoids.append((label, G))
+    valid_groupoids = valid("def-groupoid", groupoids, validate_groupoid)
     # the conjugation and bundle sweeps grow cubically with arrows, so
     # oversized generator outputs stay in the axiom checks only
-    small_groupoids = [
-        (label, G) for label, G in valid_groupoids if len(G.arrows) <= max_size
-    ]
-
-    for label, G in valid_groupoids:
-        ident = GroupoidMorphism(
-            G, G, {x: x for x in G.objects}, {g: g for g in G.arrows}
-        )
-        report = validate_morphism(ident)
-        if not report.ok:
-            add("def-morgroupoid", f"identity on {label}", first(report))
-        else:
-            x = min(G.objects)
-            iso = isotropy_group(G, x)
-            inclusion = GroupoidMorphism(
-                iso, G, {x: x}, {g: g for g in iso.arrows}
-            )
-            add("def-morgroupoid", f"isotropy at {x} into {label}",
-                first(validate_morphism(inclusion)))
-    for label, G in small_groupoids:
-        for variant in CONJUGATION_VARIANTS:
-            add(
-                "prop-genconj",
-                f"{variant} conjugation of {label}",
-                first(validate_action(generalized_conjugation(G, variant))),
-            )
+    small_groupoids = [row for row in valid_groupoids if len(row[1].arrows) <= max_size]
+    sweep("def-morgroupoid", valid_groupoids, _morphism_laws)
+    conjugations = (
+        (f"{variant} conjugation of {label}", generalized_conjugation(G, variant))
+        for label, G in small_groupoids
+        for variant in CONJUGATION_VARIANTS
+    )
+    valid("prop-genconj", conjugations, validate_action)
 
     # --- bundles ---------------------------------------------------------
-    bundles: list[tuple[str, PrincipalBundle]] = []
-    for name, doc in sorted(fixtures.items()):
-        if isinstance(doc, PrincipalBundle):
-            bundles.append((name, doc))
-    for label, G in small_groupoids:
-        bundles.append((f"unit bundle of {label}", unit_bundle(G)))
+    units = [
+        (f"unit bundle of {label}", unit_bundle(G)) for label, G in small_groupoids
+    ]
+    bundles = [(name, B) for name, B in docs if isinstance(B, PrincipalBundle)] + units
     paired: list[tuple[str, PrincipalBundle, PrincipalBundle]] = []
     for i, (label, G) in enumerate(valid_groupoids):
         try:
@@ -208,72 +351,24 @@ def run_checks(
         bundles.append((f"bundle[seed={seed + 200 + i}] over {label}", b2))
         if b1.base == b2.base:
             paired.append((f"bundles over {label}", b1, b2))
-
-    valid_bundles: list[tuple[str, PrincipalBundle]] = []
-    for label, B in bundles:
-        report = validate_bundle(B)
-        add("def-princgroupoid", label, first(report))
-        if report.ok:
-            valid_bundles.append((label, B))
+    valid_bundles = valid("def-princgroupoid", bundles, validate_bundle)
     valid_set = {id(B) for _, B in valid_bundles}
     paired = [row for row in paired if {id(row[1]), id(row[2])} <= valid_set]
 
-    for label, G in small_groupoids:
-        U = unit_bundle(G)
-        bad = ""
-        for g in sorted(U.total):
-            for h in U.fiber(U.projection[g]):
-                if division_map(U, g, h) != G.mul(G.inv(g), h):
-                    bad = f"at ({g!r}, {h!r})"
-                    break
-            if bad:
-                break
-        add("def-unitbun", f"unit bundle of {label}", bad)
-
-    for label, B in valid_bundles:
-        add("prop-prophi", label, first(verify_division_properties(B)))
-
-    small = sorted(valid_bundles, key=lambda row: (len(row[1].total), row[0]))[:2]
-    for label1, B1 in small:
-        for label2, B2 in small:
-            P = product_bundle(B1, B2)
-            report = validate_bundle(P)
-            detail = first(report)
-            if not detail:
-                for p in sorted(P.total):
-                    for q in P.fiber(P.projection[p]):
-                        pa, pb = split_pair(p)
-                        qa, qb = split_pair(q)
-                        want_a = division_map(B1, pa, qa)
-                        want_b = division_map(B2, pb, qb)
-                        got = split_pair(division_map(P, p, q))
-                        if got != (want_a, want_b):
-                            detail = f"division at ({p!r}, {q!r})"
-                            break
-                    if detail:
-                        break
-            add("lem-prodbun", f"{label1} x {label2}", detail)
-
-    for label, b1, b2 in paired:
-        add("lem-fibprod", label, first(validate_bundle(fibred_product(b1, b2))))
-
-    for label, B in valid_bundles:
-        section = {m: B.fiber(m)[0] for m in sorted(B.base)}
-        try:
-            trivialize(B, section)
-            add("def-trivbun", label)
-        except Exception as e:
-            add("def-trivbun", label, str(e))
+    sweep("def-unitbun", units, _unit_division)
+    valid("prop-prophi", valid_bundles, verify_division_properties)
+    small = _two_smallest(valid_bundles)
+    products = [(f"{l1} x {l2}", B1, B2) for l1, B1 in small for l2, B2 in small]
+    sweep("lem-prodbun", products, _product_division)
+    fibred = ((label, fibred_product(B1, B2)) for label, B1, B2 in paired)
+    valid("lem-fibprod", fibred, validate_bundle)
+    sweep("def-trivbun", valid_bundles, _trivializes)
 
     # --- the correspondence ---------------------------------------------
     bounds = oracle_bounds()
 
     def within(B: PrincipalBundle) -> bool:
-        return (
-            len(B.total) <= bounds.max_total
-            and len(B.groupoid.arrows) <= bounds.max_arrows
-            and len(B.base) <= bounds.max_base
-        )
+        return not bounds.refusal(B, B)
 
     # one enumeration per bundle pair; the bundles outlive the run, so ids stay unique
     oracle_ggts: dict[tuple[int, int], tuple] = {}
@@ -284,114 +379,30 @@ def run_checks(
         return oracle_ggts[id(B1), id(B2)]
 
     oracle_bundles = [(label, B) for label, B in valid_bundles if within(B)]
-    hom_pairs: list[tuple[str, PrincipalBundle, PrincipalBundle]] = []
-    for label, B in oracle_bundles:
-        hom_pairs.append((f"{label} with itself", B, B))
-    hom_pairs.extend(
-        row for row in paired if within(row[1]) and within(row[2])
-    )
-
-    for label, B1, B2 in hom_pairs:
-        morphisms = enumerate_bundle_morphisms(B1, B2)
-        ggts = ggts_of(B1, B2)
-        bad = ""
-        for f in morphisms:
-            image = sorted(f.mapping[p] for p in f.mapping)
-            if image != sorted(B2.total):
-                bad = "a non-bijective morphism"
-                break
-        add("lem-inverequiv", label, bad)
-
-        bad = ""
-        if len(morphisms) != len(ggts):
-            bad = f"{len(morphisms)} morphisms vs {len(ggts)} GGTs"
-        elif {_table(morphism_to_ggt(f)) for f in morphisms} != {
-            _table(K) for K in ggts
-        }:
-            bad = "enumerations are not each other's images"
-        else:
-            for f in morphisms:
-                if ggt_to_morphism(morphism_to_ggt(f)).mapping != f.mapping:
-                    bad = "morphism round-trip moved a point"
-                    break
-            for K in ggts:
-                if not bad and _table(morphism_to_ggt(ggt_to_morphism(K))) != _table(K):
-                    bad = "GGT round-trip changed a value"
-                    break
-        add("thm-gengaugeeq", label, bad)
-
-        bad = ""
-        for f in morphisms:
-            report = check_division_invariance(f)
-            if not report.ok:
-                bad = first(report)
-                break
-        add("thm-gaugeinvdiv", label, bad)
-
-    for label, B in oracle_bundles:
-        gg = gauge_group(B)
-        bad = ""
-        unit_values = {p: B.groupoid.unit[B.momentum[p]] for p in B.total}
-        if gg.elements[gg.unit].values != unit_values:
-            bad = "unit is not the pointwise unit arrow"
-        elif sorted(gg.product) != sorted(
-            (i, j) for i in range(gg.order) for j in range(gg.order)
-        ):
-            bad = "product table not total"
-        elif gg.order != len(ggts_of(B, B)):
-            bad = f"order {gg.order} vs {len(ggts_of(B, B))} self-GGTs"
-        else:
-            for i, t in enumerate(gg.elements):
-                back = ggt_to_gauge(gauge_to_ggt(t))
-                if back.values != t.values:
-                    bad = "GGT correspondence moved an element"
-                    break
-        add("prop-gaugegr", label, bad)
-
-    families: list[tuple[str, list[PrincipalBundle]]] = []
     oracle_paired = [row for row in paired if within(row[1]) and within(row[2])]
-    for label, B1, B2 in oracle_paired[:2]:
-        families.append((label, [B1, B2]))
-    if oracle_bundles:
-        label, B = min(oracle_bundles, key=lambda row: (len(row[1].total), row[0]))
+    hom_pairs = [(f"{label} with itself", B, B) for label, B in oracle_bundles]
+    homs = [
+        (label, enumerate_bundle_morphisms(B1, B2), ggts_of(B1, B2))
+        for label, B1, B2 in hom_pairs + oracle_paired
+    ]
+    sweep("lem-inverequiv", homs, lambda fs, Ks: _bijective(fs))
+    sweep(
+        "thm-gengaugeeq",
+        homs,
+        lambda fs, Ks: _correspondence(fs, Ks, morphism_to_ggt, ggt_to_morphism, "GGT"),
+    )
+    sweep("thm-gaugeinvdiv", homs, lambda fs, Ks: _division_invariance(fs))
+    sweep("prop-gaugegr", oracle_bundles, lambda B: _gauge_group_laws(B, ggts_of(B, B)))
+    families = [(label, [B1, B2]) for label, B1, B2 in oracle_paired[:2]]
+    for label, B in _two_smallest(oracle_bundles)[:1]:
         families.append((f"{label} alone", [B]))
-    for label, family in families:
-        gg = build_gauge_groupoid(family)
-        report = validate_groupoid(gg.groupoid)
-        detail = first(report)
-        ids = gg.bundle_ids
-        for i, Bi in enumerate(family):
-            for j, Bj in enumerate(family):
-                if not detail and sorted(
-                    _table(gg.ggts[a]) for a in gg.groupoid.hom(ids[i], ids[j])
-                ) != [_table(K) for K in ggts_of(Bi, Bj)]:
-                    detail = f"hom({ids[i]}, {ids[j]}) differs from the oracle"
-        if not detail:
-            for i, B in enumerate(family):
-                mine = {
-                    _table(gg.ggts[a])
-                    for a in gg.groupoid.hom(gg.bundle_ids[i], gg.bundle_ids[i])
-                }
-                theirs = {
-                    _table(gauge_to_ggt(t)) for t in gauge_group(B).elements
-                }
-                if mine != theirs:
-                    detail = f"isotropy mismatch at {gg.bundle_ids[i]}"
-                    break
-        if not detail:
-            for (a2, a1), a in sorted(gg.groupoid.compose.items()):
-                if _table(star(gg.ggts[a2], gg.ggts[a1])) != _table(gg.ggts[a]):
-                    detail = f"compose disagrees with star at ({a2}, {a1})"
-                    break
-        add("thm-gaugegroupoid", label, detail)
+    sweep("thm-gaugegroupoid", families, partial(_gauge_groupoid_laws, ggts_of=ggts_of))
 
     # --- bibundles -------------------------------------------------------
-    hs_samples: list[tuple[str, object]] = []
-    for label, G in small_groupoids[:2]:
-        ident = GroupoidMorphism(
-            G, G, {x: x for x in G.objects}, {g: g for g in G.arrows}
-        )
-        hs_samples.append((f"identity bibundle on {label}", hs_from_groupoid_morphism(ident)))
+    hs_samples = [
+        (f"identity bibundle on {label}", hs_from_groupoid_morphism(_identity(G)))
+        for label, G in small_groupoids[:2]
+    ]
     hs_paired: list[tuple[str, object, object]] = []
     for i in range(2):
         try:
@@ -408,100 +419,37 @@ def run_checks(
         hs_samples.append((f"bibundle[seed={seed + 500 + i}]", h1))
         hs_samples.append((f"bibundle[seed={seed + 600 + i}]", h2))
         hs_paired.append((f"bibundles[seed offset={i}]", h1, h2))
-
-    valid_hs = []
-    for label, h in hs_samples:
-        report = validate_hs(h)
-        if report.ok and within(h.bundle):
-            valid_hs.append((label, h))
-
-    hs_small = sorted(valid_hs, key=lambda row: (len(row[1].bundle.total), row[0]))[:2]
-    for label1, h1 in hs_small:
-        for label2, h2 in hs_small:
-            add(
-                "lem-prodhilskand1",
-                f"{label1} x {label2}",
-                first(validate_hs(hs_product(h1, h2))),
-            )
-    for label, h in hs_small:
-        add(
-            "lem-fibprodhils",
-            f"{label} with itself",
-            first(validate_hs(hs_fibred_product(h, h))),
-        )
-
-    for label, h in valid_hs:
-        add("prop-proddivhils", label, first(verify_hs_division_properties(h)))
-
-    hs_hom_pairs = [(f"{label} with itself", h, h) for label, h in valid_hs]
-    hs_hom_pairs.extend(hs_paired)
-    for label, h1, h2 in hs_hom_pairs:
-        if h1.bundle.base != h2.bundle.base:
-            continue
-        morphisms = [
-            HSBundleMorphism(h1, h2, f.mapping)
-            for f in enumerate_bundle_morphisms(h1.bundle, h2.bundle)
-            if validate_hs_morphism(HSBundleMorphism(h1, h2, f.mapping)).ok
-        ]
-        invariant = [
-            K for K in ggts_of(h1.bundle, h2.bundle)
-            if is_left_invariant_ggt(h1, h2, K)
-        ]
-        bad = ""
-        if len(morphisms) != len(invariant):
-            bad = f"{len(morphisms)} morphisms vs {len(invariant)} invariant GGTs"
-        elif {_table(hs_morphism_to_ggt(f)) for f in morphisms} != {
-            _table(K) for K in invariant
-        }:
-            bad = "enumerations are not each other's images"
-        else:
-            for K in invariant:
-                back = hs_morphism_to_ggt(hs_ggt_to_morphism(h1, h2, K))
-                if _table(back) != _table(K):
-                    bad = "invariant GGT round-trip changed a value"
-                    break
-        add("thm-gengaugehils", label, bad)
-
-    for label, h in valid_hs:
-        full = gauge_group(h.bundle)
-        sub = hs_gauge_group(h)
-        bad = ""
-        full_keys = {_table(t) for t in full.elements}
-        sub_keys = {_table(t) for t in sub.elements}
-        if not sub_keys <= full_keys:
-            bad = "invariant elements escape the gauge group"
-        elif sub.elements[sub.unit].values != {
-            p: h.bundle.groupoid.unit[h.bundle.momentum[p]] for p in h.bundle.total
-        }:
-            bad = "unit is not the pointwise unit arrow"
-        else:
-            for (i, j), k in sorted(sub.product.items()):
-                if k not in range(sub.order):
-                    bad = "product escapes the subgroup"
-                    break
-        add("prop-gaugegrhils", label, bad)
-
+    valid_hs = [
+        (label, h) for label, h in hs_samples if validate_hs(h).ok and within(h.bundle)
+    ]
+    hs_small = _two_smallest(valid_hs, lambda h: h.bundle)
+    hs_products = (
+        (f"{l1} x {l2}", hs_product(h1, h2))
+        for l1, h1 in hs_small
+        for l2, h2 in hs_small
+    )
+    valid("lem-prodhilskand1", hs_products, validate_hs)
+    hs_fibred = (
+        (f"{label} with itself", hs_fibred_product(h, h)) for label, h in hs_small
+    )
+    valid("lem-fibprodhils", hs_fibred, validate_hs)
+    valid("prop-proddivhils", valid_hs, verify_hs_division_properties)
+    hs_homs = [(f"{label} with itself", h, h) for label, h in valid_hs] + hs_paired
+    sweep(
+        "thm-gengaugehils",
+        (row for row in hs_homs if row[1].bundle.base == row[2].bundle.base),
+        partial(_hs_correspondence, ggts_of=ggts_of),
+    )
+    sweep("prop-gaugegrhils", valid_hs, _hs_gauge_group_laws)
     hs_families = [(f"{label} alone", [h]) for label, h in hs_small]
-    for label, h1, h2 in hs_paired:
-        hs_families.append((label, [h1, h2]))
-    for label, family in hs_families:
-        gg = build_hs_gauge_groupoid(family)
-        report = validate_groupoid(gg.groupoid)
-        detail = first(report)
-        if not detail:
-            bundle_level = build_gauge_groupoid([h.bundle for h in family])
-            if not gg.groupoid.arrows <= bundle_level.groupoid.arrows:
-                detail = "an invariant arrow is missing from the full groupoid"
-        add("thm-hsgaugegroupoid", label, detail)
+    hs_families += [(label, [h1, h2]) for label, h1, h2 in hs_paired]
+    sweep("thm-hsgaugegroupoid", hs_families, _hs_gauge_groupoid_laws)
 
     results = []
     for check, _ in CHECKS:
-        entries = rows[check]
-        failing = [(label, detail) for label, detail in entries if detail]
-        witness = "; ".join(f"{label}: {detail}" for label, detail in failing[:1])
-        results.append(
-            CheckResult(check, bool(entries) and not failing, len(entries), witness)
-        )
+        failing = [f"{label}: {detail}" for label, detail in rows[check] if detail]
+        ok = bool(rows[check]) and not failing
+        results.append(CheckResult(check, ok, len(rows[check]), "".join(failing[:1])))
     return tuple(results)
 
 

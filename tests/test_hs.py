@@ -32,6 +32,7 @@ from gpdkit import (
     validate_hs,
     validate_hs_ggt,
     validate_hs_morphism,
+    verify_division_properties,
     verify_hs_division_properties,
 )
 
@@ -102,6 +103,40 @@ def test_hs_products_validate(hs_z2, hs_s3):
 def test_hs_division_is_left_invariant(hs_z2, hs_s3, hs_embed):
     for h in (hs_z2, hs_s3, hs_embed):
         assert verify_hs_division_properties(h).ok
+
+
+def _single_entry_mutants(h):
+    """h with one act or left_act entry deleted or moved to the next point."""
+    points = sorted(h.bundle.total)
+
+    def rewrites(table):
+        for key in sorted(table):
+            yield {k: v for k, v in table.items() if k != key}
+            other = points[(points.index(table[key]) + 1) % len(points)]
+            yield {**table, key: other}
+
+    for act in rewrites(h.bundle.act):
+        yield replace(h, bundle=replace(h.bundle, act=act))
+    for left_act in rewrites(h.left_act):
+        yield replace(h, left_act=left_act)
+
+
+def test_hs_division_properties_report_on_broken_bibundles(hs_z2, hs_s3, hs_embed):
+    # the second act entry of the z2 identity bibundle takes the first's value
+    B = hs_z2.bundle
+    first, second = list(B.act)[:2]
+    broken = replace(hs_z2, bundle=replace(B, act={**B.act, second: B.act[first]}))
+    assert "division.defined" in verify_division_properties(broken.bundle).rules()
+    assert "division.defined" in verify_hs_division_properties(broken).rules()
+
+    mutants = [M for h in (hs_z2, hs_s3, hs_embed) for M in _single_entry_mutants(h)]
+    assert len(mutants) > 200
+    for M in mutants:
+        report = verify_hs_division_properties(M)
+        bundle_level = verify_division_properties(M.bundle).violations
+        assert report.violations[: len(bundle_level)] == bundle_level
+        extra = report.violations[len(bundle_level):]
+        assert {v.rule for v in extra} <= {"division.left-invariance"}
 
 
 def test_invariant_ggt_counts(hs_z2, hs_s3):

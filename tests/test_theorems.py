@@ -70,6 +70,18 @@ def test_report_bytes_are_pinned(docs):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, max_size
 
 
+def test_report_bytes_are_pinned_under_lowered_oracle_bounds(docs, monkeypatch):
+    # At the default bounds every valid bundle is within them; these bounds
+    # drop instances from the oracle statements, so the filter is pinned too.
+    for bounds, digest in (
+        ("total=6", "ddda581dff9116c0e0f314c8d956ffb9abedc5b23209d6246689156bc6298457"),
+        ("base=1", "7600ea794ff3c69db35f4cc7c25d804c1c6dce1c3a2f66bc204f739eacf7bd2a"),
+    ):
+        monkeypatch.setenv("GPDKIT_ORACLE_BOUNDS", bounds)
+        text = render_report(run_checks(42, 12, docs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, bounds
+
+
 def test_render_report_shape(docs):
     results = run_checks(seed=42, max_size=10, fixtures=docs)
     text = render_report(results)
