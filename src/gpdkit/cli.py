@@ -145,6 +145,29 @@ def _cmd_morphisms(args) -> int:
     return 0
 
 
+def _valid_inputs(paths: list[str], docs: list) -> bool:
+    """Validate each GGT, bundle or bibundle input, printing the violations
+    of every invalid one as gpdkit validate does.  The groupoids a bundle
+    or bibundle embeds are validated too; validate_ggt covers its own."""
+    ok = True
+    for path, doc in zip(paths, docs):
+        if isinstance(doc, HSMorphism):
+            report = validate_hs(doc)
+            groupoids = {"dom.": doc.dom, "cod.": doc.cod}
+        elif isinstance(doc, PrincipalBundle):
+            report = validate_bundle(doc)
+            groupoids = {"groupoid.": doc.groupoid}
+        else:
+            report = validate_ggt(doc)
+            groupoids = {}
+        for prefix, G in groupoids.items():
+            report.extend(validate_groupoid(G), prefix=prefix)
+        if not report.ok:
+            ok = False
+            _print_violations(path, report)
+    return ok
+
+
 _GGT_FILES = {
     "compose": (2, "ggt compose needs two ggt files (outer, inner)"),
     "invert": (1, "ggt invert needs one ggt file"),
@@ -163,13 +186,7 @@ def _cmd_ggt(args) -> int:
     ggts = [_load_as(path, GGT, "ggt") for path in args.files]
     # invert and star assume valid inputs; refuse with the witnesses
     # that gpdkit validate prints instead of computing from a bad table.
-    bad = False
-    for path, K in zip(args.files, ggts):
-        report = validate_ggt(K)
-        if not report.ok:
-            bad = True
-            _print_violations(path, report)
-    if bad:
+    if not _valid_inputs(args.files, ggts):
         return 1
     if args.action == "invert":
         print(dumps(invert_ggt(ggts[0])), end="")
@@ -187,23 +204,27 @@ def _print_gauge_group(gg) -> None:
 
 def _cmd_gauge_group(args) -> int:
     B = _load_as(args.bundle, PrincipalBundle, "bundle")
+    if not _valid_inputs([args.bundle], [B]):
+        return 1
     _print_gauge_group(gauge_group(B))
     return 0
 
 
 def _cmd_hs_gauge_group(args) -> int:
     h = _load_as(args.hs, HSMorphism, "hs")
+    if not _valid_inputs([args.hs], [h]):
+        return 1
     _print_gauge_group(hs_gauge_group(h))
     return 0
 
 
 def _cmd_gauge_groupoid(args) -> int:
-    if args.hs:
-        members = [_load_as(path, HSMorphism, "hs") for path in args.files]
-        gg = build_hs_gauge_groupoid(members)
-    else:
-        members = [_load_as(path, PrincipalBundle, "bundle") for path in args.files]
-        gg = build_gauge_groupoid(members)
+    cls, kind = (HSMorphism, "hs") if args.hs else (PrincipalBundle, "bundle")
+    members = [_load_as(path, cls, kind) for path in args.files]
+    # the builders assume valid inputs; refuse with witnesses instead
+    if not _valid_inputs(args.files, members):
+        return 1
+    gg = (build_hs_gauge_groupoid if args.hs else build_gauge_groupoid)(members)
     report = validate_groupoid(gg.groupoid)
     print(f"objects {' '.join(sorted(gg.groupoid.objects))}")
     print(f"arrows {len(gg.groupoid.arrows)}")

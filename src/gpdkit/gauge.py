@@ -422,8 +422,16 @@ def _tabulate(
     transformations of B; any of them falling outside the set is an
     IntegrityError naming which.
 
-    Elements are indexed by their value rows over the sorted points, and
-    products are taken entrywise from G's compose table.
+    Elements are indexed by their value rows over the sorted points; the
+    unit and inverses are looked up as whole rows.  Products are
+    pointwise, so they are taken one fiber at a time: on each fiber the
+    distinct restrictions of the elements get ids, and the entrywise
+    product through G's compose table of each pair of ids is computed
+    once, as the id of the restriction it equals (None if it is
+    undefined or no element restricts to it).  An element is keyed by
+    its tuple of restriction ids, and product row i is filled a fiber
+    column at a time.  The fibers are grouped here from the projection,
+    so they cover the points exactly once and keys match rows one to one.
     """
     G = B.groupoid
     points = sorted(B.total)
@@ -440,15 +448,38 @@ def _tabulate(
         return found
 
     unit = find(tuple(G.unit[B.momentum[p]] for p in points), "unit")
-    # Rows are built as lists first: a tuple grown from an iterator is
-    # resized on the way, which leaves the heap fragmented (peak RSS).
-    product = {}
-    for i, a in enumerate(rows):
-        for j, b in enumerate(rows):
-            found = index.get(tuple(list(map(G.compose.get, zip(a, b)))))
-            if found is None:
-                raise missing(f"product of elements {i} and {j}")
-            product[(i, j)] = found
+
+    # columns[k][i] is the id of element i's restriction to fiber k, and
+    # table[k][a][b] the id of the product of restrictions a and b there.
+    # A bundle without points gets one empty fiber, so elements have keys.
+    # Restrictions and their products are built as lists first: a tuple
+    # grown from an iterator is resized on the way, which leaves the heap
+    # fragmented (peak RSS).
+    fibers: dict[str | None, list[int]] = {}
+    for n, p in enumerate(points):
+        fibers.setdefault(B.projection.get(p), []).append(n)
+    columns = []
+    table = []
+    for positions in list(fibers.values()) or [[]]:
+        ids: dict[tuple, int] = {}
+        columns.append([
+            ids.setdefault(tuple([row[n] for n in positions]), len(ids))
+            for row in rows
+        ])
+        table.append([
+            [ids.get(tuple(list(map(G.compose.get, zip(a, b))))) for b in ids]
+            for a in ids
+        ])
+    keys = list(zip(*columns))
+    by_key = {key: i for i, key in enumerate(keys)}
+
+    product: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(keys):
+        blocks = [map(table[k][a].__getitem__, columns[k]) for k, a in enumerate(key)]
+        found = list(map(by_key.get, zip(*blocks)))
+        if None in found:
+            raise missing(f"product of elements {i} and {found.index(None)}")
+        product.update(zip(zip(itertools.repeat(i), range(len(found))), found))
     inverse = tuple(
         find(tuple(map(G.inverse.get, row)), f"inverse of element {i}")
         for i, row in enumerate(rows)

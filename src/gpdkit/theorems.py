@@ -422,6 +422,8 @@ def run_checks(
     valid_hs = [
         (label, h) for label, h in hs_samples if validate_hs(h).ok and within(h.bundle)
     ]
+    valid_hs_set = {id(h) for _, h in valid_hs}
+    hs_paired = [row for row in hs_paired if {id(row[1]), id(row[2])} <= valid_hs_set]
     hs_small = _two_smallest(valid_hs, lambda h: h.bundle)
     hs_products = (
         (f"{l1} x {l2}", hs_product(h1, h2))

@@ -16,6 +16,8 @@ naive_table_error names the first bad entry of a document's entry table
 by a plain scan, as a reference for the errors loads raises.
 naive_fibers, naive_moves and naive_divisions rebuild a bundle's indexes
 by trying every key of its raw tables, as references for PrincipalBundle.
+naive_gauge_tables multiplies every pair of gauge transformations over
+all points, as a reference for the tables of gauge groups.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterator
 
 from gpdkit import (
     FiniteGroupoid,
+    GaugeTransformation,
     HSMorphism,
     LeftAction,
     PrincipalBundle,
@@ -508,3 +511,40 @@ def naive_divisions(B: PrincipalBundle) -> dict[tuple[str, str], tuple[str, ...]
         (p, q): tuple(sorted(g for (p2, g), q2 in B.act.items() if (p2, q2) == (p, q)))
         for (p, _), q in B.act.items()
     }
+
+
+def naive_gauge_tables(
+    B: PrincipalBundle, elements: list[GaugeTransformation]
+) -> tuple[list, int, tuple[int, ...]] | str:
+    """The product items (in row order), unit and inverse of elements, each
+    product taken over all points of B, or the text of the first refusal:
+    the unit, then products by (i, j), then inverses.  A row shared by
+    several elements names the last of them."""
+    G = B.groupoid
+    points = sorted(B.total)
+    index = {}
+    for i, t in enumerate(elements):
+        index[tuple(t.values[p] for p in points)] = i
+
+    def lookup(values: dict) -> int | None:
+        return index.get(tuple(values.get(p) for p in points))
+
+    absent = " missing from the gauge transformations"
+    unit = lookup({p: G.unit[B.momentum[p]] for p in points})
+    if unit is None:
+        return "unit" + absent
+    product = []
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            ab = {p: G.compose.get((a.values[p], b.values[p])) for p in points}
+            k = lookup(ab)
+            if k is None:
+                return f"product of elements {i} and {j}" + absent
+            product.append(((i, j), k))
+    inverse = []
+    for i, a in enumerate(elements):
+        k = lookup({p: G.inverse.get(a.values[p]) for p in points})
+        if k is None:
+            return f"inverse of element {i}" + absent
+        inverse.append(k)
+    return product, unit, tuple(inverse)

@@ -239,6 +239,47 @@ def test_gauge_groupoid_hs_flag(tmp_path, z2, capsys):
     assert lines[2] == "valid yes"
 
 
+def _identity_hs(G) -> HSMorphism:
+    return hs_from_groupoid_morphism(
+        GroupoidMorphism(G, G, {x: x for x in G.objects}, {g: g for g in G.arrows})
+    )
+
+
+_AA = "table.compose.missing[a,a]"
+
+
+@pytest.mark.parametrize(
+    "command, table, expected",
+    [
+        ("gauge-group", "groupoid.compose", [f"groupoid.{_AA}"]),
+        ("gauge-groupoid", "groupoid.compose", [f"groupoid.{_AA}"]),
+        ("gauge-group", "act", ["table.act.missing[a,a]", "bundle.transitive[a,e]"]),
+        ("hs-gauge-group", "dom.compose", [f"dom.{_AA}"]),
+        ("hs-gauge-group", "cod.compose", [f"cod.{_AA}"]),
+        ("gauge-groupoid --hs", "dom.compose", [f"dom.{_AA}"]),
+    ],
+)
+def test_gauge_commands_refuse_invalid_inputs_with_witnesses(
+    command, table, expected, z2, tmp_path, capsys
+):
+    # the first row of each table is the (a, a) entry; without it the
+    # commands used to name a missing product, or print "valid yes"
+    if "hs" in command:
+        doc, bad = json.loads(dumps(_identity_hs(z2))), tmp_path / "bad.hs"
+    else:
+        doc, bad = json.loads(Path(UNIT).read_text()), tmp_path / "bad.bnd"
+    rows = doc["body"]
+    for name in table.split("."):
+        rows = rows[name]
+    del rows[0]
+    bad.write_text(json.dumps(doc))
+    assert main([*command.split(), str(bad)]) == 1
+    captured = capsys.readouterr()
+    lines = "".join(f"  {v}\n" for v in expected)
+    assert captured.out == f"{bad}: {len(expected)} violations\n{lines}"
+    assert captured.err == ""
+
+
 def test_gen_is_deterministic(capsys):
     assert main(["gen", "groupoid", "--seed", "3"]) == 0
     first = capsys.readouterr().out

@@ -12,6 +12,8 @@ import gpdkit.gauge
 from gpdkit import (
     GGT,
     BundleMorphism,
+    GroupoidMorphism,
+    PrincipalBundle,
     GaugeTransformation,
     GeneratorError,
     GeneratorSpec,
@@ -28,6 +30,8 @@ from gpdkit import (
     gauge_to_ggt,
     ggt_to_gauge,
     ggt_to_morphism,
+    hs_from_groupoid_morphism,
+    hs_gauge_group,
     identity_ggt,
     invert_ggt,
     isotropy_group,
@@ -44,6 +48,8 @@ from gpdkit import (
     validate_groupoid,
 )
 from gpdkit.cli import main
+
+from helpers import naive_gauge_tables
 
 
 def _ggt_table(K: GGT) -> tuple:
@@ -384,3 +390,104 @@ def test_gauge_groupoid_export_bytes_are_pinned():
         hashlib.sha256(data).hexdigest()
         == "fc4e47771f3143bb7e041133285d68e583ada03e7b5bd15ee56fec1b835ba742"
     )
+
+
+def _tables(gg) -> tuple:
+    return list(gg.product.items()), gg.unit, gg.inverse
+
+
+def _tabulated_bundles(docs) -> list:
+    """The fixture bundles and the unit bundles of the fixture groupoids,
+    ROADMAP's U, random bundles over one to three base points, and a
+    bundle with no points."""
+    cases = [
+        unit_bundle(doc) if hasattr(doc, "compose") else doc
+        for _, doc in sorted(docs.items())
+    ]
+    cases.append(
+        unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
+    )
+    for seed in range(12):
+        G = random_groupoid(
+            GeneratorSpec(seed, max_objects=3, max_group_order=6, max_total=12)
+        )
+        try:
+            cases.append(
+                random_bundle(G, 1 + seed % 3, GeneratorSpec(seed + 1000, max_total=14))
+            )
+        except GeneratorError:
+            continue
+    z2 = docs["z2.gpd"]
+    cases.append(PrincipalBundle(z2, frozenset(), frozenset(), {}, {}, {}))
+    return cases
+
+
+def test_gauge_group_tables_match_a_naive_entrywise_reference(docs):
+    bundles = _tabulated_bundles(docs)
+    for B in bundles:
+        gg = gauge_group(B)
+        assert _tables(gg) == naive_gauge_tables(B, list(gg.elements))
+    assert {len(B.base) for B in bundles} == {0, 1, 2, 3}
+    empty = gauge_group(bundles[-1])
+    assert (empty.order, empty.product, empty.unit) == (1, {(0, 0): 0}, 0)
+
+
+def test_hs_gauge_group_tables_match_a_naive_entrywise_reference(docs):
+    bibundles = [
+        hs_from_groupoid_morphism(
+            GroupoidMorphism(G, G, {x: x for x in G.objects}, {g: g for g in G.arrows})
+        )
+        for _, G in sorted(docs.items())
+        if hasattr(G, "compose")
+    ]
+    for seed in range(12):
+        G = random_groupoid(GeneratorSpec(seed + 300, max_objects=2, max_group_order=6))
+        H = random_groupoid(GeneratorSpec(seed + 400, max_objects=2, max_group_order=3))
+        try:
+            bibundles.append(random_hs(G, H, GeneratorSpec(seed + 500, max_total=12)))
+        except GeneratorError:
+            continue
+    assert len(bibundles) > 10
+    for h in bibundles:
+        gg = hs_gauge_group(h)
+        assert _tables(gg) == naive_gauge_tables(h.bundle, list(gg.elements))
+
+
+def test_gauge_group_refusals_match_the_reference(docs, unit_s3):
+    bundles = [unit_s3] + [
+        B
+        for B in _tabulated_bundles(docs)
+        if len(B.base) > 1 and gauge_group(B).order > 2
+    ][:3]
+    assert len(bundles) == 4
+    seen = set()
+    for B in bundles:
+        elements = gpdkit.gauge._gauge_elements(B)
+        unit = gauge_group(B).unit
+        G = B.groupoid
+        cases = [
+            (B, elements[:k] + elements[k + 1 :])
+            for k in sorted({0, unit, len(elements) // 2, len(elements) - 1})
+        ]
+        for key in sorted(G.compose)[::3]:
+            compose = {k: v for k, v in G.compose.items() if k != key}
+            cases.append((replace(B, groupoid=replace(G, compose=compose)), elements))
+        # a non-unit value of some element; products never read inverses
+        g = next(
+            g
+            for g in sorted(G.arrows)
+            if any(g in t.values.values() for t in elements)
+            and g not in G.unit.values()
+        )
+        inverse = {k: v for k, v in G.inverse.items() if k != g}
+        cases.append((replace(B, groupoid=replace(G, inverse=inverse)), elements))
+        for B2, kept in cases:
+            try:
+                outcome = _tables(gpdkit.gauge._tabulate(B2, kept))
+            except IntegrityError as e:
+                outcome = str(e)
+                seen.add(outcome)
+            assert outcome == naive_gauge_tables(B2, kept)
+    kinds = {text.split(" ")[0] for text in seen}
+    assert kinds == {"unit", "product", "inverse"}
+    assert len(seen) > 5

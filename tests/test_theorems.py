@@ -82,6 +82,14 @@ def test_report_bytes_are_pinned_under_lowered_oracle_bounds(docs, monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, bounds
 
 
+def test_bibundle_pairs_pass_the_oracle_bound_filter(docs, monkeypatch):
+    # the random bibundle pairs have 12 arrows; like every other oracle
+    # instance they are dropped under a lower bound instead of refused
+    monkeypatch.setenv("GPDKIT_ORACLE_BOUNDS", "arrows=4")
+    text = render_report(run_checks(42, 12, docs))
+    assert text.endswith("\n20/20 checks passed\n")
+
+
 def test_render_report_shape(docs):
     results = run_checks(seed=42, max_size=10, fixtures=docs)
     text = render_report(results)
