@@ -1,92 +1,14 @@
-"""Finite groupoids, principal bundles, gauge transformations and bibundles."""
+"""Finite groupoids, principal bundles, gauge transformations and bibundles.
 
-from .builders import (
-    GROUP_NAMES,
-    GeneratorError,
-    GeneratorSpec,
-    OracleBoundError,
-    OracleBounds,
-    enumerate_bundle_morphisms,
-    enumerate_ggts,
-    fixture_documents,
-    group_table,
-    make_action_groupoid,
-    make_gauge_groupoid_example,
-    make_group_groupoid,
-    make_pair_groupoid,
-    oracle_bounds,
-    random_bundle,
-    random_groupoid,
-    random_hs,
-)
-from .bundles import (
-    BundleIso,
-    IntegrityError,
-    NotSameFiberError,
-    PrincipalBundle,
-    division_map,
-    fibred_product,
-    product_bundle,
-    pullback_bundle,
-    trivialize,
-    unit_bundle,
-    validate_bundle,
-    verify_division_properties,
-)
-from .core import (
-    CONJUGATION_VARIANTS,
-    FiniteGroupoid,
-    GroupoidMorphism,
-    LeftAction,
-    RightAction,
-    ValidationReport,
-    Violation,
-    generalized_conjugation,
-    isotropy_group,
-    pair_id,
-    product_groupoid,
-    split_pair,
-    validate_action,
-    validate_groupoid,
-    validate_morphism,
-)
-from .gauge import (
-    GGT,
-    BundleMorphism,
-    GaugeGroup,
-    GaugeGroupoid,
-    GaugeTransformation,
-    build_gauge_groupoid,
-    check_division_invariance,
-    gauge_group,
-    gauge_to_ggt,
-    ggt_to_gauge,
-    ggt_to_morphism,
-    identity_ggt,
-    invert_ggt,
-    morphism_to_ggt,
-    star,
-    validate_bundle_morphism,
-    validate_gauge_transformation,
-    validate_ggt,
-)
-from .hs import (
-    HSBundleMorphism,
-    HSMorphism,
-    build_hs_gauge_groupoid,
-    hs_fibred_product,
-    hs_from_groupoid_morphism,
-    hs_gauge_group,
-    hs_ggt_to_morphism,
-    hs_morphism_to_ggt,
-    hs_product,
-    is_left_invariant_ggt,
-    validate_hs,
-    validate_hs_ggt,
-    validate_hs_morphism,
-    verify_hs_division_properties,
-)
-from .serialize import KINDS, SchemaError, dumps, kind_of, loads
-from .theorems import CHECKS, CheckResult, render_report, report_document, run_checks
+The package re-exports each module's __all__.
+"""
+
+from .builders import *
+from .bundles import *
+from .core import *
+from .gauge import *
+from .hs import *
+from .serialize import *
+from .theorems import *
 
 __version__ = "0.1.0"

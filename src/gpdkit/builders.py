@@ -152,10 +152,8 @@ def _group_inverses(
     return inv
 
 
-def make_group_groupoid(
-    table: dict[tuple[str, str], str], object_id: str = "*"
-) -> FiniteGroupoid:
-    """A one-object groupoid from a group multiplication table.
+def make_group_groupoid(table: dict[tuple[str, str], str]) -> FiniteGroupoid:
+    """The one-object groupoid on "*" of a group multiplication table.
 
     The table must be total on its elements, have a two-sided identity,
     inverses and be associative; the error message names whichever
@@ -173,11 +171,11 @@ def make_group_groupoid(
     e = _group_unit(table, elements)
     inv = _group_inverses(table, elements, e)
     G = FiniteGroupoid(
-        objects=frozenset({object_id}),
+        objects=frozenset({"*"}),
         arrows=frozenset(elements),
-        source={x: object_id for x in elements},
-        target={x: object_id for x in elements},
-        unit={object_id: e},
+        source={x: "*" for x in elements},
+        target={x: "*" for x in elements},
+        unit={"*": e},
         inverse=inv,
         compose=dict(table),
     )
@@ -355,6 +353,9 @@ _GROUP_ORDERS = (
 def random_groupoid(spec: GeneratorSpec) -> FiniteGroupoid:
     """A random disjoint union of blocks, each a pair groupoid of some
     objects combined with a small group.  Deterministic in spec."""
+    for name in ("max_objects", "max_group_order"):
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{name} must be at least 1")
     rng = random.Random(f"groupoid:{spec.seed}")
     remaining = rng.randint(1, spec.max_objects)
     sizes = []

@@ -296,21 +296,27 @@ def product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     )
 
 
+def _fibred_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, str]]:
+    """The pairs (p1, p2) of points over one base point, by base point."""
+    return [
+        (p1, p2)
+        for m in sorted(B1.base)
+        for p1 in B1.fiber(m)
+        for p2 in B2.fiber(m)
+    ]
+
+
 def fibred_product(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     """Pairs of points over one base point, as a bundle for the product
     groupoid over the shared base."""
     if B1.base != B2.base:
         raise ValueError("fibred product needs a shared base")
     GG = product_groupoid(B1.groupoid, B2.groupoid)
-    total = []
-    for m in sorted(B1.base):
-        for p1 in B1.fiber(m):
-            for p2 in B2.fiber(m):
-                total.append((m, p1, p2))
+    pairs = _fibred_pairs(B1, B2)
     ids = _PairIds()
-    projection = {ids[p1][p2]: m for m, p1, p2 in total}
+    projection = {ids[p1][p2]: B1.projection[p1] for p1, p2 in pairs}
     momentum = {
-        ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for m, p1, p2 in total
+        ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for p1, p2 in pairs
     }
     # each point's moves (g, p.g) along the groupoid's arrows
     moves1, moves2 = (
@@ -321,7 +327,7 @@ def fibred_product(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
         for B in (B1, B2)
     )
     act = {}
-    for m, p1, p2 in total:
+    for p1, p2 in pairs:
         for g1, q1 in moves1.get(p1, ()):
             for g2, q2 in moves2.get(p2, ()):
                 act[(ids[p1][p2], ids[g1][g2])] = ids[q1][q2]

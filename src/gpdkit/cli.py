@@ -34,6 +34,7 @@ from .core import (
     GroupoidMorphism,
     LeftAction,
     RightAction,
+    ValidationReport,
     validate_action,
     validate_groupoid,
     validate_morphism,
@@ -107,16 +108,17 @@ def _print_violations(path: str, report) -> None:
         print(f"  {v}")
 
 
+def _validate(path: str, doc) -> ValidationReport:
+    for cls, validator in _VALIDATORS:
+        if isinstance(doc, cls):
+            return validator(doc)
+    raise _CliError(2, f"{path}: no validator for {kind_of(doc)}")
+
+
 def _cmd_validate(args) -> int:
     bad = False
     for path in args.files:
-        doc = _load(path)
-        for cls, validator in _VALIDATORS:
-            if isinstance(doc, cls):
-                report = validator(doc)
-                break
-        else:
-            raise _CliError(2, f"{path}: no validator for {kind_of(doc)}")
+        report = _validate(path, _load(path))
         if report.ok:
             print(f"{path}: ok")
         else:
@@ -127,6 +129,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_divide(args) -> int:
     B = _load_as(args.bundle, PrincipalBundle, "bundle")
+    if not _valid_inputs([args.bundle], [B]):
+        return 1
     print(division_map(B, args.p, args.q))
     return 0
 
@@ -138,6 +142,8 @@ def _format_mapping(mapping: dict[str, str]) -> str:
 def _cmd_morphisms(args) -> int:
     B1 = _load_as(args.bundle1, PrincipalBundle, "bundle")
     B2 = _load_as(args.bundle2, PrincipalBundle, "bundle")
+    if not _valid_inputs([args.bundle1, args.bundle2], [B1, B2]):
+        return 1
     morphisms = enumerate_bundle_morphisms(B1, B2)
     print(f"{len(morphisms)} morphisms")
     for i, f in enumerate(morphisms):
@@ -146,52 +152,40 @@ def _cmd_morphisms(args) -> int:
 
 
 def _valid_inputs(paths: list[str], docs: list) -> bool:
-    """Validate each GGT, bundle or bibundle input, printing the violations
-    of every invalid one as gpdkit validate does.  The groupoids a bundle
-    or bibundle embeds are validated too; validate_ggt covers its own."""
+    """Validate each input with its kind's validator, printing the
+    violations of every invalid one as gpdkit validate does.  The groupoids
+    a bundle or bibundle embeds are validated too; validate_ggt covers its
+    own."""
     ok = True
     for path, doc in zip(paths, docs):
-        if isinstance(doc, HSMorphism):
-            report = validate_hs(doc)
-            groupoids = {"dom.": doc.dom, "cod.": doc.cod}
-        elif isinstance(doc, PrincipalBundle):
-            report = validate_bundle(doc)
-            groupoids = {"groupoid.": doc.groupoid}
-        else:
-            report = validate_ggt(doc)
-            groupoids = {}
-        for prefix, G in groupoids.items():
-            report.extend(validate_groupoid(G), prefix=prefix)
+        report = _validate(path, doc)
+        for name in ("groupoid", "dom", "cod"):
+            if hasattr(doc, name):
+                report.extend(validate_groupoid(getattr(doc, name)), prefix=f"{name}.")
         if not report.ok:
             ok = False
             _print_violations(path, report)
     return ok
 
 
-_GGT_FILES = {
-    "compose": (2, "ggt compose needs two ggt files (outer, inner)"),
-    "invert": (1, "ggt invert needs one ggt file"),
-    "identity": (1, "ggt identity needs one bundle file"),
+_GGT_ACTIONS = {
+    "compose": (star, 2, "ggt compose needs two ggt files (outer, inner)"),
+    "invert": (invert_ggt, 1, "ggt invert needs one ggt file"),
+    "identity": (identity_ggt, 1, "ggt identity needs one bundle file"),
 }
 
 
 def _cmd_ggt(args) -> int:
-    count, usage = _GGT_FILES[args.action]
+    action, count, usage = _GGT_ACTIONS[args.action]
     if len(args.files) != count:
         raise _CliError(2, usage)
-    if args.action == "identity":
-        B = _load_as(args.files[0], PrincipalBundle, "bundle")
-        print(dumps(identity_ggt(B)), end="")
-        return 0
-    ggts = [_load_as(path, GGT, "ggt") for path in args.files]
-    # invert and star assume valid inputs; refuse with the witnesses
+    cls, kind = (PrincipalBundle, "bundle") if args.action == "identity" else (GGT, "ggt")
+    docs = [_load_as(path, cls, kind) for path in args.files]
+    # the constructions assume valid inputs; refuse with the witnesses
     # that gpdkit validate prints instead of computing from a bad table.
-    if not _valid_inputs(args.files, ggts):
+    if not _valid_inputs(args.files, docs):
         return 1
-    if args.action == "invert":
-        print(dumps(invert_ggt(ggts[0])), end="")
-    else:
-        print(dumps(star(*ggts)), end="")
+    print(dumps(action(*docs)), end="")
     return 0
 
 

@@ -579,37 +579,23 @@ def generalized_conjugation(
         raise ValueError(f"unknown variant: {variant!r}")
     GG = product_groupoid(G, G)
     carrier = frozenset(G.arrows)
-    flip = variant in ("left_bar", "right_bar")
+    left = variant.startswith("left")
+    bar = variant.endswith("_bar")
     ids = _PairIds()
     momentum = {
-        m: ids[G.source[m]][G.target[m]] if flip else ids[G.target[m]][G.source[m]]
+        m: ids[G.source[m]][G.target[m]] if bar else ids[G.target[m]][G.source[m]]
         for m in sorted(G.arrows)
     }
-    by_source = G.by_source()
-    by_target = G.by_target()
+    # a runs over the arrows at target(m), b over those at source(m): their
+    # sources for a left variant, their targets for a right one
+    by = G.by_source() if left else G.by_target()
     act: dict[tuple[str, str], str] = {}
     for m in sorted(G.arrows):
-        s_m, t_m = G.source[m], G.target[m]
-        if variant == "left":
-            for g1 in by_source.get(t_m, ()):
-                for g2 in by_source.get(s_m, ()):
-                    res = G.mul(G.mul(g1, m), G.inv(g2))
-                    act[(ids[g1][g2], m)] = res
-        elif variant == "left_bar":
-            for g1 in by_source.get(s_m, ()):
-                for g2 in by_source.get(t_m, ()):
-                    res = G.mul(G.mul(g2, m), G.inv(g1))
-                    act[(ids[g1][g2], m)] = res
-        elif variant == "right":
-            for g1 in by_target.get(t_m, ()):
-                for g2 in by_target.get(s_m, ()):
-                    res = G.mul(G.mul(G.inv(g1), m), g2)
-                    act[(m, ids[g1][g2])] = res
-        else:
-            for g1 in by_target.get(s_m, ()):
-                for g2 in by_target.get(t_m, ()):
-                    res = G.mul(G.mul(G.inv(g2), m), g1)
-                    act[(m, ids[g1][g2])] = res
-    if variant.startswith("left"):
-        return LeftAction(GG, carrier, momentum, act)
-    return RightAction(GG, carrier, momentum, act)
+        for a in by.get(G.target[m], ()):
+            for b in by.get(G.source[m], ()):
+                g = ids[b][a] if bar else ids[a][b]
+                if left:
+                    act[(g, m)] = G.mul(G.mul(a, m), G.inv(b))
+                else:
+                    act[(m, g)] = G.mul(G.mul(G.inv(a), m), b)
+    return (LeftAction if left else RightAction)(GG, carrier, momentum, act)

@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .bundles import IntegrityError, PrincipalBundle, division_map
+from .bundles import IntegrityError, PrincipalBundle, _fibred_pairs, division_map
 from .core import FiniteGroupoid, ValidationReport, _check_total, validate_groupoid
 
 __all__ = [
@@ -110,15 +110,6 @@ def _context_ok(r: ValidationReport, B1: PrincipalBundle, B2: PrincipalBundle) -
         r.add("context.mismatch", note="different bases")
         return False
     return True
-
-
-def _fibred_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, str]]:
-    return [
-        (p1, p2)
-        for m in sorted(B1.base)
-        for p1 in B1.fiber(m)
-        for p2 in B2.fiber(m)
-    ]
 
 
 def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
@@ -317,11 +308,8 @@ def ggt_to_morphism(K: GGT) -> BundleMorphism:
 
 
 def identity_ggt(B: PrincipalBundle) -> GGT:
-    """The unit GGT of B: K(p, q) = d(p, q)^-1, the inverted division map."""
-    values = {}
-    for (p, q) in _fibred_pairs(B, B):
-        values[(p, q)] = division_map(B, q, p)
-    return GGT(B, B, values)
+    """The unit GGT of B, that of the identity map: K(p, q) = d(q, p) = d(p, q)^-1."""
+    return morphism_to_ggt(BundleMorphism(B, B, {p: p for p in B.total}))
 
 
 def invert_ggt(K: GGT) -> GGT:
@@ -527,9 +515,7 @@ class GaugeGroupoid:
     groupoid: FiniteGroupoid
 
 
-def build_gauge_groupoid(
-    bundles: list[PrincipalBundle], ids: list[str] | None = None
-) -> GaugeGroupoid:
+def build_gauge_groupoid(bundles: list[PrincipalBundle]) -> GaugeGroupoid:
     """Assemble the groupoid of all GGTs between the given bundles.
 
     The bundles must share base and structure groupoid.  Hom sets are
@@ -543,18 +529,15 @@ def build_gauge_groupoid(
     for B in bundles[1:]:
         if B.groupoid != bundles[0].groupoid or B.base != bundles[0].base:
             raise ValueError("bundles must share base and groupoid")
-    return _assemble(bundles, ids, lambda i, j, K: True)
+    return _assemble(bundles, lambda i, j, K: True)
 
 
 def _assemble(
-    bundles: list[PrincipalBundle],
-    ids: list[str] | None,
-    keep: Callable[[int, int, GGT], bool],
-    noun: str = "bundle",
+    bundles: list[PrincipalBundle], keep: Callable[[int, int, GGT], bool]
 ) -> GaugeGroupoid:
     """The gauge groupoid on the GGTs K = morphism_to_ggt(sigma) of the
     bundle morphisms sigma from bundles[i] to bundles[j] with
-    keep(i, j, K); ids default to P0, P1, ...  Each hom set is sorted by
+    keep(i, j, K); its objects are P0, P1, ...  Each hom set is sorted by
     content.
 
     Composition runs through the GGT-morphism bijection: the composite
@@ -563,10 +546,7 @@ def _assemble(
     inverses are looked up by content.  A unit, inverse or composite
     that was not kept is an IntegrityError naming which.
     """
-    if ids is None:
-        ids = [f"P{i}" for i in range(len(bundles))]
-    if len(ids) != len(bundles) or len(set(ids)) != len(ids):
-        raise ValueError(f"need one distinct id per {noun}")
+    ids = [f"P{i}" for i in range(len(bundles))]
 
     arrows: dict[str, GGT] = {}
     by_key: dict[tuple, str] = {}

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .bundles import (
     IntegrityError,
     PrincipalBundle,
+    _fibred_pairs,
     fibred_product,
     product_bundle,
     validate_bundle,
@@ -45,7 +46,6 @@ from .gauge import (
     GaugeGroup,
     GaugeGroupoid,
     _assemble,
-    _fibred_pairs,
     _gauge_elements,
     _tabulate,
     morphism_to_ggt,
@@ -322,9 +322,7 @@ def hs_gauge_group(h: HSMorphism) -> GaugeGroup:
     return _tabulate(h.bundle, kept)
 
 
-def build_hs_gauge_groupoid(
-    hs_list: list[HSMorphism], ids: list[str] | None = None
-) -> GaugeGroupoid:
+def build_hs_gauge_groupoid(hs_list: list[HSMorphism]) -> GaugeGroupoid:
     """The gauge groupoid with arrows cut down to left invariant GGTs.
 
     The assembly of build_gauge_groupoid, keeping the GGTs that
@@ -339,7 +337,5 @@ def build_hs_gauge_groupoid(
             raise ValueError("bibundles must share domain and codomain")
     return _assemble(
         [h.bundle for h in hs_list],
-        ids,
         lambda i, j, K: is_left_invariant_ggt(hs_list[i], hs_list[j], K),
-        "bibundle",
     )

@@ -257,13 +257,19 @@ _AA = "table.compose.missing[a,a]"
         ("hs-gauge-group", "dom.compose", [f"dom.{_AA}"]),
         ("hs-gauge-group", "cod.compose", [f"cod.{_AA}"]),
         ("gauge-groupoid --hs", "dom.compose", [f"dom.{_AA}"]),
+        ("divide {bad} a a", "groupoid.compose", [f"groupoid.{_AA}"]),
+        ("morphisms {bad} {unit}", "groupoid.compose", [f"groupoid.{_AA}"]),
+        ("morphisms {unit} {bad}", "act", ["table.act.missing[a,a]", "bundle.transitive[a,e]"]),
+        ("ggt identity", "groupoid.compose", [f"groupoid.{_AA}"]),
     ],
 )
 def test_gauge_commands_refuse_invalid_inputs_with_witnesses(
     command, table, expected, z2, tmp_path, capsys
 ):
     # the first row of each table is the (a, a) entry; without it the
-    # commands used to name a missing product, or print "valid yes"
+    # commands used to name a missing product, print "valid yes", or
+    # compute a division, a morphism count or a GGT.  The bad file goes
+    # where {bad} stands, or last.
     if "hs" in command:
         doc, bad = json.loads(dumps(_identity_hs(z2))), tmp_path / "bad.hs"
     else:
@@ -273,7 +279,9 @@ def test_gauge_commands_refuse_invalid_inputs_with_witnesses(
         rows = rows[name]
     del rows[0]
     bad.write_text(json.dumps(doc))
-    assert main([*command.split(), str(bad)]) == 1
+    if "{bad}" not in command:
+        command += " {bad}"
+    assert main([arg.format(bad=bad, unit=UNIT) for arg in command.split()]) == 1
     captured = capsys.readouterr()
     lines = "".join(f"  {v}\n" for v in expected)
     assert captured.out == f"{bad}: {len(expected)} violations\n{lines}"
@@ -318,6 +326,23 @@ def test_gen_bundle_can_reuse_a_groupoid_file(capsys):
     assert main(["gen", "bundle", "--seed", "1", "--groupoid", Z2, "--base", "2"]) == 0
     B = loads(capsys.readouterr().out)
     assert B.groupoid == loads(Path(Z2).read_text())
+
+
+@pytest.mark.parametrize(
+    "what, field",
+    [
+        ("groupoid", "max_group_order"),
+        ("bundle", "max_group_order"),
+        ("hs", "max_group_order"),
+        ("groupoid", "max_objects"),
+        ("bundle", "max_objects"),
+    ],
+)
+def test_gen_refuses_bounds_below_one(what, field, capsys):
+    # these used to end in an IndexError traceback or a randrange message
+    option = "--" + field.replace("_", "-")
+    assert main(["gen", what, "--seed", "1", option, "0"]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be at least 1\n"
 
 
 def test_gen_impossible_bundle(capsys):

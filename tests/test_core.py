@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import types
 from dataclasses import replace
 
 import pytest
 
+import gpdkit
 from gpdkit import (
     CONJUGATION_VARIANTS,
     FiniteGroupoid,
@@ -403,3 +405,37 @@ def test_products_match_a_pair_id_reference(z2, pair2, s3):
         same(hs_fibred_product(h1, h2), reference_hs_fibred_product(h1, h2))
         built += 1
     assert built >= 2
+
+
+def test_package_reexports_each_module_all():
+    # written out, so a name dropped from some module's __all__ fails here
+    expected = """
+        BundleIso BundleMorphism CHECKS CONJUGATION_VARIANTS CheckResult
+        FiniteGroupoid GGT GROUP_NAMES GaugeGroup GaugeGroupoid
+        GaugeTransformation GeneratorError GeneratorSpec GroupoidMorphism
+        HSBundleMorphism HSMorphism IntegrityError KINDS LeftAction
+        NotSameFiberError ORACLE_BOUNDS_ENV OracleBoundError OracleBounds
+        PrincipalBundle RightAction SchemaError ValidationReport Violation
+        build_gauge_groupoid build_hs_gauge_groupoid check_division_invariance
+        division_map dumps enumerate_bundle_morphisms enumerate_ggts
+        fibred_product fixture_documents gauge_group gauge_to_ggt
+        generalized_conjugation ggt_to_gauge ggt_to_morphism group_table
+        hs_fibred_product hs_from_groupoid_morphism hs_gauge_group
+        hs_ggt_to_morphism hs_morphism_to_ggt hs_product identity_ggt
+        invert_ggt is_left_invariant_ggt isotropy_group kind_of loads
+        make_action_groupoid make_gauge_groupoid_example make_group_groupoid
+        make_pair_groupoid morphism_to_ggt oracle_bounds pair_id
+        product_bundle product_groupoid pullback_bundle random_bundle
+        random_groupoid random_hs render_report report_document run_checks
+        split_pair star trivialize unit_bundle validate_action
+        validate_bundle validate_bundle_morphism validate_gauge_transformation
+        validate_ggt validate_groupoid validate_hs validate_hs_ggt
+        validate_hs_morphism validate_morphism verify_division_properties
+        verify_hs_division_properties
+    """.split()
+    public = {
+        name
+        for name, value in vars(gpdkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public) == sorted(expected)

@@ -188,7 +188,7 @@ def test_division_invariance_of_enumerated_morphisms(unit_z2, unit_s3):
 
 def test_gauge_groupoid_of_twin_unit_bundles(unit_z2):
     twin = pullback_bundle(unit_z2, {m: m for m in unit_z2.base})
-    gg = build_gauge_groupoid([unit_z2, twin], ids=["P0", "P1"])
+    gg = build_gauge_groupoid([unit_z2, twin])
     assert len(gg.groupoid.arrows) == 8
     assert validate_groupoid(gg.groupoid).ok
     for i, B in enumerate((unit_z2, twin)):
@@ -232,8 +232,6 @@ def test_gauge_groupoid_input_checks(unit_z2, unit_s3):
         build_gauge_groupoid([])
     with pytest.raises(ValueError, match="share base and groupoid"):
         build_gauge_groupoid([unit_z2, unit_s3])
-    with pytest.raises(ValueError, match="one distinct id"):
-        build_gauge_groupoid([unit_z2], ids=["P0", "P1"])
 
 
 def test_validate_ggt_reports_values_with_wrong_endpoints(tmp_path, capsys):
@@ -279,9 +277,7 @@ def test_gauge_groupoid_refuses_arrow_id_collisions(unit_z2, monkeypatch):
 def test_assembly_refuses_a_unit_that_was_not_kept(unit_z2):
     unit_values = identity_ggt(unit_z2).values
     with pytest.raises(IntegrityError, match=r"unit GGT missing from hom\(P0, P0\)"):
-        gpdkit.gauge._assemble(
-            [unit_z2], ["P0"], lambda i, j, K: K.values != unit_values
-        )
+        gpdkit.gauge._assemble([unit_z2], lambda i, j, K: K.values != unit_values)
 
 
 def _relabelled(B, tag: str):
@@ -335,9 +331,7 @@ def test_assembly_refuses_a_composite_that_was_not_kept(unit_s3):
     with pytest.raises(
         IntegrityError, match=r"composite GGT missing from hom\(P0, P0\)"
     ):
-        gpdkit.gauge._assemble(
-            [unit_s3], ["P0"], lambda i, j, K: K.values != dropped
-        )
+        gpdkit.gauge._assemble([unit_s3], lambda i, j, K: K.values != dropped)
 
 
 def test_gauge_groupoid_of_the_order_144_unit_bundle_is_fast():
