@@ -726,6 +726,9 @@ def enumerate_ggts(
     """
     _oracle_context(B1, B2, bounds)
     G = B1.groupoid
+    # Products a^-1 k b are read off the raw tables; on a missing entry
+    # they are redone with G.inv and G.mul, which raise naming it.
+    compose, inverse = G.compose, G.inverse
 
     def moves_index(B: PrincipalBundle) -> dict[str, list[tuple[str, str]]]:
         idx: dict[str, list[tuple[str, str]]] = {p: [] for p in B.total}
@@ -773,7 +776,11 @@ def enumerate_ggts(
             block = {}
             for q1 in fib1:
                 for q2 in fib2:
-                    block[(q1, q2)] = G.mul(G.mul(G.inv(t2[q2]), k), t1[q1])
+                    a, b = t2[q2], t1[q1]
+                    try:
+                        block[(q1, q2)] = compose[(compose[(inverse[a], k)], b)]
+                    except KeyError:
+                        block[(q1, q2)] = G.mul(G.mul(G.inv(a), k), b)
             consistent = True
             for (q1, q2), v in block.items():
                 if (
@@ -784,9 +791,12 @@ def enumerate_ggts(
                     break
                 for g1, moved1 in moves1[q1]:
                     for g2, moved2 in moves2[q2]:
-                        if block[(moved1, moved2)] != G.mul(
-                            G.mul(G.inv(g2), v), g1
-                        ):
+                        got = block[(moved1, moved2)]
+                        try:
+                            want = compose[(compose[(inverse[g2], v)], g1)]
+                        except KeyError:
+                            want = G.mul(G.mul(G.inv(g2), v), g1)
+                        if got != want:
                             consistent = False
                             break
                     if not consistent:

@@ -233,13 +233,25 @@ def _cmd_gauge_groupoid(args) -> int:
     return 0
 
 
+# The gen options each kind never reads; giving one is an error, not a no-op.
+_GEN_UNREAD = {
+    "groupoid": ("max_total", "base", "groupoid", "dom", "cod"),
+    "bundle": ("dom", "cod"),
+    "hs": ("max_objects", "base", "groupoid"),
+}
+
+
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(
-        seed=args.seed,
-        max_objects=args.max_objects,
-        max_group_order=args.max_group_order,
-        max_total=args.max_total,
-    )
+    for name in _GEN_UNREAD[args.what]:
+        if getattr(args, name) is not None:
+            option = "--" + name.replace("_", "-")
+            raise _CliError(2, f"gen {args.what} does not read {option}")
+    bounds = {
+        name: getattr(args, name)
+        for name in ("max_objects", "max_group_order", "max_total")
+        if getattr(args, name) is not None
+    }
+    spec = GeneratorSpec(seed=args.seed, **bounds)
     if args.what == "groupoid":
         doc = random_groupoid(spec)
     elif args.what == "bundle":
@@ -247,7 +259,7 @@ def _cmd_gen(args) -> int:
             G = _load_as(args.groupoid, FiniteGroupoid, "groupoid")
         else:
             G = random_groupoid(spec)
-        doc = random_bundle(G, args.base, spec)
+        doc = random_bundle(G, 2 if args.base is None else args.base, spec)
     else:
         if args.dom:
             G = _load_as(args.dom, FiniteGroupoid, "groupoid")
@@ -341,10 +353,11 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random structure")
     p.add_argument("what", choices=("groupoid", "bundle", "hs"))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-objects", type=int, default=4)
-    p.add_argument("--max-group-order", type=int, default=6)
-    p.add_argument("--max-total", type=int, default=16)
-    p.add_argument("--base", type=int, default=2, help="base size for gen bundle")
+    # size bounds left out take GeneratorSpec's defaults
+    p.add_argument("--max-objects", type=int, help="not for gen hs")
+    p.add_argument("--max-group-order", type=int)
+    p.add_argument("--max-total", type=int, help="not for gen groupoid")
+    p.add_argument("--base", type=int, help="base size for gen bundle (default 2)")
     p.add_argument("--groupoid", metavar="FILE", help="structure groupoid for gen bundle")
     p.add_argument("--dom", metavar="FILE", help="domain groupoid for gen hs")
     p.add_argument("--cod", metavar="FILE", help="codomain groupoid for gen hs")

@@ -26,11 +26,15 @@ GGTs interned by content so it can be fed back to validate_groupoid.
 Its hom sets are constructed: _morphisms fixes each bundle morphism by
 one image per fiber, spread by the division map, and the arrows are
 their GGTs; gauge group elements are the automorphisms, read as
-G(p) = d(p, sigma(p)).  The brute-force oracles in builders share no
-code with this and only cross-check it.  Composition goes through the
-bijection: the composite of two arrows is the arrow whose morphism is
-the composite map, which equals their star product.  star itself
-serves GGTs given from outside.
+G(p) = d(p, sigma(p)), each division made once per call.  The laws of
+a bundle morphism are checked once per fiber piece, which decides every
+product of pieces when the bundles share groupoid and base, the fibers
+over the base cover the source and the total spaces have one size;
+otherwise each constructed morphism is validated in full.  The
+brute-force oracles in builders share no code with this and only
+cross-check it.  Composition goes through the bijection: the composite
+of two arrows is the arrow whose morphism is the composite map, which
+equals their star product.  star itself serves GGTs given from outside.
 
 This module is the one place that assembles gauge groupoids and
 tabulates gauge groups.  The bibundle versions in hs are the same
@@ -39,6 +43,7 @@ constructions with the arrows or elements filtered by left invariance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -158,13 +163,44 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
     return r
 
 
+def _piece_ok(B1: PrincipalBundle, B2: PrincipalBundle, m: str, piece: dict) -> bool:
+    """Whether piece, a candidate map of B1's fiber over m, passes every
+    law of validate_bundle_morphism on its own: images are points of B2
+    over m with the same momentum, distinct, and p.g goes to piece[p].g
+    whenever p.g is in the fiber; a p.g in another fiber is not decided
+    here, so it fails the piece."""
+    for p, q in piece.items():
+        if (
+            q not in B2.total
+            or B2.projection.get(q) != m
+            or B2.momentum.get(q) != B1.momentum.get(p)
+        ):
+            return False
+        row2 = B2.moves.get(q, {})
+        for g, pg in B1.moves.get(p, {}).items():
+            if pg in piece:
+                if row2.get(g) != piece[pg]:
+                    return False
+            elif pg in B1.total:
+                return False
+    return len(set(piece.values())) == len(piece)
+
+
 def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]:
     """Every bundle morphism B1 -> B2: per base point m, the least point
     r over m goes to any q of B2 over m with momentum(q) == momentum(r),
-    and the fiber follows through sigma(r.g) = q.g, g = d1(r, p).  Each
-    morphism is validated once; a failure is an IntegrityError."""
+    and the fiber follows through sigma(r.g) = q.g, g = d1(r, p).
+
+    Each morphism is a product of one piece per fiber, and each piece is
+    checked once.  The laws of validate_bundle_morphism are local to a
+    fiber when the bundles share groupoid and base, the fibers over
+    B1's base cover B1.total and the total spaces have one size; then
+    every product passes if every piece does.  Otherwise each product is
+    validated in turn, and the first failure is an IntegrityError.
+    """
+    bases = sorted(B1.base)
     choices = []
-    for m in sorted(B1.base):
+    for m in bases:
         fiber = B1.fiber(m)
         if not fiber:
             raise IntegrityError(f"empty fiber over {m!r}")
@@ -176,17 +212,29 @@ def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]
                 row = B2.moves.get(q, {})
                 pieces.append({p: row.get(g) for p, g in moves})
         choices.append(pieces)
+    local = (
+        B1.groupoid == B2.groupoid
+        and B1.base == B2.base
+        and len(B1.total) == len(B2.total)
+        and sum(len(B1.fiber(m)) for m in bases) == len(B1.total)
+        and all(
+            _piece_ok(B1, B2, m, piece)
+            for m, pieces in zip(bases, choices)
+            for piece in pieces
+        )
+    )
     morphisms = []
     for pieces in itertools.product(*choices):
         mapping: dict[str, str] = {}
         for piece in pieces:
             mapping.update(piece)
         f = BundleMorphism(B1, B2, mapping)
-        report = validate_bundle_morphism(f)
-        if not report.ok:
-            raise IntegrityError(
-                "constructed bundle morphism fails validation: " + report.render()
-            )
+        if not local:
+            report = validate_bundle_morphism(f)
+            if not report.ok:
+                raise IntegrityError(
+                    "constructed bundle morphism fails validation: " + report.render()
+                )
         morphisms.append(f)
     return morphisms
 
@@ -277,11 +325,36 @@ def validate_gauge_transformation(t: GaugeTransformation) -> ValidationReport:
     return r
 
 
+def _divider(B: PrincipalBundle) -> Callable[[str, str], str]:
+    """division_map of B through a table local to the caller, filled on
+    first use: each pair is divided once, and the first division that
+    raises is the one the same calls without the table meet first."""
+    table: dict[tuple[str, str], str] = {}
+
+    def divide(p: str, q: str) -> str:
+        g = table.get((p, q))
+        if g is None:
+            g = table[(p, q)] = division_map(B, p, q)
+        return g
+
+    return divide
+
+
+def _ggt_values(
+    pairs: list[tuple[str, str]],
+    mapping: dict[str, str],
+    divide: Callable[[str, str], str],
+) -> dict[tuple[str, str], str]:
+    """K(p1, p2) = d2(p2, sigma(p1)) over the same-fiber pairs, with d2 read
+    through divide."""
+    return {(p1, p2): divide(p2, mapping[p1]) for p1, p2 in pairs}
+
+
 def morphism_to_ggt(f: BundleMorphism) -> GGT:
     """The GGT of a bundle morphism: K(p1, p2) = d2(p2, sigma(p1))."""
     B1, B2 = f.source, f.target
     pairs = _fibred_pairs(B1, B2)
-    return GGT(B1, B2, {(p1, p2): division_map(B2, p2, f.mapping[p1]) for p1, p2 in pairs})
+    return GGT(B1, B2, _ggt_values(pairs, f.mapping, functools.partial(division_map, B2)))
 
 
 def ggt_to_morphism(K: GGT) -> BundleMorphism:
@@ -393,10 +466,12 @@ def _content_key(values: dict) -> tuple:
 
 def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
     """Every gauge transformation of B, in content order: the
-    automorphisms sigma of B as G(p) = d(p, sigma(p))."""
+    automorphisms sigma of B as G(p) = d(p, sigma(p)), each division
+    made once."""
     points = sorted(B.total)
+    divide = _divider(B)
     elements = [
-        GaugeTransformation(B, {p: division_map(B, p, f.mapping[p]) for p in points})
+        GaugeTransformation(B, {p: divide(p, f.mapping[p]) for p in points})
         for f in _morphisms(B, B)
     ]
     elements.sort(key=lambda t: _content_key(t.values))
@@ -477,7 +552,8 @@ def _tabulate(
 
 def gauge_group(B: PrincipalBundle) -> GaugeGroup:
     """Every gauge transformation of B, tabulated as a group; each
-    automorphism behind one is validated before it is admitted."""
+    automorphism behind one passes the laws of a bundle morphism before
+    it is admitted."""
     return _tabulate(B, _gauge_elements(B))
 
 
@@ -572,8 +648,10 @@ def _assemble(
     for i, Bi in enumerate(bundles):
         for j, Bj in enumerate(bundles):
             kept = []
+            pairs = _fibred_pairs(Bi, Bj)
+            divide = _divider(Bj)
             for f in _morphisms(Bi, Bj):
-                K = morphism_to_ggt(f)
+                K = GGT(Bi, Bj, _ggt_values(pairs, f.mapping, divide))
                 if keep(i, j, K):
                     kept.append((_content_key(K.values), K, f))
             kept.sort(key=lambda entry: entry[0])

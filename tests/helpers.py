@@ -18,22 +18,33 @@ naive_fibers, naive_moves and naive_divisions rebuild a bundle's indexes
 by trying every key of its raw tables, as references for PrincipalBundle.
 naive_gauge_tables multiplies every pair of gauge transformations over
 all points, as a reference for the tables of gauge groups.
+bundle_mutations yields every single-entry rewrite or deletion of a
+bundle's act, projection and momentum tables.  reference_morphisms
+validates every product of per-fiber images with validate_bundle_morphism,
+and reference_divider divides on every call, as references for the
+constructed hom sets of gauge.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 from gpdkit import (
+    BundleMorphism,
     FiniteGroupoid,
     GaugeTransformation,
+    IntegrityError,
     HSMorphism,
     LeftAction,
     PrincipalBundle,
     RightAction,
     Violation,
+    division_map,
     pair_id,
+    validate_bundle_morphism,
 )
 
 
@@ -548,3 +559,102 @@ def naive_gauge_tables(
             return f"inverse of element {i}" + absent
         inverse.append(k)
     return product, unit, tuple(inverse)
+
+
+def bundle_mutations(B: PrincipalBundle) -> Iterator[tuple[str, PrincipalBundle]]:
+    """Every mutant obtained by rewriting or deleting one entry of B's act,
+    projection or momentum table, then up to four more.
+
+    A rewritten entry takes the next value in sorted order after its own,
+    cyclically: the next point for act, base point for projection and
+    object for momentum.  The last four are B with a stray point, over no
+    base point and moved only by the unit at its momentum; with a ghost
+    twin of its least point t, outside the total space, that takes t's
+    projection, momentum and act row and every act value t; with an extra
+    base point; and over its groupoid without the first compose entry.
+    """
+
+    def after(value: str, pool) -> str:
+        ordered = sorted(pool)
+        if value not in pool:
+            return ordered[0]
+        return ordered[(ordered.index(value) + 1) % len(ordered)]
+
+    for name, pool in (
+        ("act", B.total),
+        ("projection", B.base),
+        ("momentum", B.groupoid.objects),
+    ):
+        table = getattr(B, name)
+        for key in sorted(table):
+            rest = {k: v for k, v in table.items() if k != key}
+            yield f"{name}[{key}] deleted", replace(B, **{name: rest})
+            value = after(table[key], pool)
+            if value != table[key]:
+                yield f"{name}[{key}] -> {value}", replace(B, **{name: {**table, key: value}})
+    G = B.groupoid
+    x = min(G.objects)
+    yield "stray point", replace(
+        B,
+        total=B.total | {"stray"},
+        projection={**B.projection, "stray": "nowhere"},
+        momentum={**B.momentum, "stray": x},
+        act={**B.act, ("stray", G.unit[x]): "stray"},
+    )
+    for t in sorted(B.total)[:1]:
+        row = {
+            ("ghost", g): "ghost" if q == t else q
+            for (p, g), q in B.act.items()
+            if p == t
+        }
+        yield "ghost twin", replace(
+            B,
+            projection={**B.projection, "ghost": B.projection[t]},
+            momentum={**B.momentum, "ghost": B.momentum[t]},
+            act={**{k: "ghost" if q == t else q for k, q in B.act.items()}, **row},
+        )
+    yield "extra base point", replace(B, base=B.base | {"extra"})
+    first = min(G.compose)
+    yield "groupoid without a compose entry", replace(
+        B, groupoid=replace(G, compose={k: v for k, v in G.compose.items() if k != first})
+    )
+
+
+def reference_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]:
+    """The bundle morphisms B1 -> B2 as gauge._morphisms constructs them,
+    each validated in full before it is kept.
+
+    Per base point m, the least point r over m goes to each q of B2 over
+    m with r's momentum, and p to q.d1(r, p); every product of these
+    per-fiber images, in itertools.product order, goes through
+    validate_bundle_morphism, and the first that fails is refused with
+    _morphisms' IntegrityError text.
+    """
+    choices = []
+    for m in sorted(B1.base):
+        fiber = sorted(p for p in B1.total if B1.projection.get(p) == m)
+        if not fiber:
+            raise IntegrityError(f"empty fiber over {m!r}")
+        r = fiber[0]
+        moves = [(p, division_map(B1, r, p)) for p in fiber]
+        choices.append([
+            {p: B2.act.get((q, g)) for p, g in moves}
+            for q in sorted(B2.total)
+            if B2.projection.get(q) == m and B2.momentum.get(q) == B1.momentum.get(r)
+        ])
+    morphisms = []
+    for images in itertools.product(*choices):
+        mapping = {p: q for image in images for p, q in image.items()}
+        f = BundleMorphism(B1, B2, mapping)
+        report = validate_bundle_morphism(f)
+        if not report.ok:
+            raise IntegrityError(
+                "constructed bundle morphism fails validation: " + report.render()
+            )
+        morphisms.append(f)
+    return morphisms
+
+
+def reference_divider(B: PrincipalBundle) -> Callable[[str, str], str]:
+    """division_map of B, called afresh for every pair."""
+    return functools.partial(division_map, B)

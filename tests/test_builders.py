@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -316,3 +317,15 @@ def test_oracles_share_no_index_with_the_bundle(unit_z2, unit_s3, unit_pair2, mo
         division_map(unit_z2, "e", "a")
     got = [(enumerate_ggts(*pair), enumerate_bundle_morphisms(*pair)) for pair in pairs]
     assert got == want
+
+
+def test_enumerate_ggts_names_a_missing_compose_entry(unit_s3):
+    """The oracle multiplies on the raw tables, but a product it cannot
+    read still raises G.mul's KeyError, naming the missing entry."""
+    G = unit_s3.groupoid
+    for key in sorted(G.compose):
+        compose = {k: v for k, v in G.compose.items() if k != key}
+        B = replace(unit_s3, groupoid=replace(G, compose=compose))
+        with pytest.raises(KeyError) as raised:
+            enumerate_ggts(B, B)
+        assert raised.value.args == (f"not composable: {key[0]!r} after {key[1]!r}",)

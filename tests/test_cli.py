@@ -345,6 +345,29 @@ def test_gen_refuses_bounds_below_one(what, field, capsys):
     assert capsys.readouterr().err == f"error: {field} must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "what, option, value",
+    [
+        ("hs", "--max-objects", "2"),
+        ("groupoid", "--max-total", "16"),
+        ("groupoid", "--base", "2"),
+        ("hs", "--base", "2"),
+        ("groupoid", "--groupoid", Z2),
+        ("hs", "--groupoid", Z2),
+        ("groupoid", "--dom", Z2),
+        ("bundle", "--dom", Z2),
+        ("groupoid", "--cod", Z2),
+        ("bundle", "--cod", Z2),
+    ],
+)
+def test_gen_refuses_an_option_its_kind_never_reads(what, option, value, capsys):
+    # even at the value the kind would use, the option is refused, not ignored
+    assert main(["gen", what, "--seed", "1", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gen {what} does not read {option}\n"
+
+
 def test_gen_impossible_bundle(capsys):
     assert main(["gen", "bundle", "--seed", "0", "--groupoid", S3, "--max-total", "2"]) == 2
     assert "no fiber fits" in capsys.readouterr().err

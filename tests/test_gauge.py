@@ -49,7 +49,12 @@ from gpdkit import (
 )
 from gpdkit.cli import main
 
-from helpers import naive_gauge_tables
+from helpers import (
+    bundle_mutations,
+    naive_gauge_tables,
+    reference_divider,
+    reference_morphisms,
+)
 
 
 def _ggt_table(K: GGT) -> tuple:
@@ -485,3 +490,63 @@ def test_gauge_group_refusals_match_the_reference(docs, unit_s3):
     kinds = {text.split(" ")[0] for text in seen}
     assert kinds == {"unit", "product", "inverse"}
     assert len(seen) > 5
+
+
+def _hom_outcomes(cases) -> list:
+    """Per (B, M): the mappings of _morphisms between B and M both ways and
+    from M to itself, the gauge group tables of M and the export bytes of
+    the gauge groupoid of M and B (of B alone if M is B); each ("ok",
+    value) or ("raised", exception type, text)."""
+
+    def outcome(fn, *args):
+        try:
+            return "ok", fn(*args)
+        except (KeyError, ValueError) as e:
+            return "raised", type(e).__name__, str(e)
+
+    def mappings(B1, B2):
+        return [f.mapping for f in gpdkit.gauge._morphisms(B1, B2)]
+
+    def group(B):
+        gg = gauge_group(B)
+        return [t.values for t in gg.elements], _tables(gg)
+
+    def export(B, M):
+        return dumps(build_gauge_groupoid([B] if M is B else [M, B]).groupoid)
+
+    return [
+        [
+            outcome(mappings, B, M),
+            outcome(mappings, M, B),
+            outcome(mappings, M, M),
+            outcome(group, M),
+            outcome(export, B, M),
+        ]
+        for B, M in cases
+    ]
+
+
+def test_constructed_hom_sets_match_validating_every_morphism(docs, monkeypatch):
+    """Checking each fiber piece once and dividing each pair once decides
+    and builds what validating every product and dividing afresh does,
+    refusals and their texts included, over single-entry mutants and a
+    few structural ones."""
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
+    cases = []
+    for B in _tabulated_bundles(docs):
+        mutants = [M for _, M in bundle_mutations(B)]
+        if B == U:
+            mutants = mutants[::10]
+        cases.append((B, B))
+        cases.extend((B, M) for M in mutants)
+    assert len(cases) > 1000
+    got = _hom_outcomes(cases)
+    with monkeypatch.context() as m:
+        m.setattr(gpdkit.gauge, "_morphisms", reference_morphisms)
+        m.setattr(gpdkit.gauge, "_divider", reference_divider)
+        want = _hom_outcomes(cases)
+    assert got == want
+    texts = [o[2] for row in got for o in row if o[0] == "raised"]
+    assert any(t.startswith("constructed bundle morphism fails validation") for t in texts)
+    assert any(t.startswith("division of ") for t in texts)
+    assert sum(o[0] == "ok" for row in got for o in row[3:]) > 50
