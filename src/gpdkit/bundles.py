@@ -8,8 +8,9 @@ a bijection onto the set of same-fiber pairs.
 
 The division map of a principal bundle sends a same-fiber pair (p, q)
 to the unique arrow g with p.g == q.  It is read off the bundle's
-division table, one of the indexes built on first use from read-only
-copies of its act and projection tables, so no index can go stale.
+division table, one of the read-only indexes built on first use from
+read-only copies of its act and projection tables, so no index can go
+stale.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class _ReadOnlyDict(dict):
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("a bundle's act and projection tables are read-only")
+        raise TypeError("a bundle's tables and indexes are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
@@ -78,7 +79,7 @@ class PrincipalBundle:
     momentum(p) == target(g); then momentum(p.g) == source(g) and
     projection(p.g) == projection(p).  act and projection are read-only
     copies; the fibers, moves and divisions indexes are built on first
-    use and shared by every reader, which must not edit them.
+    use, shared by every reader and read-only too, rows of moves included.
     """
 
     groupoid: FiniteGroupoid
@@ -98,7 +99,7 @@ class PrincipalBundle:
         groups: dict[str, list[str]] = {}
         for p in sorted(self.total):
             groups.setdefault(self.projection.get(p), []).append(p)
-        return {m: tuple(points) for m, points in groups.items()}
+        return _ReadOnlyDict((m, tuple(points)) for m, points in groups.items())
 
     @cached_property
     def moves(self) -> dict[str, dict[str, str]]:
@@ -107,7 +108,7 @@ class PrincipalBundle:
         rows: dict[str, dict[str, str]] = {}
         for (p, g), q in sorted(self.act.items()):
             rows.setdefault(p, {})[g] = q
-        return rows
+        return _ReadOnlyDict((p, _ReadOnlyDict(row)) for p, row in rows.items())
 
     @cached_property
     def divisions(self) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -116,7 +117,7 @@ class PrincipalBundle:
         for p, row in self.moves.items():
             for g, q in row.items():
                 table.setdefault((p, q), []).append(g)
-        return {pq: tuple(gs) for pq, gs in table.items()}
+        return _ReadOnlyDict((pq, tuple(gs)) for pq, gs in table.items())
 
     def fiber(self, m: str) -> tuple[str, ...]:
         """Total points over base point m, sorted."""

@@ -233,19 +233,29 @@ def _cmd_gauge_groupoid(args) -> int:
     return 0
 
 
-# The gen options each kind never reads; giving one is an error, not a no-op.
+# The gen options each kind never reads, and those a groupoid loaded
+# from a file replaces; giving one is an error, not a no-op.
 _GEN_UNREAD = {
     "groupoid": ("max_total", "base", "groupoid", "dom", "cod"),
     "bundle": ("dom", "cod"),
     "hs": ("max_objects", "base", "groupoid"),
 }
+_GEN_REPLACED = {
+    "groupoid": ("max_objects", "max_group_order"),
+    "dom": ("max_group_order",),
+}
 
 
 def _cmd_gen(args) -> int:
-    for name in _GEN_UNREAD[args.what]:
+    # checked in order, so a file option the kind never reads is named first
+    unread = [(name, "") for name in _GEN_UNREAD[args.what]]
+    for loaded, names in _GEN_REPLACED.items():
+        if getattr(args, loaded) is not None:
+            unread += [(name, f" with --{loaded}") for name in names]
+    for name, reason in unread:
         if getattr(args, name) is not None:
             option = "--" + name.replace("_", "-")
-            raise _CliError(2, f"gen {args.what} does not read {option}")
+            raise _CliError(2, f"gen {args.what}{reason} does not read {option}")
     bounds = {
         name: getattr(args, name)
         for name in ("max_objects", "max_group_order", "max_total")

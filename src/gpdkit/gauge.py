@@ -32,9 +32,9 @@ product of pieces when the bundles share groupoid and base, the fibers
 over the base cover the source and the total spaces have one size;
 otherwise each constructed morphism is validated in full.  The
 brute-force oracles in builders share no code with this and only
-cross-check it.  Composition goes through the bijection: the composite
-of two arrows is the arrow whose morphism is the composite map, which
-equals their star product.  star itself serves GGTs given from outside.
+cross-check it.  Units, inverses and composites go through the
+bijection, as the arrows of the identity, inverse and composite maps;
+star itself serves GGTs given from outside.
 
 This module is the one place that assembles gauge groupoids and
 tabulates gauge groups.  The bibundle versions in hs are the same
@@ -46,12 +46,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bundles import IntegrityError, PrincipalBundle, _fibred_pairs, division_map
-from .core import FiniteGroupoid, ValidationReport, _check_total, validate_groupoid
+from .core import FiniteGroupoid, ValidationReport, _check_total, _quote, validate_groupoid
 
 __all__ = [
     "BundleMorphism",
@@ -460,22 +459,14 @@ class GaugeGroup:
         return len(self.elements)
 
 
-def _content_key(values: dict) -> tuple:
-    return tuple(sorted(values.items()))
-
-
 def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
-    """Every gauge transformation of B, in content order: the
-    automorphisms sigma of B as G(p) = d(p, sigma(p)), each division
-    made once."""
+    """Every gauge transformation of B, in content order (by the value
+    row over the sorted points): the automorphisms sigma of B as
+    G(p) = d(p, sigma(p)), each division made once."""
     points = sorted(B.total)
     divide = _divider(B)
-    elements = [
-        GaugeTransformation(B, {p: divide(p, f.mapping[p]) for p in points})
-        for f in _morphisms(B, B)
-    ]
-    elements.sort(key=lambda t: _content_key(t.values))
-    return elements
+    rows = sorted([divide(p, f.mapping[p]) for p in points] for f in _morphisms(B, B))
+    return [GaugeTransformation(B, dict(zip(points, row))) for row in rows]
 
 
 def _tabulate(
@@ -568,11 +559,11 @@ def check_division_invariance(f: BundleMorphism) -> ValidationReport:
     return r
 
 
-def _ggt_digest(i: int, j: int, values: dict[tuple[str, str], str]) -> str:
-    payload = json.dumps(
-        [i, j, sorted([p1, p2, k] for (p1, p2), k in values.items())],
-        separators=(",", ":"),
-    )
+def _ggt_digest(i: int, j: int, entries: Iterable[str]) -> str:
+    """The id digest of a GGT from bundles[i] to bundles[j]: the sha256 of
+    json.dumps([i, j, sorted([p1, p2, k], ...)], separators=(",", ":")),
+    written from the JSON texts of the sorted [p1, p2, k] entries."""
+    payload = f"[{i},{j},[{','.join(entries)}]]"
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -595,10 +586,9 @@ def build_gauge_groupoid(bundles: list[PrincipalBundle]) -> GaugeGroupoid:
     """Assemble the groupoid of all GGTs between the given bundles.
 
     The bundles must share base and structure groupoid.  Hom sets are
-    the GGTs of the constructed bundle morphisms, composition runs
-    through those morphisms (composite maps, looked up by content),
-    units are identity_ggt and inverses invert_ggt; any composite or
-    unit missing from the arrows is an IntegrityError.
+    the GGTs of the constructed bundle morphisms; units, inverses and
+    composites are the GGTs of the identity, inverse and composite
+    morphisms.  Any of them missing from the arrows is an IntegrityError.
     """
     if not bundles:
         raise ValueError("need at least one bundle")
@@ -614,80 +604,89 @@ def _assemble(
     """The gauge groupoid on the GGTs K = morphism_to_ggt(sigma) of the
     bundle morphisms sigma from bundles[i] to bundles[j] with
     keep(i, j, K); its objects are P0, P1, ...  Each hom set is sorted by
-    content.
+    content: its GGTs share one domain, so by their values read over the
+    sorted same-fiber pairs.
 
-    Composition runs through the GGT-morphism bijection: the composite
-    of two arrows is the arrow whose morphism is sigma23 o sigma12,
-    which by the equivariance of sigma23 is star(K23, K12).  Units and
-    inverses are looked up by content.  A unit, inverse or composite
-    that was not kept is an IntegrityError naming which.
+    Units, inverses and composites are found through the GGT-morphism
+    bijection, by morphism row, which is exact: identity_ggt(B) is
+    morphism_to_ggt of the identity map; invert_ggt(K_sigma) is
+    K_{sigma^-1} because bundle morphisms preserve division
+    (thm-gaugeinvdiv); and star(K23, K12) is the GGT of sigma23 o sigma12
+    by the equivariance of sigma23.  check-theorems and the perfbench
+    gauge workload still check the unit and inverse laws of the result
+    with validate_groupoid.  A unit, inverse or composite that was not
+    kept is an IntegrityError naming which.
     """
     ids = [f"P{i}" for i in range(len(bundles))]
 
     arrows: dict[str, GGT] = {}
-    by_key: dict[tuple, str] = {}
     homs: dict[tuple[int, int], list[str]] = {}
     source: dict[str, str] = {}
     target: dict[str, str] = {}
 
-    def lookup(i: int, j: int, K: GGT, what: str) -> str:
-        found = by_key.get((i, j, _content_key(K.values)))
-        if found is None:
-            raise IntegrityError(
-                f"{what} GGT missing from hom({ids[i]}, {ids[j]})"
-            )
-        return found
-
     # An arrow's morphism as a row: the position in bundles[j]'s sorted
-    # points of the image of each of bundles[i]'s sorted points.  Composite
-    # rows go through a list, for the reason given in _tabulate.
+    # points of the image of each of bundles[i]'s sorted points.  A
+    # permutation's inverse lists its positions by image; composite rows
+    # go through a list, for the reason given in _tabulate.
     points = [sorted(B.total) for B in bundles]
     position = [{p: n for n, p in enumerate(pts)} for pts in points]
     rows: dict[str, tuple[int, ...]] = {}
     by_row: dict[tuple[int, int], dict[tuple[int, ...], str]] = {}
     for i, Bi in enumerate(bundles):
         for j, Bj in enumerate(bundles):
-            kept = []
             pairs = _fibred_pairs(Bi, Bj)
+            order = sorted(pairs)
+            heads = [f"[{_quote(p1)},{_quote(p2)}," for p1, p2 in order]
             divide = _divider(Bj)
+            kept = []
             for f in _morphisms(Bi, Bj):
                 K = GGT(Bi, Bj, _ggt_values(pairs, f.mapping, divide))
                 if keep(i, j, K):
-                    kept.append((_content_key(K.values), K, f))
+                    kept.append((list(map(K.values.__getitem__, order)), K, f))
             kept.sort(key=lambda entry: entry[0])
-            homs[(i, j)] = []
-            for key, K, f in kept:
-                aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, K.values)}"
+            homs[(i, j)], by_row[(i, j)] = [], {}
+            for values, K, f in kept:
+                entries = map("{}{}]".format, heads, map(_quote, values))
+                aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, entries)}"
                 if aid in arrows:
                     raise IntegrityError(f"arrow id {aid!r} names two different GGTs")
-                by_key[(i, j, key)] = aid
                 arrows[aid] = K
                 homs[(i, j)].append(aid)
                 source[aid], target[aid] = ids[i], ids[j]
                 rows[aid] = tuple(position[j][f.mapping[p]] for p in points[i])
-                by_row.setdefault((i, j), {})[rows[aid]] = aid
+                by_row[(i, j)][rows[aid]] = aid
+
+    def missing(i: int, j: int, what: str) -> IntegrityError:
+        return IntegrityError(f"{what} GGT missing from hom({ids[i]}, {ids[j]})")
+
+    def find(i: int, j: int, row: tuple[int, ...], what: str) -> str:
+        found = by_row[(i, j)].get(row)
+        if found is None:
+            raise missing(i, j, what)
+        return found
 
     unit = {
-        ids[i]: lookup(i, i, identity_ggt(B), "unit") for i, B in enumerate(bundles)
+        ids[i]: find(i, i, tuple(range(len(pts))), "unit")
+        for i, pts in enumerate(points)
     }
     inverse = {}
-    compose = {}
     for (i, j), names in sorted(homs.items()):
         for aid in names:
-            inverse[aid] = lookup(j, i, invert_ggt(arrows[aid]), "inverse")
+            row = rows[aid]
+            back = tuple(sorted(range(len(row)), key=row.__getitem__))
+            inverse[aid] = find(j, i, back, "inverse")
+    compose = {}
     for (j, k), names2 in sorted(homs.items()):
         for (i, j2), names1 in sorted(homs.items()):
             if j2 != j:
                 continue
-            composites = by_row.get((i, k), {})
+            composites = by_row[(i, k)]
             for a2 in names2:
                 image = rows[a2].__getitem__
                 for a1 in names1:
                     found = composites.get(tuple(list(map(image, rows[a1]))))
                     if found is None:
-                        raise IntegrityError(
-                            f"composite GGT missing from hom({ids[i]}, {ids[k]})"
-                        )
+                        raise missing(i, k, "composite")
                     compose[(a2, a1)] = found
 
     groupoid = FiniteGroupoid(

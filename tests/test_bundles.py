@@ -234,6 +234,38 @@ def test_act_and_projection_are_read_only(z2):
             twin.act[("e", "a")] = "e"
 
 
+def test_indexes_are_read_only(z2):
+    # The indexes are shared by every reader; an edit to one used to
+    # change later division answers while validate_bundle stayed ok.
+    B = unit_bundle(z2)
+    assert division_map(B, "e", "a") == "a"
+    indexes = (B.fibers, B.divisions, B.moves, B.moves["e"])
+    for index in indexes:
+        key = next(iter(index))
+        value = index[key]
+        edits = (
+            lambda: index.__setitem__(key, value),
+            lambda: index.__delitem__(key),
+            lambda: index.pop(key),
+            lambda: index.popitem(),
+            lambda: index.setdefault(key, value),
+            lambda: index.update({key: value}),
+            lambda: index.__ior__({key: value}),
+            lambda: index.clear(),
+        )
+        for edit in edits:
+            with pytest.raises(TypeError, match="read-only"):
+                edit()
+    with pytest.raises(TypeError, match="read-only"):
+        B.divisions[("e", "a")] = ("e",)
+    assert division_map(B, "e", "a") == "a"
+    assert validate_bundle(B).ok and verify_division_properties(B).ok
+    for twin in (copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
+        assert twin.moves == B.moves
+        with pytest.raises(TypeError, match="read-only"):
+            twin.moves["e"]["a"] = "e"
+
+
 def test_bundle_keeps_its_own_copy_of_the_callers_tables(z2):
     projection, act = dict(z2.target), dict(z2.compose)
     B = PrincipalBundle(

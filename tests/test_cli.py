@@ -358,11 +358,19 @@ def test_gen_refuses_bounds_below_one(what, field, capsys):
         ("bundle", "--dom", Z2),
         ("groupoid", "--cod", Z2),
         ("bundle", "--cod", Z2),
+        ("bundle with --groupoid", "--max-objects", "0"),
+        ("bundle with --groupoid", "--max-objects", "2"),
+        ("bundle with --groupoid", "--max-group-order", "0"),
+        ("hs with --dom", "--max-group-order", "0"),
+        ("hs with --dom", "--max-group-order", "6"),
     ],
 )
 def test_gen_refuses_an_option_its_kind_never_reads(what, option, value, capsys):
-    # even at the value the kind would use, the option is refused, not ignored
-    assert main(["gen", what, "--seed", "1", option, value]) == 2
+    # even at the value the kind would use, the option is refused, not ignored;
+    # "KIND with --FILE" gives that groupoid file, which replaces the bounds
+    kind, _, loaded = what.partition(" with ")
+    files = [loaded, Z2] if loaded else []
+    assert main(["gen", kind, "--seed", "1", *files, option, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: gen {what} does not read {option}\n"

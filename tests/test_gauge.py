@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 from dataclasses import replace
 
@@ -204,14 +205,57 @@ def test_gauge_groupoid_of_twin_unit_bundles(unit_z2):
         assert mine == theirs
 
 
+def _assert_stated_units_inverses_order_and_ids(gg) -> None:
+    """Units are identity_ggt, inverses invert_ggt, each hom set is in
+    content order and each arrow id is the digest of its content."""
+    G = gg.groupoid
+    index = {x: i for i, x in enumerate(gg.bundle_ids)}
+    for x, B in zip(gg.bundle_ids, gg.bundles):
+        assert gg.ggts[G.unit[x]].values == identity_ggt(B).values
+    homs: dict[tuple[int, int], list] = {}
+    for a, K in gg.ggts.items():
+        assert gg.ggts[G.inverse[a]].values == invert_ggt(K).values
+        i, j = index[G.source[a]], index[G.target[a]]
+        payload = json.dumps(
+            [i, j, sorted([p1, p2, k] for (p1, p2), k in K.values.items())],
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
+        assert a == f"ggt:{G.source[a]}>{G.target[a]}:{digest}"
+        homs.setdefault((i, j), []).append(_ggt_table(K))
+    for tables in homs.values():
+        assert tables == sorted(tables)
+
+
+def test_gauge_groupoid_units_inverses_order_and_ids_on_random_families():
+    families = []
+    seed = 0
+    while len(families) < 30:
+        G = random_groupoid(GeneratorSpec(seed, max_objects=2, max_group_order=4))
+        members = []
+        for k in range(1 + seed % 3):
+            try:
+                members.append(
+                    random_bundle(G, 1 + seed % 2, GeneratorSpec(100 * seed + k, max_total=8))
+                )
+            except GeneratorError:
+                pass
+        seed += 1
+        if members and all(B.base == members[0].base for B in members):
+            families.append(build_gauge_groupoid(members))
+    for seed in range(6):
+        G = random_groupoid(GeneratorSpec(seed, max_objects=2, max_group_order=6))
+        H = random_groupoid(GeneratorSpec(seed + 40, max_objects=2, max_group_order=3))
+        hs = [random_hs(G, H, GeneratorSpec(80 + 2 * seed + k, max_total=12)) for k in (0, 1)]
+        families.append(build_hs_gauge_groupoid(hs))
+    assert sum(len(gg.bundles) > 1 for gg in families) >= 12
+    assert sum(len(gg.ggts) for gg in families) > 300
+    for gg in families:
+        _assert_stated_units_inverses_order_and_ids(gg)
+
+
 def test_gauge_groupoid_units_and_inverses_are_the_stated_ones(unit_z2):
-    gg = build_gauge_groupoid([unit_z2])
-    pid = gg.bundle_ids[0]
-    unit_arrow = gg.groupoid.unit[pid]
-    assert _ggt_table(gg.ggts[unit_arrow]) == _ggt_table(identity_ggt(unit_z2))
-    for a in gg.groupoid.arrows:
-        flipped = gg.groupoid.inverse[a]
-        assert _ggt_table(gg.ggts[flipped]) == _ggt_table(invert_ggt(gg.ggts[a]))
+    _assert_stated_units_inverses_order_and_ids(build_gauge_groupoid([unit_z2]))
 
 
 def test_gauge_groupoid_on_random_pair():
