@@ -13,13 +13,23 @@ entries, entries off the declared domain, ids that were never declared);
 all other rules are axioms, each reported with a witness tuple that pins
 down one failing instance.
 
-Ids are opaque strings.  Applying a structure table outside its domain
-raises KeyError; there are no default values.
+The validators of every module share three pieces defined here:
+_check_table for every table.* rule but a groupoid's compose table (whose
+dangling rule also covers keys off the domain); _transport for the GGT
+law K(p1.g1, p2.g2) == g2^-1 K(p1, p2) g1, of GGTs and of the division
+map, the identity GGT read the other way round; and _commute, which
+compares the two ways round a square of moves a whole row at a time, for
+associativity, the compose law of actions, the commuting actions of a
+bibundle and the conjugation law of gauge transformations.  Morphism
+equivariance (one way must be defined) and left invariance keep their
+own loops.  An instance whose product the tables leave undefined is
+skipped, so the division verifiers, too, report and never raise.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -139,32 +149,95 @@ class FiniteGroupoid:
         return index
 
 
-def _check_total(
+def _key_ids(key) -> tuple:
+    return key if isinstance(key, tuple) else (str(key),)
+
+
+def _check_table(
     r: ValidationReport,
     name: str,
     table: dict,
-    keys: frozenset[str],
-    values: frozenset[str],
+    domain: Iterable,
+    expected: Container,
+    declared: Container,
+    values: Container,
 ) -> None:
-    # A total table: one entry per key, every value a declared id.
-    for k in sorted(keys):
-        if k not in table:
-            r.add(f"table.{name}.missing", k)
-    for k in sorted(table):
-        if k not in keys:
-            r.add(f"table.{name}.unknown-key", str(k))
-        elif table[k] not in values:
-            r.add(f"table.{name}.dangling", k, str(table[k]))
+    """Check table against its exact domain as table.<name>.* rules.
+
+    domain lists the keys the table must have, in witness order, and
+    expected holds the same keys.  Each absent one is missing; each table
+    key, sorted, is dangling if it is expected and its value is not in
+    values, extra if it is not expected but declared (made of declared
+    ids), and unknown-key otherwise.  Witnesses are the key's ids, then
+    the value.
+    """
+    for key in domain:
+        if key not in table:
+            r.add(f"table.{name}.missing", *_key_ids(key))
+    for key in sorted(table):
+        if key in expected:
+            if table[key] not in values:
+                r.add(f"table.{name}.dangling", *_key_ids(key), str(table[key]))
+        elif key in declared:
+            r.add(f"table.{name}.extra", *_key_ids(key))
+        else:
+            r.add(f"table.{name}.unknown-key", *_key_ids(key))
+
+
+def _transport(
+    G: FiniteGroupoid, value: dict, pairs: Iterable, rows1: dict, rows2: dict
+) -> Iterator[tuple]:
+    """Each (p1, p2, g1, g2) at which value, a map on pairs of points,
+    breaks the GGT law value(p1.g1, p2.g2) == (g2^-1 value(p1, p2)) g1.
+
+    pairs run in order, g1 over rows1[p1] and g2 over rows2[p2], in
+    order, where a row maps an arrow g to p.g.  A move is skipped where
+    value or the product is undefined (None) in G's tables.
+    """
+    mul, inv = G.compose.get, G.inverse.get
+    for p1, p2 in pairs:
+        k = value.get((p1, p2))
+        if k is None:
+            continue
+        row2 = rows2.get(p2, {})
+        for g1, q1 in rows1.get(p1, {}).items():
+            for g2, q2 in row2.items():
+                moved = value.get((q1, q2))
+                if moved is not None:
+                    want = mul((mul((inv(g2), k)), g1))
+                    if want is not None and moved != want:
+                        yield p1, p2, g1, g2
+
+
+def _commute(labels: Iterable, one: list, other: list) -> Iterable:
+    """The labels at which a square of moves fails to commute: one and
+    other read its two ways round, per label, and fail where both are
+    defined (not None) and differ.  They are compared whole first, so a
+    row is searched only when they differ."""
+    if one == other:
+        return ()
+    return [x for x, a, b in zip(labels, one, other) if a is not None and b is not None and a != b]
+
+
+def _context_ok(r: ValidationReport, a: object, b: object, **parts: str) -> bool:
+    """Whether a and b agree on each attribute named in parts; the first
+    that differs is reported as context.mismatch, "different <part>"."""
+    for name, what in parts.items():
+        if getattr(a, name) != getattr(b, name):
+            r.add("context.mismatch", note=f"different {what}")
+            return False
+    return True
 
 
 def _structure_ok(r: ValidationReport, G: FiniteGroupoid, prefix: str = "") -> bool:
     """Report G's source, target, unit and inverse tables as table.*
     rules after prefix; whether all are total, so law loops may index them."""
     sub = ValidationReport()
-    _check_total(sub, "source", G.source, G.arrows, G.objects)
-    _check_total(sub, "target", G.target, G.arrows, G.objects)
-    _check_total(sub, "unit", G.unit, G.objects, G.arrows)
-    _check_total(sub, "inverse", G.inverse, G.arrows, G.arrows)
+    arrows, objects = sorted(G.arrows), sorted(G.objects)
+    _check_table(sub, "source", G.source, arrows, G.arrows, G.arrows, G.objects)
+    _check_table(sub, "target", G.target, arrows, G.arrows, G.arrows, G.objects)
+    _check_table(sub, "unit", G.unit, objects, G.objects, G.objects, G.arrows)
+    _check_table(sub, "inverse", G.inverse, arrows, G.arrows, G.arrows, G.arrows)
     r.extend(sub, prefix)
     return sub.ok
 
@@ -257,22 +330,19 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         if q is not None and e_s is not None and q != e_s:
             r.add("inverse.left", g)
 
-    # rows[g1][g2] is "g1 after g2".  Each (g1, g2) reads (g1 g2) g3 and
-    # g1 (g2 g3) for all its g3 at once; only differing lists are searched.
+    # rows[g1][g2] is "g1 after g2".  Left multiplication by g1 commutes
+    # with right multiplication by g3: (g1 g2) g3 == g1 (g2 g3).
     rows: dict[str, dict[str, str]] = {}
     for (g1, g2), g3 in G.compose.items():
         rows.setdefault(g1, {})[g2] = g3
     for g1 in known:
         row1 = rows.get(g1, {})
         for g2 in by_target.get(src[g1], ()):
-            row2, row_a = rows.get(g2, {}), rows.get(row1.get(g2), {})
             third = by_target.get(src[g2], ())
-            lefts = list(map(row_a.get, third))
-            rights = list(map(row1.get, map(row2.get, third)))
-            if lefts != rights:
-                for g3, left, right in zip(third, lefts, rights):
-                    if left is not None and right is not None and left != right:
-                        r.add("associativity", g1, g2, g3)
+            lefts = list(map(rows.get(row1.get(g2), {}).get, third))
+            rights = list(map(row1.get, map(rows.get(g2, {}).get, third)))
+            for g3 in _commute(third, lefts, rights):
+                r.add("associativity", g1, g2, g3)
 
     hit_s = {src[g] for g in known}
     hit_t = {tgt[g] for g in known}
@@ -386,8 +456,8 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     """
     r = ValidationReport()
     G, H = m.domain, m.codomain
-    _check_total(r, "object_map", m.object_map, G.objects, H.objects)
-    _check_total(r, "arrow_map", m.arrow_map, G.arrows, H.arrows)
+    _check_table(r, "object_map", m.object_map, sorted(G.objects), G.objects, G.objects, H.objects)
+    _check_table(r, "arrow_map", m.arrow_map, sorted(G.arrows), G.arrows, G.arrows, H.arrows)
     # The laws index the domain's tables and compare with the codomain's.
     domain_ok = _structure_ok(r, G, "domain.")
     if not (_structure_ok(r, H, "codomain.") and domain_ok):
@@ -477,7 +547,7 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     """
     r = ValidationReport()
     G = A.groupoid
-    _check_total(r, "momentum", A.momentum, A.carrier, G.objects)
+    _check_table(r, "momentum", A.momentum, sorted(A.carrier), A.carrier, A.carrier, G.objects)
     # Everything below indexes G's tables.
     if not _structure_ok(r, G):
         return r
@@ -507,26 +577,14 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     if len(rows) > len(A.carrier) or sum(map(len, rows.values())) < len(A.act) or any(
         row.keys() != meet_sets.get(J(m), set()) for m, row in rows.items()
     ):
-        expected: set[tuple[str, str]] = set()
-        for g in sorted(G.arrows):
-            for m in anchored.get(endpoint[g], ()):
-                key = side((g, m))
-                expected.add(key)
-                if key not in A.act:
-                    r.add("table.act.missing", *key)
-        for key in sorted(A.act):
-            g, m = side(key)
-            if g not in G.arrows or m not in A.carrier:
-                r.add("table.act.unknown-key", *key)
-            elif key not in expected:
-                r.add("table.act.extra", *key)
-            elif A.act[key] not in A.carrier:
-                r.add("table.act.dangling", *key, A.act[key])
+        domain = [side((g, m)) for g in sorted(G.arrows) for m in anchored.get(endpoint[g], ())]
+        declared = {side((g, m)) for g in G.arrows for m in A.carrier}
+        _check_table(r, "act", A.act, domain, set(domain), declared, A.carrier)
 
     # Compose law: acting by g and then by each h that meets g's far end
     # equals acting by their composite gh, "h after g" (on the right side
-    # "g after h", h after g in the opposite groupoid).  Per point both
-    # sides are read for every h at once; only differing lists are searched.
+    # "g after h", h after g in the opposite groupoid): the move by g
+    # commutes with the moves by every h.
     momentum_law, compose_law = [], []
     for g in sorted(G.arrows):
         f, hs = far[g], meets.get(far[g], [])
@@ -539,10 +597,8 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
             if J(step) != f:
                 momentum_law.append(side((g, m)))
             ones, boths = list(map(rows[step].get, hs)), list(map(rows[m].get, ghs))
-            if ones != boths:
-                for h, one, both in zip(hs, ones, boths):
-                    if one is not None and both is not None and one != both:
-                        compose_law.append(side((h, g, m)))
+            for h in _commute(hs, ones, boths):
+                compose_law.append(side((h, g, m)))
     if not left:  # a right action's act keys, and so its witnesses, are point-major
         momentum_law.sort()
         compose_law.sort()

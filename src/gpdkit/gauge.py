@@ -50,7 +50,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .bundles import IntegrityError, PrincipalBundle, _fibred_pairs, division_map
-from .core import FiniteGroupoid, ValidationReport, _check_total, _quote, validate_groupoid
+from .core import (
+    FiniteGroupoid,
+    ValidationReport,
+    _check_table,
+    _commute,
+    _context_ok,
+    _quote,
+    _transport,
+    validate_groupoid,
+)
 
 __all__ = [
     "BundleMorphism",
@@ -106,16 +115,6 @@ class GaugeTransformation:
     values: dict[str, str]
 
 
-def _context_ok(r: ValidationReport, B1: PrincipalBundle, B2: PrincipalBundle) -> bool:
-    if B1.groupoid != B2.groupoid:
-        r.add("context.mismatch", note="different structure groupoids")
-        return False
-    if B1.base != B2.base:
-        r.add("context.mismatch", note="different bases")
-        return False
-    return True
-
-
 def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
     """Check fiber preservation, momentum preservation and equivariance.
 
@@ -124,9 +123,9 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
     """
     r = ValidationReport()
     B1, B2 = f.source, f.target
-    if not _context_ok(r, B1, B2):
+    if not _context_ok(r, B1, B2, groupoid="structure groupoids", base="bases"):
         return r
-    _check_total(r, "mapping", f.mapping, B1.total, B2.total)
+    _check_table(r, "mapping", f.mapping, sorted(B1.total), B1.total, B1.total, B2.total)
     sig = f.mapping.get
 
     for p in sorted(B1.total):
@@ -139,6 +138,7 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
             r.add("morphism.momentum", p)
 
     # B1's rows are in sorted order, so the witnesses come out sorted.
+    # sigma(p).g must be defined wherever sigma(p.g) is (not so in _commute).
     for p, row in B1.moves.items():
         q = sig(p)
         if q is None:
@@ -242,22 +242,15 @@ def validate_ggt(K: GGT) -> ValidationReport:
     """Check the endpoint and equivariance laws of K over its whole domain."""
     r = ValidationReport()
     B1, B2 = K.source, K.target
-    if not _context_ok(r, B1, B2):
+    if not _context_ok(r, B1, B2, groupoid="structure groupoids", base="bases"):
         return r
     G = B1.groupoid
     # Equivariance multiplies through G's tables, so it needs G valid.
     r.extend(validate_groupoid(G), prefix="groupoid.")
     groupoid_ok = r.ok
     pairs = _fibred_pairs(B1, B2)
-    expected = set(pairs)
-    for key in pairs:
-        if key not in K.values:
-            r.add("table.values.missing", *key)
-    for key in sorted(K.values):
-        if key not in expected:
-            r.add("table.values.extra", *key)
-        elif K.values[key] not in G.arrows:
-            r.add("table.values.dangling", *key, K.values[key])
+    # values has no unknown-key rule: each of its keys counts as declared
+    _check_table(r, "values", K.values, pairs, set(pairs), K.values, G.arrows)
 
     misfooted = set()
     for (p1, p2) in pairs:
@@ -274,27 +267,12 @@ def validate_ggt(K: GGT) -> ValidationReport:
     if not groupoid_ok:
         return r
     # A value with the wrong endpoints cannot be multiplied by the moving
-    # arrows; it is already reported, so equivariance skips it.
-    by_target = G.by_target()
-    for (p1, p2) in pairs:
-        k = K.values.get((p1, p2))
-        if k is None or k not in G.arrows or (p1, p2) in misfooted:
-            continue
-        row1, row2 = B1.moves.get(p1, {}), B2.moves.get(p2, {})
-        for g1 in by_target.get(B1.momentum.get(p1), ()):
-            q1 = row1.get(g1)
-            if q1 is None:
-                continue
-            for g2 in by_target.get(B2.momentum.get(p2), ()):
-                q2 = row2.get(g2)
-                if q2 is None:
-                    continue
-                moved = K.values.get((q1, q2))
-                if moved is None:
-                    continue
-                want = G.mul(G.mul(G.inv(g2), k), g1)
-                if moved != want:
-                    r.add("ggt.equivariance", p1, p2, g1, g2)
+    # arrows; it is already reported, so equivariance skips it.  In a
+    # groupoid g2^-1 k g1 is defined exactly when g1 and g2 meet k's
+    # endpoints, so a move by any other act entry is skipped too.
+    footed = [pair for pair in pairs if pair not in misfooted]
+    for witness in _transport(G, K.values, footed, B1.moves, B2.moves):
+        r.add("ggt.equivariance", *witness)
     return r
 
 
@@ -303,7 +281,7 @@ def validate_gauge_transformation(t: GaugeTransformation) -> ValidationReport:
     r = ValidationReport()
     B = t.bundle
     G = B.groupoid
-    _check_total(r, "values", t.values, B.total, G.arrows)
+    _check_table(r, "values", t.values, sorted(B.total), B.total, B.total, G.arrows)
     for p in sorted(B.total):
         k = t.values.get(p)
         if k is None or k not in G.arrows:
@@ -311,16 +289,14 @@ def validate_gauge_transformation(t: GaugeTransformation) -> ValidationReport:
         x = B.momentum.get(p)
         if G.source.get(k) != x or G.target.get(k) != x:
             r.add("gauge.isotropy", p)
-    for (p, g), pg in sorted(B.act.items()):
-        k, k2 = t.values.get(p), t.values.get(pg)
-        if k is None or k2 is None or k not in G.arrows:
-            continue
-        ginv = G.inverse.get(g)
-        if ginv is None:
-            continue
-        want = G.compose.get((G.compose.get((ginv, k)), g))
-        if want is not None and k2 != want:
-            r.add("gauge.equivariance", p, g)
+    # The GGT law on the diagonal, G(p.g) == g^-1 G(p) g, in act order.
+    mul, inv = G.compose.get, G.inverse.get
+    for p, row in B.moves.items():
+        k = t.values.get(p)
+        if k in G.arrows:
+            twisted = [mul((mul((inv(g), k)), g)) for g in row]
+            for g in _commute(row, list(map(t.values.get, row.values())), twisted):
+                r.add("gauge.equivariance", p, g)
     return r
 
 

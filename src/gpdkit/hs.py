@@ -34,6 +34,8 @@ from .core import (
     GroupoidMorphism,
     LeftAction,
     ValidationReport,
+    _commute,
+    _context_ok,
     _PairIds,
     _product_table,
     product_groupoid,
@@ -112,19 +114,18 @@ def validate_hs(h: HSMorphism) -> ValidationReport:
     r.extend(validate_bundle(h.bundle))
     r.extend(validate_action(h.left_action()), prefix="left-")
 
-    eps = h.bundle.momentum.get
-    for (g, p) in sorted(h.left_act):
-        gp = h.left_act[(g, p)]
+    eps, moves = h.bundle.momentum.get, h.bundle.moves
+    for (g, p), gp in sorted(h.left_act.items()):
         if gp not in h.bundle.total:
             continue
         if eps(gp) != eps(p):
             r.add("hs.momentum-invariant", g, p)
-        row = h.bundle.moves.get(gp, {})
-        for k, pk in h.bundle.moves.get(p, {}).items():
-            moved = h.left_act.get((g, pk))
-            other = row.get(k)
-            if moved is not None and other is not None and moved != other:
-                r.add("hs.commute", g, p, k)
+        # the move by g commutes with the right moves: (g.p).k == g.(p.k)
+        row = moves.get(p, {})
+        one = list(map(moves.get(gp, {}).get, row))
+        other = [h.left_act.get((g, pk)) for pk in row.values()]
+        for k in _commute(row, one, other):
+            r.add("hs.commute", g, p, k)
     return r
 
 
@@ -222,21 +223,11 @@ class HSBundleMorphism:
         return BundleMorphism(self.source.bundle, self.target.bundle, self.mapping)
 
 
-def _hs_context(r: ValidationReport, h1: HSMorphism, h2: HSMorphism) -> bool:
-    if h1.dom != h2.dom:
-        r.add("context.mismatch", note="different domains")
-        return False
-    if h1.cod != h2.cod:
-        r.add("context.mismatch", note="different codomains")
-        return False
-    return True
-
-
 def validate_hs_morphism(f: HSBundleMorphism) -> ValidationReport:
     """Bundle morphism laws plus left equivariance (rule
     hs-morphism.left-equivariance, witness (g, p))."""
     r = ValidationReport()
-    if not _hs_context(r, f.source, f.target):
+    if not _context_ok(r, f.source, f.target, dom="domains", cod="codomains"):
         return r
     r.extend(validate_bundle_morphism(f.as_bundle_morphism()))
     for witness in _left_equivariance_violations(f):
@@ -246,7 +237,8 @@ def validate_hs_morphism(f: HSBundleMorphism) -> ValidationReport:
 
 def _left_equivariance_violations(f: HSBundleMorphism):
     """Each (g, p) with sigma(g.p) != g.sigma(p), in sorted order; points
-    off the mapping are skipped."""
+    off the mapping are skipped, and g.sigma(p) must be defined wherever
+    sigma(g.p) is, as in morphism.equivariance."""
     sig = f.mapping.get
     for (g, p), gp in sorted(f.source.left_act.items()):
         q, qg = sig(p), sig(gp)
@@ -259,7 +251,8 @@ def _left_equivariance_violations(f: HSBundleMorphism):
 def _left_invariance_violations(h1: HSMorphism, h2: HSMorphism, pairs, value: dict):
     """Each (g, p1, p2), pairs in the given order, with value(g.p1, g.p2)
     != value(p1, p2); pairs and moves outside the tables are skipped.
-    Both the GGT and the division map laws run through here."""
+    Both the GGT and the division map laws run through here.  A pair has
+    one or two left moves, too few for _commute's rows to pay."""
     movers = h1.dom.by_source()
     for p1, p2 in pairs:
         k = value.get((p1, p2))
@@ -285,7 +278,7 @@ def validate_hs_ggt(h1: HSMorphism, h2: HSMorphism, K: GGT) -> ValidationReport:
     """GGT laws plus invariance under the diagonal left action (rule
     ggt.left-invariance, witness (g, p1, p2))."""
     r = ValidationReport()
-    if not _hs_context(r, h1, h2):
+    if not _context_ok(r, h1, h2, dom="domains", cod="codomains"):
         return r
     r.extend(validate_ggt(K))
     for witness in _left_invariance_violations(h1, h2, sorted(K.values), K.values):
