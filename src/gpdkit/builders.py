@@ -118,7 +118,7 @@ _GROUP_TABLES = {
     "s3": _sym3(),
 }
 
-GROUP_NAMES = ("trivial", "z2", "z3", "z4", "v4", "s3")
+GROUP_NAMES = tuple(_GROUP_TABLES)
 
 
 def group_table(name: str) -> dict[tuple[str, str], str]:
@@ -340,16 +340,6 @@ class GeneratorSpec:
     max_total: int = 16
 
 
-_GROUP_ORDERS = (
-    ("trivial", 1),
-    ("z2", 2),
-    ("z3", 3),
-    ("z4", 4),
-    ("v4", 4),
-    ("s3", 6),
-)
-
-
 def random_groupoid(spec: GeneratorSpec) -> FiniteGroupoid:
     """A random disjoint union of blocks, each a pair groupoid of some
     objects combined with a small group.  Deterministic in spec."""
@@ -363,7 +353,7 @@ def random_groupoid(spec: GeneratorSpec) -> FiniteGroupoid:
         size = rng.randint(1, remaining)
         sizes.append(size)
         remaining -= size
-    names = [n for n, order in _GROUP_ORDERS if order <= spec.max_group_order]
+    names = [n for n, t in _GROUP_TABLES.items() if len(t) <= spec.max_group_order ** 2]
 
     objects: list[str] = []
     source: dict[str, str] = {}

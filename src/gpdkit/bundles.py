@@ -7,10 +7,10 @@ transitive on each projection fiber; equivalently (p, g) -> (p, p.g) is
 a bijection onto the set of same-fiber pairs.
 
 The division map of a principal bundle sends a same-fiber pair (p, q)
-to the unique arrow g with p.g == q.  It is read off the bundle's
-division table, one of the read-only indexes built on first use from
-read-only copies of its act and projection tables, so no index can go
-stale.
+to the unique arrow g with p.g == q.  It is answered from the bundle's
+quotients index alone, one of the read-only indexes built on first use
+from read-only copies of its act and projection tables, so no index can
+go stale.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ class PrincipalBundle:
     act maps (p, g) to p.g and is defined exactly when
     momentum(p) == target(g); then momentum(p.g) == source(g) and
     projection(p.g) == projection(p).  act and projection are read-only
-    copies; the fibers, moves and divisions indexes are built on first
-    use, shared by every reader and read-only too, rows of moves included.
+    copies; the fibers, moves, divisions and quotients indexes are built
+    on first use, shared by every reader and read-only too, rows of moves
+    included.
     """
 
     groupoid: FiniteGroupoid
@@ -119,6 +120,18 @@ class PrincipalBundle:
             for g, q in row.items():
                 table.setdefault((p, q), []).append(g)
         return _ReadOnlyDict((pq, tuple(gs)) for pq, gs in table.items())
+
+    @cached_property
+    def quotients(self) -> dict[tuple[str, str], str]:
+        """The division map: the one arrow g with p.g == q, by (p, q), for
+        the total points p and q of one fiber that have exactly one."""
+        total, pi = self.total, self.projection
+        return _ReadOnlyDict(
+            ((p, q), gs[0])
+            for (p, q), gs in self.divisions.items()
+            if len(gs) == 1 and p in total and q in total
+            and p in pi and q in pi and pi[p] == pi[q]
+        )
 
     def fiber(self, m: str) -> tuple[str, ...]:
         """Total points over base point m, sorted."""
@@ -171,12 +184,15 @@ def validate_bundle(B: PrincipalBundle) -> ValidationReport:
 
 
 def division_map(B: PrincipalBundle, p: str, q: str) -> str:
-    """The unique arrow g with p.g == q, for p and q in one fiber.
-
-    Raises NotSameFiberError when the points project differently, and
-    IntegrityError naming the fiber when the bundle is not principal
-    there (no solution, or more than one).
+    """The unique arrow g with p.g == q for p and q in one fiber, read
+    from B.quotients.  Off that index it raises KeyError for a point
+    outside the total space, NotSameFiberError when the points project
+    differently, and IntegrityError naming the fiber when the bundle is
+    not principal there (no solution, or more than one).
     """
+    g = B.quotients.get((p, q))
+    if g is not None:
+        return g
     if p not in B.total or q not in B.total:
         raise KeyError(f"not a total point: {p!r} or {q!r}")
     m = B.projection[p]
@@ -184,10 +200,7 @@ def division_map(B: PrincipalBundle, p: str, q: str) -> str:
         raise NotSameFiberError(
             f"{p!r} and {q!r} lie over different base points"
         )
-    sols = B.divisions.get((p, q), ())
-    if len(sols) == 1:
-        return sols[0]
-    kind = "no solution" if not sols else "multiple solutions"
+    kind = "multiple solutions" if B.divisions.get((p, q)) else "no solution"
     raise IntegrityError(
         f"division of {q!r} by {p!r} has {kind} in the fiber over {m!r}"
     )
@@ -208,16 +221,14 @@ def verify_division_properties(B: PrincipalBundle) -> ValidationReport:
     """
     r = ValidationReport()
     G = B.groupoid
-    d: dict[tuple[str, str], str] = {}
-    for m in sorted(B.base):
-        fiber = B.fiber(m)
-        for p in fiber:
-            for q in fiber:
-                try:
-                    d[(p, q)] = division_map(B, p, q)
-                except IntegrityError:
-                    r.add("division.defined", p, q)
-    for (p, q), g in sorted(d.items()):
+    d = B.quotients
+    pairs = _fibred_pairs(B, B)
+    for pq in pairs:
+        if pq not in d:
+            r.add("division.defined", *pq)
+    defined = sorted(pq for pq in pairs if pq in d)
+    for p, q in defined:
+        g = d[(p, q)]
         if B.moves.get(p, {}).get(g) != q:
             r.add("division.defining", p, q)
         if G.source.get(g) != B.momentum.get(q) or G.target.get(g) != B.momentum.get(p):
@@ -230,7 +241,7 @@ def verify_division_properties(B: PrincipalBundle) -> ValidationReport:
 
     # d is the identity GGT read the other way round, K(p1, p2) = d(p2, p1):
     # K(q.g2, p.g1) == (g1^-1 K(q, p)) g2 is the law.
-    K = {(q, p): g for (p, q), g in d.items()}
+    K = {(q, p): d[(p, q)] for p, q in defined}
     found = sorted((p, q, g1, g2) for q, p, g2, g1 in _transport(G, K, K, B.moves, B.moves))
     for witness in found:
         r.add("division.equivariance", *witness)

@@ -26,7 +26,7 @@ GGTs interned by content so it can be fed back to validate_groupoid.
 Its hom sets are constructed: _morphisms fixes each bundle morphism by
 one image per fiber, spread by the division map, and the arrows are
 their GGTs; gauge group elements are the automorphisms, read as
-G(p) = d(p, sigma(p)), each division made once per call.  The laws of
+G(p) = d(p, sigma(p)) read off the bundle's quotients.  The laws of
 a bundle morphism are checked once per fiber piece, which decides every
 product of pieces when the bundles share groupoid and base, the fibers
 over the base cover the source and the total spaces have one size;
@@ -43,7 +43,6 @@ constructions with the arrows or elements filtered by left invariance.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -300,36 +299,25 @@ def validate_gauge_transformation(t: GaugeTransformation) -> ValidationReport:
     return r
 
 
-def _divider(B: PrincipalBundle) -> Callable[[str, str], str]:
-    """division_map of B through a table local to the caller, filled on
-    first use: each pair is divided once, and the first division that
-    raises is the one the same calls without the table meet first."""
-    table: dict[tuple[str, str], str] = {}
-
-    def divide(p: str, q: str) -> str:
-        g = table.get((p, q))
-        if g is None:
-            g = table[(p, q)] = division_map(B, p, q)
-        return g
-
-    return divide
-
-
 def _ggt_values(
-    pairs: list[tuple[str, str]],
-    mapping: dict[str, str],
-    divide: Callable[[str, str], str],
+    pairs: list[tuple[str, str]], mapping: dict[str, str], B2: PrincipalBundle
 ) -> dict[tuple[str, str], str]:
-    """K(p1, p2) = d2(p2, sigma(p1)) over the same-fiber pairs, with d2 read
-    through divide."""
-    return {(p1, p2): divide(p2, mapping[p1]) for p1, p2 in pairs}
+    """K(p1, p2) = d2(p2, sigma(p1)) over the same-fiber pairs, read from
+    B2.quotients; division_map names the first pair missing there."""
+    d2 = B2.quotients
+    try:
+        return {(p1, p2): d2[p2, mapping[p1]] for p1, p2 in pairs}
+    except KeyError:
+        for p1, p2 in pairs:
+            division_map(B2, p2, mapping[p1])
+        raise
 
 
 def morphism_to_ggt(f: BundleMorphism) -> GGT:
     """The GGT of a bundle morphism: K(p1, p2) = d2(p2, sigma(p1))."""
     B1, B2 = f.source, f.target
     pairs = _fibred_pairs(B1, B2)
-    return GGT(B1, B2, _ggt_values(pairs, f.mapping, functools.partial(division_map, B2)))
+    return GGT(B1, B2, _ggt_values(pairs, f.mapping, B2))
 
 
 def ggt_to_morphism(K: GGT) -> BundleMorphism:
@@ -437,11 +425,13 @@ class GaugeGroup:
 
 def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
     """Every gauge transformation of B, in content order (by the value
-    row over the sorted points): the automorphisms sigma of B as
-    G(p) = d(p, sigma(p)), each division made once."""
+    row over the sorted points): the automorphisms sigma of B read on
+    the diagonal of their GGTs, G(p) = K(p, p) = d(p, sigma(p))."""
     points = sorted(B.total)
-    divide = _divider(B)
-    rows = sorted([divide(p, f.mapping[p]) for p in points] for f in _morphisms(B, B))
+    diagonal = [(p, p) for p in points]
+    rows = sorted(
+        list(_ggt_values(diagonal, f.mapping, B).values()) for f in _morphisms(B, B)
+    )
     return [GaugeTransformation(B, dict(zip(points, row))) for row in rows]
 
 
@@ -525,12 +515,16 @@ def gauge_group(B: PrincipalBundle) -> GaugeGroup:
 
 
 def check_division_invariance(f: BundleMorphism) -> ValidationReport:
-    """Check d2(sigma(p), sigma(q)) == d1(p, q) over all same-fiber pairs."""
+    """Check that d2(sigma(p), sigma(q)) is defined and equals d1(p, q)
+    at each same-fiber pair where d1 is defined.  Never raises: a pair
+    with a point off the mapping is skipped, left to the table.mapping
+    rules of validate_bundle_morphism."""
     r = ValidationReport()
-    B1, B2 = f.source, f.target
-    for (p, q) in _fibred_pairs(B1, B1):
-        lhs = division_map(B2, f.mapping[p], f.mapping[q])
-        if lhs != division_map(B1, p, q):
+    d1, d2 = f.source.quotients, f.target.quotients
+    for p, q in _fibred_pairs(f.source, f.source):
+        g = d1.get((p, q))
+        sp, sq = f.mapping.get(p), f.mapping.get(q)
+        if g is not None and sp is not None and sq is not None and d2.get((sp, sq)) != g:
             r.add("division.invariance", p, q)
     return r
 
@@ -613,10 +607,9 @@ def _assemble(
             pairs = _fibred_pairs(Bi, Bj)
             order = sorted(pairs)
             heads = [f"[{_quote(p1)},{_quote(p2)}," for p1, p2 in order]
-            divide = _divider(Bj)
             kept = []
             for f in _morphisms(Bi, Bj):
-                K = GGT(Bi, Bj, _ggt_values(pairs, f.mapping, divide))
+                K = GGT(Bi, Bj, _ggt_values(pairs, f.mapping, Bj))
                 if keep(i, j, K):
                     kept.append((list(map(K.values.__getitem__, order)), K, f))
             kept.sort(key=lambda entry: entry[0])

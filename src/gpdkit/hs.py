@@ -26,6 +26,8 @@ from .bundles import (
     _fibred_pairs,
     fibred_product,
     product_bundle,
+    pullback_bundle,
+    unit_bundle,
     validate_bundle,
     verify_division_properties,
 )
@@ -132,34 +134,21 @@ def validate_hs(h: HSMorphism) -> ValidationReport:
 def hs_from_groupoid_morphism(m: GroupoidMorphism) -> HSMorphism:
     """Realize a groupoid morphism as a bibundle.
 
-    Points are pairs (x, k) with x an object of the domain and k a
-    codomain arrow whose target is the image of x; the right action
-    composes into k, the left action pushes x and multiplies by the
-    arrow image.
+    The bundle is the codomain's unit bundle pulled back along the
+    object map: points are pairs (x, k) with x an object of the domain
+    and k a codomain arrow whose target is the image of x, and the right
+    action composes into k.  The left action pushes x and multiplies by
+    the arrow image.
     """
     G, H = m.domain, m.codomain
-    into, out_of = H.by_target(), G.by_source()
-    ids = _PairIds()
-    points = [(x, k) for x in sorted(G.objects) for k in into.get(m.object_map[x], ())]
-    projection = {ids[x][k]: x for x, k in points}
-    momentum = {ids[x][k]: H.source[k] for x, k in points}
-    act = {}
-    for x, k in points:
-        row = ids[x]
-        for k2 in into.get(H.source[k], ()):
-            act[(row[k], k2)] = row[H.compose[(k, k2)]]
-    bundle = PrincipalBundle(
-        groupoid=H,
-        total=frozenset(projection),
-        base=frozenset(G.objects),
-        projection=projection,
-        momentum=momentum,
-        act=act,
-    )
+    U = unit_bundle(H)
+    bundle = pullback_bundle(U, m.object_map)
+    out_of, ids = G.by_source(), _PairIds()
     left_act = {}
-    for x, k in points:
-        for g in out_of.get(x, ()):
-            left_act[(g, ids[x][k])] = ids[G.target[g]][H.mul(m.arrow_map[g], k)]
+    for x in sorted(G.objects):
+        for k in U.fiber(m.object_map[x]):
+            for g in out_of.get(x, ()):
+                left_act[(g, ids[x][k])] = ids[G.target[g]][H.mul(m.arrow_map[g], k)]
     return HSMorphism(G, H, bundle, left_act)
 
 
@@ -204,8 +193,7 @@ def verify_hs_division_properties(h: HSMorphism) -> ValidationReport:
     """
     B = h.bundle
     r = verify_division_properties(B)
-    unique = {pq: gs[0] for pq, gs in B.divisions.items() if len(gs) == 1}
-    for witness in _left_invariance_violations(h, h, _fibred_pairs(B, B), unique):
+    for witness in _left_invariance_violations(h, h, _fibred_pairs(B, B), B.quotients):
         r.add("division.left-invariance", *witness)
     return r
 

@@ -173,10 +173,7 @@ def _product_division(B1: PrincipalBundle, B2: PrincipalBundle) -> str:
 
 
 def _trivializes(B: PrincipalBundle) -> str:
-    try:
-        trivialize(B, {m: B.fiber(m)[0] for m in sorted(B.base)})
-    except Exception as e:
-        return str(e)
+    trivialize(B, {m: B.fiber(m)[0] for m in sorted(B.base)})
     return ""
 
 
@@ -297,9 +294,14 @@ def run_checks(
 
     def sweep(check: str, instances, detail) -> None:
         """One row per (label, *args) instance: detail(*args) is the
-        statement's first discrepancy there, or "" where it holds."""
+        statement's first discrepancy there, or "" where it holds; a
+        detail that raises fails the instance with the error's text."""
         for label, *args in instances:
-            rows[check].append((label, detail(*args)))
+            try:
+                found = detail(*args)
+            except Exception as e:
+                found = str(e) or repr(e)
+            rows[check].append((label, found))
 
     def valid(check: str, instances, validator) -> list:
         """One row per (label, x) instance; returns the rows whose x validates."""

@@ -14,23 +14,22 @@ constructions build every entry of a product with its own pair_id call,
 as references for the products of core, bundles and hs.
 naive_table_error names the first bad entry of a document's entry table
 by a plain scan, as a reference for the errors loads raises.
-naive_fibers, naive_moves and naive_divisions rebuild a bundle's indexes
-by trying every key of its raw tables, as references for PrincipalBundle.
+naive_fibers, naive_moves, naive_divisions and naive_quotients rebuild a
+bundle's indexes by trying every key of its raw tables, as references
+for PrincipalBundle.
 naive_gauge_tables multiplies every pair of gauge transformations over
 all points, as a reference for the tables of gauge groups.
 bundle_mutations yields every single-entry rewrite or deletion of a
 bundle's act, projection and momentum tables.  reference_morphisms
 validates every product of per-fiber images with validate_bundle_morphism,
-and reference_divider divides on every call, as references for the
-constructed hom sets of gauge.
+as a reference for the constructed hom sets of gauge.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 from gpdkit import (
     BundleMorphism,
@@ -524,6 +523,17 @@ def naive_divisions(B: PrincipalBundle) -> dict[tuple[str, str], tuple[str, ...]
     }
 
 
+def naive_quotients(B: PrincipalBundle) -> dict[tuple[str, str], str]:
+    """naive_divisions' one arrow, by the pairs of points of one fiber
+    (a point with no projection lies in none) that have exactly one."""
+    fibers = [set(points) for m, points in naive_fibers(B).items() if m is not None]
+    return {
+        (p, q): gs[0]
+        for (p, q), gs in naive_divisions(B).items()
+        if len(gs) == 1 and any(p in fiber and q in fiber for fiber in fibers)
+    }
+
+
 def naive_gauge_tables(
     B: PrincipalBundle, elements: list[GaugeTransformation]
 ) -> tuple[list, int, tuple[int, ...]] | str:
@@ -654,7 +664,3 @@ def reference_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[Bundle
         morphisms.append(f)
     return morphisms
 
-
-def reference_divider(B: PrincipalBundle) -> Callable[[str, str], str]:
-    """division_map of B, called afresh for every pair."""
-    return functools.partial(division_map, B)

@@ -311,7 +311,7 @@ def test_oracles_share_no_index_with_the_bundle(unit_z2, unit_s3, unit_pair2, mo
         raise AssertionError("an oracle read a bundle index")
 
     monkeypatch.setattr(PrincipalBundle, "fiber", refuse)
-    for index in ("fibers", "moves", "divisions"):
+    for index in ("fibers", "moves", "divisions", "quotients"):
         monkeypatch.setattr(PrincipalBundle, index, property(refuse))
     with pytest.raises(AssertionError, match="bundle index"):
         division_map(unit_z2, "e", "a")

@@ -28,7 +28,7 @@ from gpdkit import (
     verify_division_properties,
 )
 
-from helpers import naive_divisions, naive_fibers, naive_moves
+from helpers import naive_divisions, naive_fibers, naive_moves, naive_quotients
 
 
 def test_unit_bundles_validate(z2, s3, pair3, z2_swap):
@@ -239,7 +239,7 @@ def test_indexes_are_read_only(z2):
     # change later division answers while validate_bundle stayed ok.
     B = unit_bundle(z2)
     assert division_map(B, "e", "a") == "a"
-    indexes = (B.fibers, B.divisions, B.moves, B.moves["e"])
+    indexes = (B.fibers, B.divisions, B.quotients, B.moves, B.moves["e"])
     for index in indexes:
         key = next(iter(index))
         value = index[key]
@@ -258,6 +258,8 @@ def test_indexes_are_read_only(z2):
                 edit()
     with pytest.raises(TypeError, match="read-only"):
         B.divisions[("e", "a")] = ("e",)
+    with pytest.raises(TypeError, match="read-only"):
+        B.quotients[("e", "a")] = "e"
     assert division_map(B, "e", "a") == "a"
     assert validate_bundle(B).ok and verify_division_properties(B).ok
     for twin in (copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
@@ -321,3 +323,13 @@ def test_indexes_match_naive_scans(unit_z2, unit_s3):
             assert B.fiber(m) == fibers.get(m, ())
         assert [(p, list(row.items())) for p, row in B.moves.items()] == naive_moves(B)
         assert B.divisions == naive_divisions(B)
+        quotients = naive_quotients(B)
+        assert B.quotients == quotients
+        # division_map answers exactly the quotients and raises off them
+        for p in sorted(B.total):
+            for q in B.fiber(B.projection.get(p)):
+                try:
+                    got = division_map(B, p, q)
+                except (KeyError, IntegrityError):
+                    got = None
+                assert got == quotients.get((p, q))

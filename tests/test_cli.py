@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import gpdkit.cli
 from gpdkit import (
     FiniteGroupoid,
     GeneratorSpec,
@@ -225,6 +226,24 @@ def test_gauge_groupoid_with_export(tmp_path, capsys):
     assert isinstance(exported, FiniteGroupoid)
     assert validate_groupoid(exported).ok
     assert len(exported.arrows) == 8
+
+
+def test_gauge_groupoid_prints_the_witnesses_of_an_invalid_result(monkeypatch, capsys):
+    build = gpdkit.cli.build_gauge_groupoid
+
+    def drop_one_compose_entry(bundles):
+        gg = build(bundles)
+        compose = dict(gg.groupoid.compose)
+        del compose[min(compose)]
+        return replace(gg, groupoid=replace(gg.groupoid, compose=compose))
+
+    monkeypatch.setattr(gpdkit.cli, "build_gauge_groupoid", drop_one_compose_entry)
+    assert main(["gauge-groupoid", UNIT]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["objects P0", "arrows 2", "valid no"]
+    witnesses = lines[3:]
+    assert witnesses and all(line.startswith("  ") for line in witnesses)
+    assert any("table.compose.missing" in line for line in witnesses)
 
 
 def test_gauge_groupoid_hs_flag(tmp_path, z2, capsys):

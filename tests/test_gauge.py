@@ -53,7 +53,7 @@ from gpdkit.cli import main
 from helpers import (
     bundle_mutations,
     naive_gauge_tables,
-    reference_divider,
+    naive_quotients,
     reference_morphisms,
 )
 
@@ -190,6 +190,59 @@ def test_division_invariance_of_enumerated_morphisms(unit_z2, unit_s3):
     for B in (unit_z2, unit_s3):
         for f in enumerate_bundle_morphisms(B, B):
             assert check_division_invariance(f).ok
+
+
+def _reference_invariance(f: BundleMorphism, d1: dict, d2: dict) -> list[tuple[str, str]]:
+    """The same-fiber pairs (p, q) of both mapped points where d1(p, q) is
+    defined and d2(sigma(p), sigma(q)) is not that arrow, with d1 and d2
+    the naive quotients of the two bundles."""
+    return [
+        (p, q)
+        for m in sorted(f.source.base)
+        for p in f.source.fiber(m)
+        for q in f.source.fiber(m)
+        if (p, q) in d1 and p in f.mapping and q in f.mapping
+        and d2.get((f.mapping[p], f.mapping[q])) != d1[(p, q)]
+    ]
+
+
+def test_division_invariance_reports_and_never_raises(unit_z2, unit_s3, unit_pair2):
+    """On every one-entry deletion or rewrite of an enumerated morphism's
+    mapping, to a point or a non-point, the check reports rather than
+    raises, and names exactly the pairs whose division moved."""
+    G = random_groupoid(GeneratorSpec(1, max_objects=2, max_group_order=4))
+    b1 = random_bundle(G, 2, GeneratorSpec(11, max_total=10))
+    b2 = random_bundle(G, 2, GeneratorSpec(12, max_total=10))
+    twin = pullback_bundle(unit_pair2, {m: m for m in unit_pair2.base})
+    pairs = [
+        (unit_z2, unit_z2),
+        (unit_s3, unit_s3),
+        (unit_pair2, unit_pair2),
+        (unit_pair2, twin),
+        (b1, b2),
+        (b2, b1),
+    ]
+    reported = 0
+    for B1, B2 in pairs:
+        d1, d2 = naive_quotients(B1), naive_quotients(B2)
+        morphisms = enumerate_bundle_morphisms(B1, B2)
+        assert morphisms
+        for f in morphisms:
+            assert check_division_invariance(f).ok
+            images = sorted(B2.total) + ["zz"]
+            mutants = []
+            for p in sorted(f.mapping):
+                rest = {k: v for k, v in f.mapping.items() if k != p}
+                mutants.append(rest)
+                mutants += [{**rest, p: q} for q in images if q != f.mapping[p]]
+            for mapping in mutants:
+                mutant = BundleMorphism(B1, B2, mapping)
+                report = check_division_invariance(mutant)
+                assert {v.rule for v in report.violations} <= {"division.invariance"}
+                want = _reference_invariance(mutant, d1, d2)
+                assert [v.witness for v in report.violations] == want
+                reported += not report.ok
+    assert reported > 0
 
 
 def test_gauge_groupoid_of_twin_unit_bundles(unit_z2):
@@ -571,8 +624,8 @@ def _hom_outcomes(cases) -> list:
 
 
 def test_constructed_hom_sets_match_validating_every_morphism(docs, monkeypatch):
-    """Checking each fiber piece once and dividing each pair once decides
-    and builds what validating every product and dividing afresh does,
+    """Checking each fiber piece once decides and builds what validating
+    every product does,
     refusals and their texts included, over single-entry mutants and a
     few structural ones."""
     U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
@@ -587,7 +640,6 @@ def test_constructed_hom_sets_match_validating_every_morphism(docs, monkeypatch)
     got = _hom_outcomes(cases)
     with monkeypatch.context() as m:
         m.setattr(gpdkit.gauge, "_morphisms", reference_morphisms)
-        m.setattr(gpdkit.gauge, "_divider", reference_divider)
         want = _hom_outcomes(cases)
     assert got == want
     texts = [o[2] for row in got for o in row if o[0] == "raised"]

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
+import pytest
+
+import gpdkit.theorems
 from gpdkit import (
     CHECKS,
+    ValidationReport,
     render_report,
     report_document,
     run_checks,
@@ -165,3 +170,191 @@ def test_corrupted_bundle_fails_only_bundle_checks(docs, unit_z2):
     assert failing == {"def-princgroupoid"}
     culprit = next(r for r in results if r.check == "def-princgroupoid")
     assert "unit-z2.bnd" in culprit.witness
+
+
+def _rotated(mapping: dict) -> dict:
+    """mapping with each key sent to the next key's value, in key order."""
+    keys = sorted(mapping)
+    return {k: mapping[keys[(i + 1) % len(keys)]] for i, k in enumerate(keys)}
+
+
+def _failing_report(*args) -> ValidationReport:
+    r = ValidationReport()
+    r.add("broken")
+    return r
+
+
+def _drop_compose_entry(gg):
+    compose = dict(gg.groupoid.compose)
+    del compose[min(compose)]
+    return replace(gg, groupoid=replace(gg.groupoid, compose=compose))
+
+
+# (name in gpdkit.theorems, broken version of it given the original,
+#  the statement that must fail, a text its witness must contain)
+BROKEN_CONSTRUCTIONS = [
+    ("validate_morphism", lambda orig: _failing_report, "def-morgroupoid", "identity: broken"),
+    ("isotropy_group", lambda orig: lambda G, x: G, "def-morgroupoid", "isotropy at"),
+    (
+        "division_map",
+        lambda orig: lambda B, p, q: orig(B, q, p),
+        "def-unitbun",
+        "at (",
+    ),
+    (
+        "product_bundle",
+        lambda orig: lambda B1, B2: replace(
+            (P := orig(B1, B2)), act={k: v for k, v in P.act.items() if k != min(P.act)}
+        ),
+        "lem-prodbun",
+        "table.act.missing",
+    ),
+    (
+        "trivialize",
+        lambda orig: lambda B, section: orig(B, {**section, "nowhere": min(section.values())}),
+        "def-trivbun",
+        "not a base point: 'nowhere'",
+    ),
+    (
+        "enumerate_bundle_morphisms",
+        lambda orig: lambda B1, B2: [
+            replace(f, mapping={p: min(f.mapping.values()) for p in f.mapping})
+            for f in orig(B1, B2)
+        ],
+        "lem-inverequiv",
+        "a non-bijective morphism",
+    ),
+    (
+        "enumerate_bundle_morphisms",
+        lambda orig: lambda B1, B2: orig(B1, B2)[1:],
+        "thm-gengaugeeq",
+        " morphisms vs ",
+    ),
+    (
+        "morphism_to_ggt",
+        lambda orig: lambda f: replace(
+            (K := orig(f)), values=dict(list(K.values.items())[1:])
+        ),
+        "thm-gengaugeeq",
+        "enumerations are not each other's images",
+    ),
+    (
+        "ggt_to_morphism",
+        lambda orig: lambda K: replace((f := orig(K)), mapping=_rotated(f.mapping)),
+        "thm-gengaugeeq",
+        "morphism round-trip moved a point",
+    ),
+    (
+        "check_division_invariance",
+        lambda orig: lambda f: orig(replace(f, mapping=_rotated(f.mapping))),
+        "thm-gaugeinvdiv",
+        "division.invariance[",
+    ),
+    (
+        "gauge_group",
+        lambda orig: lambda B: replace((g := orig(B)), unit=(g.unit + 1) % g.order),
+        "prop-gaugegr",
+        "unit is not the pointwise unit arrow",
+    ),
+    (
+        "gauge_group",
+        lambda orig: lambda B: replace(
+            (g := orig(B)), product=dict(list(g.product.items())[1:])
+        ),
+        "prop-gaugegr",
+        "product table not total",
+    ),
+    (
+        "enumerate_ggts",
+        lambda orig: lambda B1, B2: (Ks := orig(B1, B2)) + Ks[:1],
+        "prop-gaugegr",
+        " self-GGTs",
+    ),
+    (
+        "ggt_to_gauge",
+        lambda orig: lambda K: replace((t := orig(K)), values=_rotated(t.values)),
+        "prop-gaugegr",
+        "GGT correspondence moved an element",
+    ),
+    (
+        "build_gauge_groupoid",
+        lambda orig: lambda family: _drop_compose_entry(orig(family)),
+        "thm-gaugegroupoid",
+        "table.compose.missing",
+    ),
+    (
+        "enumerate_ggts",
+        lambda orig: lambda B1, B2: orig(B1, B2)[1:],
+        "thm-gaugegroupoid",
+        "differs from the oracle",
+    ),
+    (
+        "gauge_to_ggt",
+        lambda orig: lambda t: replace(orig(t), values={}),
+        "thm-gaugegroupoid",
+        "isotropy mismatch at",
+    ),
+    (
+        "star",
+        lambda orig: lambda K23, K12: K23,
+        "thm-gaugegroupoid",
+        "compose disagrees with star",
+    ),
+    # a check that raises fails with the error's text
+    (
+        "star",
+        lambda orig: lambda K23, K12: orig(K12, K23),
+        "thm-gaugegroupoid",
+        "middle bundles differ",
+    ),
+    (
+        "hs_gauge_group",
+        lambda orig: lambda h: replace(
+            (g := orig(h)), elements=tuple(replace(t, values={}) for t in g.elements)
+        ),
+        "prop-gaugegrhils",
+        "invariant elements escape the gauge group",
+    ),
+    (
+        "hs_gauge_group",
+        lambda orig: lambda h: replace((g := orig(h)), unit=(g.unit + 1) % g.order),
+        "prop-gaugegrhils",
+        "unit is not the pointwise unit arrow",
+    ),
+    (
+        "hs_gauge_group",
+        lambda orig: lambda h: replace(
+            (g := orig(h)), product={k: g.order for k in g.product}
+        ),
+        "prop-gaugegrhils",
+        "product escapes the subgroup",
+    ),
+    (
+        "build_hs_gauge_groupoid",
+        lambda orig: lambda family: _drop_compose_entry(orig(family)),
+        "thm-hsgaugegroupoid",
+        "table.compose.missing",
+    ),
+    (
+        "build_gauge_groupoid",
+        lambda orig: lambda family: replace(
+            (gg := orig(family)), groupoid=replace(gg.groupoid, arrows=frozenset())
+        ),
+        "thm-hsgaugegroupoid",
+        "an invariant arrow is missing from the full groupoid",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, broken, check, detail",
+    BROKEN_CONSTRUCTIONS,
+    ids=[f"{case[2]}-{case[0]}-{i}" for i, case in enumerate(BROKEN_CONSTRUCTIONS)],
+)
+def test_a_broken_construction_fails_its_statement(docs, monkeypatch, name, broken, check, detail):
+    """Each failure branch of the statement helpers names its discrepancy;
+    a construction that raises fails the instance instead of the run."""
+    monkeypatch.setattr(gpdkit.theorems, name, broken(getattr(gpdkit.theorems, name)))
+    result = next(r for r in run_checks(42, 4, docs) if r.check == check)
+    assert result.status == "FAIL"
+    assert detail in result.witness
