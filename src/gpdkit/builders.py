@@ -11,8 +11,8 @@ They deliberately share no code with morphism_to_ggt, ggt_to_morphism
 or the division-map machinery: fibers are solved by scanning the raw
 action tables, candidates are spread pointwise and re-checked against
 the defining laws.  Both refuse inputs larger than their bounds instead
-of truncating; bounds come from the argument, or the environment
-variable GPDKIT_ORACLE_BOUNDS, or the defaults.
+of truncating; bounds come from the environment variable
+GPDKIT_ORACLE_BOUNDS, or the defaults.
 """
 
 from __future__ import annotations
@@ -637,18 +637,16 @@ def _scan_fibers(B: PrincipalBundle) -> dict[str, list[str]]:
     return fibers
 
 
-def _oracle_context(B1: PrincipalBundle, B2: PrincipalBundle, bounds) -> OracleBounds:
+def _oracle_context(B1: PrincipalBundle, B2: PrincipalBundle) -> None:
     if B1.groupoid != B2.groupoid or B1.base != B2.base:
         raise ValueError("enumeration needs a shared base and groupoid")
-    resolved = bounds if bounds is not None else oracle_bounds()
-    why = resolved.refusal(B1, B2)
+    why = oracle_bounds().refusal(B1, B2)
     if why:
         raise OracleBoundError(why)
-    return resolved
 
 
 def enumerate_bundle_morphisms(
-    B1: PrincipalBundle, B2: PrincipalBundle, bounds: OracleBounds | None = None
+    B1: PrincipalBundle, B2: PrincipalBundle
 ) -> tuple[BundleMorphism, ...]:
     """All bundle morphisms B1 -> B2, by fiberwise brute force.
 
@@ -657,7 +655,7 @@ def enumerate_bundle_morphisms(
     that spreading is single-valued and covers the fiber; the assembled
     maps are then re-checked against all three morphism laws.
     """
-    _oracle_context(B1, B2, bounds)
+    _oracle_context(B1, B2)
     F1, F2 = _scan_fibers(B1), _scan_fibers(B2)
     per_fiber: list[list[dict[str, str]]] = []
     for m in sorted(B1.base):
@@ -704,9 +702,7 @@ def enumerate_bundle_morphisms(
     return tuple(results)
 
 
-def enumerate_ggts(
-    B1: PrincipalBundle, B2: PrincipalBundle, bounds: OracleBounds | None = None
-) -> tuple[GGT, ...]:
+def enumerate_ggts(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[GGT, ...]:
     """All generalized gauge transformations B1 -> B2, by brute force.
 
     Per base point, every arrow with matching feet at a representative
@@ -714,7 +710,7 @@ def enumerate_ggts(
     using transport arrows solved from the raw action tables, and the
     block is re-checked in full before being kept.
     """
-    _oracle_context(B1, B2, bounds)
+    _oracle_context(B1, B2)
     G = B1.groupoid
     # Products a^-1 k b are read off the raw tables; on a missing entry
     # they are redone with G.inv and G.mul, which raise naming it.

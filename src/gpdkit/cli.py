@@ -65,6 +65,9 @@ __all__ = ["main"]
 
 
 class _CliError(Exception):
+    """Ends a command with code; main prints a non-empty message as
+    "error: message" on stderr."""
+
     def __init__(self, code: int, message: str):
         self.code = code
         self.message = message
@@ -82,9 +85,9 @@ def _load(path: str) -> object:
         raise _CliError(2, f"{path}: {e}") from None
 
 
-def _load_as(path: str, cls: type, kind: str):
+def _load_as(path: str, kind: str):
     doc = _load(path)
-    if not isinstance(doc, cls):
+    if kind_of(doc) != kind:
         raise _CliError(2, f"{path}: expected a {kind} document, got {kind_of(doc)}")
     return doc
 
@@ -128,9 +131,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_divide(args) -> int:
-    B = _load_as(args.bundle, PrincipalBundle, "bundle")
-    if not _valid_inputs([args.bundle], [B]):
-        return 1
+    (B,) = _valid_inputs("bundle", [args.bundle])
     print(division_map(B, args.p, args.q))
     return 0
 
@@ -140,10 +141,7 @@ def _format_mapping(mapping: dict[str, str]) -> str:
 
 
 def _cmd_morphisms(args) -> int:
-    B1 = _load_as(args.bundle1, PrincipalBundle, "bundle")
-    B2 = _load_as(args.bundle2, PrincipalBundle, "bundle")
-    if not _valid_inputs([args.bundle1, args.bundle2], [B1, B2]):
-        return 1
+    B1, B2 = _valid_inputs("bundle", [args.bundle1, args.bundle2])
     morphisms = enumerate_bundle_morphisms(B1, B2)
     print(f"{len(morphisms)} morphisms")
     for i, f in enumerate(morphisms):
@@ -151,11 +149,14 @@ def _cmd_morphisms(args) -> int:
     return 0
 
 
-def _valid_inputs(paths: list[str], docs: list) -> bool:
-    """Validate each input with its kind's validator, printing the
-    violations of every invalid one as gpdkit validate does.  The groupoids
-    a bundle or bibundle embeds are validated too; validate_ggt covers its
-    own."""
+def _valid_inputs(kind: str, paths: list[str]) -> list:
+    """The kind documents at paths, each validated with its kind's
+    validator.  The constructions assume valid inputs, so when any is
+    invalid the command prints the violations of every invalid one, as
+    gpdkit validate does, and exits 1 instead of computing from a bad
+    table.  The groupoids a bundle or bibundle embeds are validated too;
+    validate_ggt covers its own."""
+    docs = [_load_as(path, kind) for path in paths]
     ok = True
     for path, doc in zip(paths, docs):
         report = _validate(path, doc)
@@ -165,7 +166,9 @@ def _valid_inputs(paths: list[str], docs: list) -> bool:
         if not report.ok:
             ok = False
             _print_violations(path, report)
-    return ok
+    if not ok:
+        raise _CliError(1, "")
+    return docs
 
 
 _GGT_ACTIONS = {
@@ -179,12 +182,7 @@ def _cmd_ggt(args) -> int:
     action, count, usage = _GGT_ACTIONS[args.action]
     if len(args.files) != count:
         raise _CliError(2, usage)
-    cls, kind = (PrincipalBundle, "bundle") if args.action == "identity" else (GGT, "ggt")
-    docs = [_load_as(path, cls, kind) for path in args.files]
-    # the constructions assume valid inputs; refuse with the witnesses
-    # that gpdkit validate prints instead of computing from a bad table.
-    if not _valid_inputs(args.files, docs):
-        return 1
+    docs = _valid_inputs("bundle" if args.action == "identity" else "ggt", args.files)
     print(dumps(action(*docs)), end="")
     return 0
 
@@ -197,27 +195,19 @@ def _print_gauge_group(gg) -> None:
 
 
 def _cmd_gauge_group(args) -> int:
-    B = _load_as(args.bundle, PrincipalBundle, "bundle")
-    if not _valid_inputs([args.bundle], [B]):
-        return 1
+    (B,) = _valid_inputs("bundle", [args.bundle])
     _print_gauge_group(gauge_group(B))
     return 0
 
 
 def _cmd_hs_gauge_group(args) -> int:
-    h = _load_as(args.hs, HSMorphism, "hs")
-    if not _valid_inputs([args.hs], [h]):
-        return 1
+    (h,) = _valid_inputs("hs", [args.hs])
     _print_gauge_group(hs_gauge_group(h))
     return 0
 
 
 def _cmd_gauge_groupoid(args) -> int:
-    cls, kind = (HSMorphism, "hs") if args.hs else (PrincipalBundle, "bundle")
-    members = [_load_as(path, cls, kind) for path in args.files]
-    # the builders assume valid inputs; refuse with witnesses instead
-    if not _valid_inputs(args.files, members):
-        return 1
+    members = _valid_inputs("hs" if args.hs else "bundle", args.files)
     gg = (build_hs_gauge_groupoid if args.hs else build_gauge_groupoid)(members)
     report = validate_groupoid(gg.groupoid)
     print(f"objects {' '.join(sorted(gg.groupoid.objects))}")
@@ -266,19 +256,19 @@ def _cmd_gen(args) -> int:
         doc = random_groupoid(spec)
     elif args.what == "bundle":
         if args.groupoid:
-            G = _load_as(args.groupoid, FiniteGroupoid, "groupoid")
+            G = _load_as(args.groupoid, "groupoid")
         else:
             G = random_groupoid(spec)
         doc = random_bundle(G, 2 if args.base is None else args.base, spec)
     else:
         if args.dom:
-            G = _load_as(args.dom, FiniteGroupoid, "groupoid")
+            G = _load_as(args.dom, "groupoid")
         else:
             G = random_groupoid(
                 GeneratorSpec(spec.seed, max_objects=2, max_group_order=spec.max_group_order)
             )
         if args.cod:
-            H = _load_as(args.cod, FiniteGroupoid, "groupoid")
+            H = _load_as(args.cod, "groupoid")
         else:
             H = random_groupoid(
                 GeneratorSpec(spec.seed + 1, max_objects=2, max_group_order=3)
@@ -388,7 +378,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except _CliError as e:
-        print(f"error: {e.message}", file=sys.stderr)
+        if e.message:
+            print(f"error: {e.message}", file=sys.stderr)
         return e.code
     except (NotSameFiberError, IntegrityError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -108,15 +108,6 @@ class FiniteGroupoid:
     inverse: dict[str, str]
     compose: dict[tuple[str, str], str]
 
-    def s(self, g: str) -> str:
-        return self.source[g]
-
-    def t(self, g: str) -> str:
-        return self.target[g]
-
-    def u(self, x: str) -> str:
-        return self.unit[x]
-
     def inv(self, g: str) -> str:
         return self.inverse[g]
 
@@ -508,12 +499,6 @@ class LeftAction:
     momentum: dict[str, str]
     act: dict[tuple[str, str], str]
 
-    def apply(self, g: str, m: str) -> str:
-        try:
-            return self.act[(g, m)]
-        except KeyError:
-            raise KeyError(f"action undefined: {g!r} on {m!r}") from None
-
 
 @dataclass(frozen=True)
 class RightAction:
@@ -527,12 +512,6 @@ class RightAction:
     carrier: frozenset[str]
     momentum: dict[str, str]
     act: dict[tuple[str, str], str]
-
-    def apply(self, m: str, g: str) -> str:
-        try:
-            return self.act[(m, g)]
-        except KeyError:
-            raise KeyError(f"action undefined: {m!r} by {g!r}") from None
 
 
 def validate_action(A: LeftAction | RightAction) -> ValidationReport:

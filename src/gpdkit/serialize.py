@@ -92,7 +92,8 @@ def _str_map(
             raise SchemaError(_join(path, k), f"unknown {key_kind} {k!r}")
         if v not in values:
             raise SchemaError(_join(path, k), f"unknown {value_kind} {v!r}")
-    return dict(value)
+    # the parser's own dict: nothing else holds it
+    return value
 
 
 def _table(

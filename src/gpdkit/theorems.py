@@ -133,6 +133,12 @@ def _unit_values(B: PrincipalBundle) -> dict[str, str]:
     return {p: B.groupoid.unit[B.momentum[p]] for p in B.total}
 
 
+def _both_kept(pairs: list, kept: list) -> list:
+    """The (label, x1, x2) pairs whose members are both among the kept (label, x) rows."""
+    ids = {id(x) for _, x in kept}
+    return [row for row in pairs if {id(row[1]), id(row[2])} <= ids]
+
+
 def _two_smallest(rows: list, bundle=lambda x: x) -> list:
     """The two (label, x) rows whose bundles have the fewest points, ties by label."""
     return sorted(rows, key=lambda row: (len(bundle(row[1]).total), row[0]))[:2]
@@ -292,26 +298,21 @@ def run_checks(
         fixtures = fixture_documents()
     rows: dict[str, list[tuple[str, str]]] = {check: [] for check, _ in CHECKS}
 
-    def sweep(check: str, instances, detail) -> None:
+    def sweep(check: str, instances, detail) -> list:
         """One row per (label, *args) instance: detail(*args) is the
         statement's first discrepancy there, or "" where it holds; a
-        detail that raises fails the instance with the error's text."""
+        detail that raises fails the instance with the error's text.
+        Returns the instances that hold."""
+        held = []
         for label, *args in instances:
             try:
                 found = detail(*args)
             except Exception as e:
                 found = str(e) or repr(e)
             rows[check].append((label, found))
-
-    def valid(check: str, instances, validator) -> list:
-        """One row per (label, x) instance; returns the rows whose x validates."""
-        kept = []
-        for label, x in instances:
-            report = validator(x)
-            rows[check].append((label, _first(report)))
-            if report.ok:
-                kept.append((label, x))
-        return kept
+            if not found:
+                held.append((label, *args))
+        return held
 
     # --- groupoids -------------------------------------------------------
     docs = sorted(fixtures.items())
@@ -321,17 +322,21 @@ def run_checks(
             seed + i, max_objects=3, max_group_order=6, max_total=max_size
         )
         groupoids.append((f"groupoid[seed={spec.seed}]", random_groupoid(spec)))
-    valid_groupoids = valid("def-groupoid", groupoids, validate_groupoid)
+    valid_groupoids = sweep("def-groupoid", groupoids, lambda G: _first(validate_groupoid(G)))
     # the conjugation and bundle sweeps grow cubically with arrows, so
     # oversized generator outputs stay in the axiom checks only
     small_groupoids = [row for row in valid_groupoids if len(row[1].arrows) <= max_size]
     sweep("def-morgroupoid", valid_groupoids, _morphism_laws)
     conjugations = (
-        (f"{variant} conjugation of {label}", generalized_conjugation(G, variant))
+        (f"{variant} conjugation of {label}", G, variant)
         for label, G in small_groupoids
         for variant in CONJUGATION_VARIANTS
     )
-    valid("prop-genconj", conjugations, validate_action)
+    sweep(
+        "prop-genconj",
+        conjugations,
+        lambda G, variant: _first(validate_action(generalized_conjugation(G, variant))),
+    )
 
     # --- bundles ---------------------------------------------------------
     units = [
@@ -353,17 +358,15 @@ def run_checks(
         bundles.append((f"bundle[seed={seed + 200 + i}] over {label}", b2))
         if b1.base == b2.base:
             paired.append((f"bundles over {label}", b1, b2))
-    valid_bundles = valid("def-princgroupoid", bundles, validate_bundle)
-    valid_set = {id(B) for _, B in valid_bundles}
-    paired = [row for row in paired if {id(row[1]), id(row[2])} <= valid_set]
+    valid_bundles = sweep("def-princgroupoid", bundles, lambda B: _first(validate_bundle(B)))
+    paired = _both_kept(paired, valid_bundles)
 
     sweep("def-unitbun", units, _unit_division)
-    valid("prop-prophi", valid_bundles, verify_division_properties)
+    sweep("prop-prophi", valid_bundles, lambda B: _first(verify_division_properties(B)))
     small = _two_smallest(valid_bundles)
     products = [(f"{l1} x {l2}", B1, B2) for l1, B1 in small for l2, B2 in small]
     sweep("lem-prodbun", products, _product_division)
-    fibred = ((label, fibred_product(B1, B2)) for label, B1, B2 in paired)
-    valid("lem-fibprod", fibred, validate_bundle)
+    sweep("lem-fibprod", paired, lambda B1, B2: _first(validate_bundle(fibred_product(B1, B2))))
     sweep("def-trivbun", valid_bundles, _trivializes)
 
     # --- the correspondence ---------------------------------------------
@@ -424,20 +427,15 @@ def run_checks(
     valid_hs = [
         (label, h) for label, h in hs_samples if validate_hs(h).ok and within(h.bundle)
     ]
-    valid_hs_set = {id(h) for _, h in valid_hs}
-    hs_paired = [row for row in hs_paired if {id(row[1]), id(row[2])} <= valid_hs_set]
+    hs_paired = _both_kept(hs_paired, valid_hs)
     hs_small = _two_smallest(valid_hs, lambda h: h.bundle)
-    hs_products = (
-        (f"{l1} x {l2}", hs_product(h1, h2))
-        for l1, h1 in hs_small
-        for l2, h2 in hs_small
-    )
-    valid("lem-prodhilskand1", hs_products, validate_hs)
-    hs_fibred = (
-        (f"{label} with itself", hs_fibred_product(h, h)) for label, h in hs_small
-    )
-    valid("lem-fibprodhils", hs_fibred, validate_hs)
-    valid("prop-proddivhils", valid_hs, verify_hs_division_properties)
+    hs_products = [
+        (f"{l1} x {l2}", h1, h2) for l1, h1 in hs_small for l2, h2 in hs_small
+    ]
+    sweep("lem-prodhilskand1", hs_products, lambda a, b: _first(validate_hs(hs_product(a, b))))
+    hs_fibred = [(f"{label} with itself", h) for label, h in hs_small]
+    sweep("lem-fibprodhils", hs_fibred, lambda h: _first(validate_hs(hs_fibred_product(h, h))))
+    sweep("prop-proddivhils", valid_hs, lambda h: _first(verify_hs_division_properties(h)))
     hs_homs = [(f"{label} with itself", h, h) for label, h in valid_hs] + hs_paired
     sweep(
         "thm-gengaugehils",

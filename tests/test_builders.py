@@ -93,7 +93,7 @@ def test_make_pair_groupoid_matches_fixture(pair2):
     assert make_pair_groupoid(2) == pair2
     named = make_pair_groupoid(["u", "v"])
     assert named.arrows == {"(u,u)", "(u,v)", "(v,u)", "(v,v)"}
-    assert named.s("(u,v)") == "v" and named.t("(u,v)") == "u"
+    assert named.source["(u,v)"] == "v" and named.target["(u,v)"] == "u"
     assert named.mul("(u,v)", "(v,u)") == "(u,u)"
 
 
@@ -222,12 +222,15 @@ def test_oracle_bounds_env_override(monkeypatch):
 
 
 def test_oracle_refusals(unit_s3, monkeypatch):
+    monkeypatch.setenv(ORACLE_BOUNDS_ENV, "total=1")
     with pytest.raises(OracleBoundError, match="points exceeds 1"):
-        enumerate_bundle_morphisms(unit_s3, unit_s3, OracleBounds(max_total=1))
+        enumerate_bundle_morphisms(unit_s3, unit_s3)
+    monkeypatch.setenv(ORACLE_BOUNDS_ENV, "arrows=2")
     with pytest.raises(OracleBoundError, match="arrows exceeds 2"):
-        enumerate_ggts(unit_s3, unit_s3, OracleBounds(max_arrows=2))
+        enumerate_ggts(unit_s3, unit_s3)
+    monkeypatch.setenv(ORACLE_BOUNDS_ENV, "base=0")
     with pytest.raises(OracleBoundError, match="base points exceeds 0"):
-        enumerate_ggts(unit_s3, unit_s3, OracleBounds(max_base=0))
+        enumerate_ggts(unit_s3, unit_s3)
     monkeypatch.setenv(ORACLE_BOUNDS_ENV, "total=1")
     with pytest.raises(OracleBoundError, match=f"raise {ORACLE_BOUNDS_ENV} to override"):
         enumerate_bundle_morphisms(unit_s3, unit_s3)

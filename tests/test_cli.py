@@ -307,6 +307,40 @@ def test_gauge_commands_refuse_invalid_inputs_with_witnesses(
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "command, wanted, given",
+    [
+        ("divide {wrong} a a", "bundle", "groupoid"),
+        ("morphisms {wrong} {unit}", "bundle", "groupoid"),
+        ("morphisms {unit} {wrong}", "bundle", "ggt"),
+        ("ggt identity {wrong}", "bundle", "ggt"),
+        ("ggt invert {wrong}", "ggt", "bundle"),
+        ("ggt compose {wrong} {ggt}", "ggt", "bundle"),
+        ("ggt compose {ggt} {wrong}", "ggt", "hs"),
+        ("gauge-group {wrong}", "bundle", "hs"),
+        ("hs-gauge-group {wrong}", "hs", "bundle"),
+        ("gauge-groupoid {wrong}", "bundle", "hs"),
+        ("gauge-groupoid --hs {wrong}", "hs", "bundle"),
+        ("gen bundle --seed 1 --groupoid {wrong}", "groupoid", "bundle"),
+        ("gen hs --seed 1 --dom {wrong}", "groupoid", "hs"),
+        ("gen hs --seed 1 --cod {wrong}", "groupoid", "ggt"),
+    ],
+)
+def test_typed_inputs_refuse_a_document_of_another_kind(
+    command, wanted, given, z2, unit_z2, tmp_path, capsys
+):
+    paths = {"groupoid": Z2, "bundle": UNIT}
+    for kind, doc in (("ggt", identity_ggt(unit_z2)), ("hs", _identity_hs(z2))):
+        paths[kind] = str(tmp_path / f"id.{kind}")
+        Path(paths[kind]).write_text(dumps(doc))
+    wrong = paths[given]
+    argv = [arg.format(wrong=wrong, unit=UNIT, ggt=paths["ggt"]) for arg in command.split()]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {wrong}: expected a {wanted} document, got {given}\n"
+
+
 def test_gen_is_deterministic(capsys):
     assert main(["gen", "groupoid", "--seed", "3"]) == 0
     first = capsys.readouterr().out

@@ -73,11 +73,11 @@ def test_fixture_groupoids_validate(fixture_groupoid):
 
 def test_hom_and_endpoints(pair3):
     assert pair3.hom("0", "1") == ("(1,0)",)
-    assert pair3.s("(1,0)") == "0"
-    assert pair3.t("(1,0)") == "1"
+    assert pair3.source["(1,0)"] == "0"
+    assert pair3.target["(1,0)"] == "1"
     assert pair3.inv("(1,0)") == "(0,1)"
     assert pair3.mul("(2,1)", "(1,0)") == "(2,0)"
-    assert pair3.u("2") == "(2,2)"
+    assert pair3.unit["2"] == "(2,2)"
 
 
 def test_mul_refuses_non_composable(pair2):
@@ -244,7 +244,7 @@ def test_conjugation_recovers_ordinary_conjugation(s3):
     g, m = "120", "021"
     # (g, g) . m = g m g^-1
     expected = s3.mul(s3.mul(g, m), s3.inv(g))
-    assert A.apply(pair_id(g, g), m) == expected
+    assert A.act[(pair_id(g, g), m)] == expected
 
 
 def test_broken_action_reports_momentum_and_unit(z2, pair2):

@@ -184,6 +184,18 @@ def _failing_report(*args) -> ValidationReport:
     return r
 
 
+def _raises(message: str):
+    """A broken version that raises ValueError(message) on any input."""
+
+    def broken(orig):
+        def raising(*args):
+            raise ValueError(message)
+
+        return raising
+
+    return broken
+
+
 def _drop_compose_entry(gg):
     compose = dict(gg.groupoid.compose)
     del compose[min(compose)]
@@ -343,6 +355,24 @@ BROKEN_CONSTRUCTIONS = [
         "thm-hsgaugegroupoid",
         "an invariant arrow is missing from the full groupoid",
     ),
+    # constructions and validators whose verdict decides a row
+    ("generalized_conjugation", _raises("no conjugation"), "prop-genconj", "no conjugation"),
+    ("validate_action", _raises("no action check"), "prop-genconj", "no action check"),
+    ("verify_division_properties", _raises("no laws"), "prop-prophi", "no laws"),
+    ("fibred_product", _raises("no fibred product"), "lem-fibprod", "no fibred product"),
+    ("hs_product", _raises("no bibundle product"), "lem-prodhilskand1", "no bibundle product"),
+    (
+        "hs_fibred_product",
+        _raises("fibred product needs a shared domain"),
+        "lem-fibprodhils",
+        "fibred product needs a shared domain",
+    ),
+    (
+        "verify_hs_division_properties",
+        _raises("no invariance check"),
+        "prop-proddivhils",
+        "no invariance check",
+    ),
 ]
 
 
@@ -355,6 +385,8 @@ def test_a_broken_construction_fails_its_statement(docs, monkeypatch, name, brok
     """Each failure branch of the statement helpers names its discrepancy;
     a construction that raises fails the instance instead of the run."""
     monkeypatch.setattr(gpdkit.theorems, name, broken(getattr(gpdkit.theorems, name)))
-    result = next(r for r in run_checks(42, 4, docs) if r.check == check)
+    results = run_checks(42, 4, docs)
+    assert tuple(r.check for r in results) == EXPECTED_IDS
+    result = next(r for r in results if r.check == check)
     assert result.status == "FAIL"
     assert detail in result.witness
