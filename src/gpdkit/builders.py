@@ -32,9 +32,11 @@ from .bundles import (
 from .core import (
     FiniteGroupoid,
     GroupoidMorphism,
+    LeftAction,
     ValidationReport,
     isotropy_group,
     pair_id,
+    validate_action,
     validate_groupoid,
     validate_morphism,
 )
@@ -219,28 +221,17 @@ def make_action_groupoid(
 
     Arrows are pairs (g, m) from m to g.m; (g1, m1) after (g2, m2) is
     composable exactly when m1 == g2.m2 and equals (g1 g2, m2).  The
-    action table must be a genuine left group action.
+    action table must be a genuine left group action; otherwise the error
+    lists every violation validate_action finds.
     """
     group = make_group_groupoid(table)
     e = next(iter(group.unit.values()))
     elements = sorted(group.arrows)
     carrier = sorted(carrier)
-    for g in elements:
-        for m in carrier:
-            if (g, m) not in action:
-                raise ValueError(f"action table missing entry ({g!r}, {m!r})")
-            if action[(g, m)] not in carrier:
-                raise ValueError(f"action value {action[(g, m)]!r} not in carrier")
-    for m in carrier:
-        if action[(e, m)] != m:
-            raise ValueError(f"identity does not fix {m!r}")
-    for g1 in elements:
-        for g2 in elements:
-            for m in carrier:
-                if action[(g1, action[(g2, m)])] != action[(table[(g1, g2)], m)]:
-                    raise ValueError(
-                        f"action not compatible at ({g1!r}, {g2!r}, {m!r})"
-                    )
+    A = LeftAction(group, frozenset(carrier), dict.fromkeys(carrier, "*"), action)
+    report = validate_action(A)
+    if not report.ok:
+        raise ValueError("not a group action: " + report.render())
 
     arrows = [(g, m) for g in elements for m in carrier]
     source = {pair_id(g, m): m for g, m in arrows}

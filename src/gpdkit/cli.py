@@ -280,13 +280,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check_theorems(args) -> int:
     fixtures = None
-    fixture_dir = args.fixtures
-    if fixture_dir is None and Path("fixtures").is_dir():
-        fixture_dir = "fixtures"
-    if fixture_dir is not None:
-        root = Path(fixture_dir)
+    if args.fixtures is not None:
+        root = Path(args.fixtures)
         if not root.is_dir():
-            raise _CliError(2, f"not a directory: {fixture_dir}")
+            raise _CliError(2, f"not a directory: {args.fixtures}")
         fixtures = {}
         for entry in sorted(root.iterdir()):
             if entry.is_file() and not entry.name.startswith("."):
@@ -366,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-theorems", help="run the full check suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--max-size", type=int, default=12)
-    p.add_argument("--fixtures", metavar="DIR", help="fixture directory (default ./fixtures)")
+    p.add_argument("--fixtures", metavar="DIR", help="fixture directory (default: built-in set)")
     p.add_argument("--report", metavar="FILE", help="also write a JSON report")
     p.set_defaults(handler=_cmd_check_theorems)
 

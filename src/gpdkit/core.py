@@ -13,23 +13,24 @@ entries, entries off the declared domain, ids that were never declared);
 all other rules are axioms, each reported with a witness tuple that pins
 down one failing instance.
 
-The validators of every module share three pieces defined here:
+The validators of every module share four pieces defined here:
 _check_table for every table.* rule but a groupoid's compose table (whose
 dangling rule also covers keys off the domain); _transport for the GGT
 law K(p1.g1, p2.g2) == g2^-1 K(p1, p2) g1, of GGTs and of the division
-map, the identity GGT read the other way round; and _commute, which
-compares the two ways round a square of moves a whole row at a time, for
+map, the identity GGT read the other way round; _commute, which compares
+the two ways round a square of moves a whole row at a time, for
 associativity, the compose law of actions, the commuting actions of a
-bibundle and the conjugation law of gauge transformations.  Morphism
-equivariance (one way must be defined) and left invariance keep their
-own loops.  An instance whose product the tables leave undefined is
-skipped, so the division verifiers, too, report and never raise.
+bibundle and the conjugation law of gauge transformations; and
+_equivariance, sigma(g.p) == g.sigma(p) for morphisms on either side.
+Left invariance keeps its own loop.  An instance whose product the
+tables leave undefined is skipped, so the division verifiers, too,
+report and never raise.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -198,6 +199,15 @@ def _transport(
                     want = mul((mul((inv(g2), k)), g1))
                     if want is not None and moved != want:
                         yield p1, p2, g1, g2
+
+
+def _equivariance(sig: Callable, moves: Iterable, act2: Callable) -> Iterator[tuple]:
+    """Each (g, p) of moves, triples (g, p, g.p) in order, at which sig(p)
+    and sig(g.p) are defined but act2((g, sig(p))) is not sig(g.p)."""
+    for g, p, gp in moves:
+        q, image = sig(p), sig(gp)
+        if q is not None and image is not None and act2((g, q)) != image:
+            yield g, p
 
 
 def _commute(labels: Iterable, one: list, other: list) -> Iterable:

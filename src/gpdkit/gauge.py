@@ -55,6 +55,7 @@ from .core import (
     _check_table,
     _commute,
     _context_ok,
+    _equivariance,
     _quote,
     _transport,
     validate_groupoid,
@@ -136,17 +137,10 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
         if B2.momentum.get(q) != B1.momentum.get(p):
             r.add("morphism.momentum", p)
 
-    # B1's rows are in sorted order, so the witnesses come out sorted.
-    # sigma(p).g must be defined wherever sigma(p.g) is (not so in _commute).
-    for p, row in B1.moves.items():
-        q = sig(p)
-        if q is None:
-            continue
-        row2 = B2.moves.get(q, {})
-        for g, pg in row.items():
-            qg = sig(pg)
-            if qg is not None and row2.get(g) != qg:
-                r.add("morphism.equivariance", p, g)
+    # B1's rows are sorted, so the witnesses are; moves are written (g, p, p.g).
+    moves = ((g, p, pg) for p, row in B1.moves.items() for g, pg in row.items())
+    for g, p in _equivariance(sig, moves, lambda gq: B2.act.get(gq[::-1])):
+        r.add("morphism.equivariance", p, g)
 
     image: dict[str, str] = {}
     for p in sorted(B1.total):
@@ -450,8 +444,8 @@ def _tabulate(
     once, as the id of the restriction it equals (None if it is
     undefined or no element restricts to it).  An element is keyed by
     its tuple of restriction ids, and product row i is filled a fiber
-    column at a time.  The fibers are grouped here from the projection,
-    so they cover the points exactly once and keys match rows one to one.
+    column at a time.  B.fibers group all of B's points, None and
+    off-base projections too, so keys match rows one to one.
     """
     G = B.groupoid
     points = sorted(B.total)
@@ -475,16 +469,13 @@ def _tabulate(
     # Restrictions and their products are built as lists first: a tuple
     # grown from an iterator is resized on the way, which leaves the heap
     # fragmented (peak RSS).
-    fibers: dict[str | None, list[int]] = {}
-    for n, p in enumerate(points):
-        fibers.setdefault(B.projection.get(p), []).append(n)
     columns = []
     table = []
-    for positions in list(fibers.values()) or [[]]:
+    for fiber in list(B.fibers.values()) or [()]:
         ids: dict[tuple, int] = {}
         columns.append([
-            ids.setdefault(tuple([row[n] for n in positions]), len(ids))
-            for row in rows
+            ids.setdefault(tuple([t.values[p] for p in fiber]), len(ids))
+            for t in elements
         ])
         table.append([
             [ids.get(tuple(list(map(G.compose.get, zip(a, b))))) for b in ids]
@@ -590,17 +581,16 @@ def _assemble(
     ids = [f"P{i}" for i in range(len(bundles))]
 
     arrows: dict[str, GGT] = {}
-    homs: dict[tuple[int, int], list[str]] = {}
     source: dict[str, str] = {}
     target: dict[str, str] = {}
 
     # An arrow's morphism as a row: the position in bundles[j]'s sorted
-    # points of the image of each of bundles[i]'s sorted points.  A
+    # points of the image of each of bundles[i]'s sorted points.  by_row
+    # lists each hom set's arrows by row, in content order.  A
     # permutation's inverse lists its positions by image; composite rows
     # go through a list, for the reason given in _tabulate.
     points = [sorted(B.total) for B in bundles]
     position = [{p: n for n, p in enumerate(pts)} for pts in points]
-    rows: dict[str, tuple[int, ...]] = {}
     by_row: dict[tuple[int, int], dict[tuple[int, ...], str]] = {}
     for i, Bi in enumerate(bundles):
         for j, Bj in enumerate(bundles):
@@ -613,17 +603,15 @@ def _assemble(
                 if keep(i, j, K):
                     kept.append((list(map(K.values.__getitem__, order)), K, f))
             kept.sort(key=lambda entry: entry[0])
-            homs[(i, j)], by_row[(i, j)] = [], {}
+            by_row[(i, j)] = {}
             for values, K, f in kept:
                 entries = map("{}{}]".format, heads, map(_quote, values))
                 aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, entries)}"
                 if aid in arrows:
                     raise IntegrityError(f"arrow id {aid!r} names two different GGTs")
                 arrows[aid] = K
-                homs[(i, j)].append(aid)
                 source[aid], target[aid] = ids[i], ids[j]
-                rows[aid] = tuple(position[j][f.mapping[p]] for p in points[i])
-                by_row[(i, j)][rows[aid]] = aid
+                by_row[(i, j)][tuple(position[j][f.mapping[p]] for p in points[i])] = aid
 
     def missing(i: int, j: int, what: str) -> IntegrityError:
         return IntegrityError(f"{what} GGT missing from hom({ids[i]}, {ids[j]})")
@@ -639,21 +627,20 @@ def _assemble(
         for i, pts in enumerate(points)
     }
     inverse = {}
-    for (i, j), names in sorted(homs.items()):
-        for aid in names:
-            row = rows[aid]
+    for (i, j), hom in by_row.items():
+        for row, aid in hom.items():
             back = tuple(sorted(range(len(row)), key=row.__getitem__))
             inverse[aid] = find(j, i, back, "inverse")
     compose = {}
-    for (j, k), names2 in sorted(homs.items()):
-        for (i, j2), names1 in sorted(homs.items()):
+    for (j, k), hom2 in by_row.items():
+        for (i, j2), hom1 in by_row.items():
             if j2 != j:
                 continue
             composites = by_row[(i, k)]
-            for a2 in names2:
-                image = rows[a2].__getitem__
-                for a1 in names1:
-                    found = composites.get(tuple(list(map(image, rows[a1]))))
+            for row2, a2 in hom2.items():
+                image = row2.__getitem__
+                for row1, a1 in hom1.items():
+                    found = composites.get(tuple(list(map(image, row1))))
                     if found is None:
                         raise missing(i, k, "composite")
                     compose[(a2, a1)] = found

@@ -38,6 +38,7 @@ from .core import (
     ValidationReport,
     _commute,
     _context_ok,
+    _equivariance,
     _PairIds,
     _product_table,
     product_groupoid,
@@ -224,16 +225,10 @@ def validate_hs_morphism(f: HSBundleMorphism) -> ValidationReport:
 
 
 def _left_equivariance_violations(f: HSBundleMorphism):
-    """Each (g, p) with sigma(g.p) != g.sigma(p), in sorted order; points
-    off the mapping are skipped, and g.sigma(p) must be defined wherever
-    sigma(g.p) is, as in morphism.equivariance."""
-    sig = f.mapping.get
-    for (g, p), gp in sorted(f.source.left_act.items()):
-        q, qg = sig(p), sig(gp)
-        if q is None or qg is None:
-            continue
-        if f.target.left_act.get((g, q)) != qg:
-            yield g, p
+    """Each (g, p), sorted, with sigma(g.p) != g.sigma(p): the law of
+    morphism.equivariance on the left action."""
+    moves = ((g, p, gp) for (g, p), gp in sorted(f.source.left_act.items()))
+    return _equivariance(f.mapping.get, moves, f.target.left_act.get)
 
 
 def _left_invariance_violations(h1: HSMorphism, h2: HSMorphism, pairs, value: dict):

@@ -314,6 +314,17 @@ def run_checks(
                 held.append((label, *args))
         return held
 
+    def generated(check: str, label: str, make):
+        """make(), or None: a GeneratorError skips the instance, and any
+        other error is check's FAIL row at label with the error's text."""
+        try:
+            return make()
+        except GeneratorError:
+            return None
+        except Exception as e:
+            rows[check].append((label, str(e) or repr(e)))
+            return None
+
     # --- groupoids -------------------------------------------------------
     docs = sorted(fixtures.items())
     groupoids = [(name, G) for name, G in docs if isinstance(G, FiniteGroupoid)]
@@ -321,7 +332,10 @@ def run_checks(
         spec = GeneratorSpec(
             seed + i, max_objects=3, max_group_order=6, max_total=max_size
         )
-        groupoids.append((f"groupoid[seed={spec.seed}]", random_groupoid(spec)))
+        label = f"groupoid[seed={spec.seed}]"
+        G = generated("def-groupoid", label, partial(random_groupoid, spec))
+        if G is not None:
+            groupoids.append((label, G))
     valid_groupoids = sweep("def-groupoid", groupoids, lambda G: _first(validate_groupoid(G)))
     # the conjugation and bundle sweeps grow cubically with arrows, so
     # oversized generator outputs stay in the axiom checks only
@@ -343,17 +357,17 @@ def run_checks(
         (f"unit bundle of {label}", unit_bundle(G)) for label, G in small_groupoids
     ]
     bundles = [(name, B) for name, B in docs if isinstance(B, PrincipalBundle)] + units
+    sized = partial(GeneratorSpec, max_total=max_size)
+
+    def bundle_pair(G: FiniteGroupoid, i: int) -> list:
+        return [random_bundle(G, 2, sized(seed + k + i)) for k in (100, 200)]
+
     paired: list[tuple[str, PrincipalBundle, PrincipalBundle]] = []
     for i, (label, G) in enumerate(valid_groupoids):
-        try:
-            b1 = random_bundle(
-                G, 2, GeneratorSpec(seed + 100 + i, max_total=max_size)
-            )
-            b2 = random_bundle(
-                G, 2, GeneratorSpec(seed + 200 + i, max_total=max_size)
-            )
-        except GeneratorError:
+        made = generated("def-princgroupoid", f"bundles over {label}", partial(bundle_pair, G, i))
+        if made is None:
             continue
+        b1, b2 = made
         bundles.append((f"bundle[seed={seed + 100 + i}] over {label}", b1))
         bundles.append((f"bundle[seed={seed + 200 + i}] over {label}", b2))
         if b1.base == b2.base:
@@ -408,25 +422,28 @@ def run_checks(
         (f"identity bibundle on {label}", hs_from_groupoid_morphism(_identity(G)))
         for label, G in small_groupoids[:2]
     ]
+
+    def bibundles(i: int) -> list:
+        G = random_groupoid(GeneratorSpec(seed + 300 + i, max_objects=2, max_group_order=6))
+        H = random_groupoid(GeneratorSpec(seed + 400 + i, max_objects=2, max_group_order=3))
+        return [random_hs(G, H, sized(seed + k + i)) for k in (500, 600)]
+
     hs_paired: list[tuple[str, object, object]] = []
     for i in range(2):
-        try:
-            G = random_groupoid(
-                GeneratorSpec(seed + 300 + i, max_objects=2, max_group_order=6)
-            )
-            H = random_groupoid(
-                GeneratorSpec(seed + 400 + i, max_objects=2, max_group_order=3)
-            )
-            h1 = random_hs(G, H, GeneratorSpec(seed + 500 + i, max_total=max_size))
-            h2 = random_hs(G, H, GeneratorSpec(seed + 600 + i, max_total=max_size))
-        except GeneratorError:
+        label = f"bibundles[seed offset={i}]"
+        made = generated("prop-proddivhils", label, partial(bibundles, i))
+        if made is None:
             continue
+        h1, h2 = made
         hs_samples.append((f"bibundle[seed={seed + 500 + i}]", h1))
         hs_samples.append((f"bibundle[seed={seed + 600 + i}]", h2))
-        hs_paired.append((f"bibundles[seed offset={i}]", h1, h2))
-    valid_hs = [
-        (label, h) for label, h in hs_samples if validate_hs(h).ok and within(h.bundle)
-    ]
+        hs_paired.append((label, h1, h2))
+    # a bibundle that fails its definition or its division laws feeds no later statement
+    valid_hs = sweep(
+        "prop-proddivhils",
+        [(label, h) for label, h in hs_samples if within(h.bundle)],
+        lambda h: _first(validate_hs(h)) or _first(verify_hs_division_properties(h)),
+    )
     hs_paired = _both_kept(hs_paired, valid_hs)
     hs_small = _two_smallest(valid_hs, lambda h: h.bundle)
     hs_products = [
@@ -435,7 +452,6 @@ def run_checks(
     sweep("lem-prodhilskand1", hs_products, lambda a, b: _first(validate_hs(hs_product(a, b))))
     hs_fibred = [(f"{label} with itself", h) for label, h in hs_small]
     sweep("lem-fibprodhils", hs_fibred, lambda h: _first(validate_hs(hs_fibred_product(h, h))))
-    sweep("prop-proddivhils", valid_hs, lambda h: _first(verify_hs_division_properties(h)))
     hs_homs = [(f"{label} with itself", h, h) for label, h in valid_hs] + hs_paired
     sweep(
         "thm-gengaugehils",

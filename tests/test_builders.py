@@ -105,18 +105,23 @@ def test_make_action_groupoid_matches_fixture(z2_swap):
 def test_make_action_groupoid_rejections():
     partial = dict(SWAP)
     del partial[("a", "1")]
-    with pytest.raises(ValueError, match="action table missing entry"):
+    with pytest.raises(ValueError, match=r"^not a group action: table\.act\.missing\[a,1\]$"):
         make_action_groupoid(group_table("z2"), ["0", "1"], partial)
 
     lazy = dict(SWAP)
     lazy[("e", "0")] = "1"
-    with pytest.raises(ValueError, match="identity does not fix '0'"):
+    with pytest.raises(ValueError, match=r"(?m)^action\.unit\[0\]$"):
         make_action_groupoid(group_table("z2"), ["0", "1"], lazy)
 
     skew = dict(SWAP)
     skew[("a", "1")] = "1"
-    with pytest.raises(ValueError, match="action not compatible at"):
+    with pytest.raises(ValueError, match=r"^not a group action: action\.compose\[a,a,0\]$"):
         make_action_groupoid(group_table("z2"), ["0", "1"], skew)
+
+    stray = dict(SWAP)
+    stray[("a", "2")] = "0"
+    with pytest.raises(ValueError, match=r"^not a group action: table\.act\.unknown-key\[a,2\]$"):
+        make_action_groupoid(group_table("z2"), ["0", "1"], stray)
 
 
 def _trivial_z2_bundle_data():

@@ -373,6 +373,21 @@ BROKEN_CONSTRUCTIONS = [
         "prop-proddivhils",
         "no invariance check",
     ),
+    # the bibundle definition and the generators fail the statement they feed
+    ("validate_hs", _raises("no bibundle check"), "prop-proddivhils", "no bibundle check"),
+    ("random_groupoid", _raises("no groupoid"), "def-groupoid", "groupoid[seed=42]: no groupoid"),
+    (
+        "random_bundle",
+        _raises("no bundle"),
+        "def-princgroupoid",
+        "bundles over gauge-z2.gpd: no bundle",
+    ),
+    (
+        "random_hs",
+        _raises("no bibundle"),
+        "prop-proddivhils",
+        "bibundles[seed offset=0]: no bibundle",
+    ),
 ]
 
 

@@ -290,6 +290,37 @@ def test_validate_hs_ggt_accepts_exactly_the_invariant_enumerated_ggts(docs):
                 assert accepted == (frozenset(values.items()) in members)
 
 
+def naively_left_equivariant(h1, h2, mapping: dict) -> bool:
+    """mapping(g.p) == g.mapping(p) at every left act entry (g, p) of h1,
+    by brute force."""
+    return all(
+        h2.left_act.get((g, mapping[p])) == mapping[gp] for (g, p), gp in h1.left_act.items()
+    )
+
+
+def test_validate_hs_morphism_accepts_exactly_the_equivariant_enumerated_morphisms(docs):
+    G = random_groupoid(GeneratorSpec(1, max_objects=2, max_group_order=6))
+    H = random_groupoid(GeneratorSpec(51, max_objects=2, max_group_order=3))
+    r0, r1 = (random_hs(G, H, GeneratorSpec(seed, max_total=8)) for seed in (0, 1))
+    identities = [
+        hs_from_groupoid_morphism(identity_morphism(docs[name]))
+        for name in ("z2.gpd", "pair2.gpd", "s3.gpd")
+    ]
+    pairs = [(h, h) for h in identities] + [(r0, r0), (r0, r1)]
+    # s3 and the random pair have bundle morphisms that are not left equivariant
+    dropped = 0
+    for h1, h2 in pairs:
+        oracle = enumerate_bundle_morphisms(h1.bundle, h2.bundle)
+        equivariant = [f for f in oracle if naively_left_equivariant(h1, h2, f.mapping)]
+        dropped += len(oracle) - len(equivariant)
+        members = {frozenset(f.mapping.items()) for f in equivariant}
+        for f in oracle:
+            for mapping in [f.mapping, *rewrites(f.mapping, h2.bundle.total)]:
+                accepted = validate_hs_morphism(HSBundleMorphism(h1, h2, mapping)).ok
+                assert accepted == (frozenset(mapping.items()) in members)
+    assert dropped
+
+
 def test_validate_gauge_transformation_accepts_exactly_the_self_ggts(docs):
     for B, B2 in oracle_pairs(docs):
         if B2 is not B:
