@@ -25,6 +25,13 @@ _equivariance, sigma(g.p) == g.sigma(p) for morphisms on either side.
 Left invariance keeps its own loop.  An instance whose product the
 tables leave undefined is skipped, so the division verifiers, too,
 report and never raise.
+
+validate_groupoid decides first and explains after: whole-column checks
+decide its compose table, Light's test on a generating set decides
+associativity, and _check_table returns at once on a table with the
+expected keys and values.  The loops that name each violation, in
+witness order, run only when a decision fails, so reports are the same
+as from the loops alone.
 """
 
 from __future__ import annotations
@@ -161,8 +168,11 @@ def _check_table(
     key, sorted, is dangling if it is expected and its value is not in
     values, extra if it is not expected but declared (made of declared
     ids), and unknown-key otherwise.  Witnesses are the key's ids, then
-    the value.
+    the value.  A table whose keys are expected and whose values are all
+    in values has none of these, and is not scanned.
     """
+    if table.keys() == expected and all(map(values.__contains__, table.values())):
+        return
     for key in domain:
         if key not in table:
             r.add(f"table.{name}.missing", *_key_ids(key))
@@ -243,6 +253,74 @@ def _structure_ok(r: ValidationReport, G: FiniteGroupoid, prefix: str = "") -> b
     return sub.ok
 
 
+def _compose_exact(G: FiniteGroupoid, known: list[str], by_target: dict) -> bool:
+    """Whether no table.compose.* or product.* rule can fire on G, decided
+    on whole columns: every arrow is known, the compose keys are as many
+    as the composable pairs, each a pair of arrows with source(g1) ==
+    target(g2), so they are the composable pairs, every value is an
+    arrow, and each composite's source and target columns equal those of
+    its right and left factors."""
+    arr, src, tgt, compose = G.arrows, G.source, G.target, G.compose
+    pairs = sum(len(by_target.get(src[g], ())) for g in known)
+    if len(known) != len(arr) or len(compose) != pairs:
+        return False
+    if not compose:
+        return True
+    if set(map(type, compose)) != {tuple} or set(map(len, compose)) != {2}:
+        return False
+    firsts, seconds = zip(*compose)
+    values = compose.values()
+    if not (arr.issuperset(firsts) and arr.issuperset(seconds) and arr.issuperset(values)):
+        return False
+    return (
+        list(map(src.get, firsts)) == list(map(tgt.get, seconds))
+        and list(map(src.get, values)) == list(map(src.get, seconds))
+        and list(map(tgt.get, values)) == list(map(tgt.get, firsts))
+    )
+
+
+def _generators(arrows: list[str], rows: dict) -> list[str]:
+    """A greedy generating set S: each of arrows, in order, that is not yet
+    a left-normed product (((s1 s2) s3) ...) of the earlier members."""
+    gens: list[str] = []
+    reached: set[str] = set()
+    for g in arrows:
+        if g in reached:
+            continue
+        gens.append(g)
+        # the products reached so far gain g as a right factor; g itself
+        # and every new product gain all of gens
+        todo = [(x, (g,)) for x in reached]
+        reached.add(g)
+        todo.append((g, gens))
+        while todo:
+            x, by = todo.pop()
+            row = rows.get(x, {})
+            for s in by:
+                y = row.get(s)
+                if y is not None and y not in reached:
+                    reached.add(y)
+                    todo.append((y, gens))
+    return gens
+
+
+def _associativity(
+    rows: dict, src: dict, firsts: list[str], middles: dict, by_target: dict
+) -> Iterator[tuple[str, str, str]]:
+    """Each (g1, g2, g3), g1 over firsts, g2 over middles[source(g1)] and
+    g3 over by_target[source(g2)], at which (g1 g2) g3 != g1 (g2 g3), both
+    defined.  rows[g1][g2] is "g1 after g2"; left multiplication by g1
+    commutes with right multiplication by g3 a whole row at a time."""
+    for g1 in firsts:
+        row1 = rows.get(g1, {})
+        for g2 in middles.get(src[g1], ()):
+            third = by_target.get(src[g2], ())
+            lefts = list(map(rows.get(row1.get(g2), {}).get, third))
+            rights = list(map(row1.get, map(rows.get(g2, {}).get, third)))
+            for g3 in _commute(third, lefts, rights):
+                yield g1, g2, g3
+
+
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom over the whole of G's tables.
 
@@ -256,6 +334,20 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     derived.source-surjective, derived.target-surjective
                              consequences of the unit laws, checked so a
                              broken unit table cannot mask them
+
+    The compose table and associativity are decided first, and the loops
+    that name each violation in order run only when a decision fails.
+    _compose_exact decides the table.compose.* and product.* rules on
+    whole columns.  When it holds, associativity is decided by Light's
+    test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    1961, 1.2): the law is checked with its middle arrow in a generating
+    set S (_generators) only.  Proof: let M be the arrows s with
+    (x s) y == x (s y) for every composable x, y.  Every composite of
+    composable arrows is defined and has the endpoints of its factors, so
+    for s, t in M and composable x, y
+        (x (s t)) y == ((x s) t) y == (x s) (t y) == x (s (t y)) == x ((s t) y);
+    M is closed under composition and contains S, and every arrow is a
+    product of members of S, so M holds every arrow.
     """
     r = ValidationReport()
     obj, arr = G.objects, G.arrows
@@ -271,32 +363,34 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     for g in known:
         by_target.setdefault(tgt[g], []).append(g)
 
-    composable: set[tuple[str, str]] = set()
-    for g1 in known:
-        for g2 in by_target.get(src[g1], ()):
-            composable.add((g1, g2))
-            if (g1, g2) not in G.compose:
-                r.add("table.compose.missing", g1, g2)
-    for (g1, g2), g3 in sorted(G.compose.items()):
-        if g1 not in arr or g2 not in arr:
-            r.add("table.compose.unknown-key", g1, g2)
-        elif g1 in known and g2 in known and (g1, g2) not in composable:
-            r.add("table.compose.extra", g1, g2)
-        if g3 not in arr:
-            r.add("table.compose.dangling", g1, g2, g3)
-
     mul = G.compose.get
     unit = G.unit.get
     inv = G.inverse.get
 
-    for g1, g2 in sorted(composable):
-        g3 = mul((g1, g2))
-        if g3 is None or g3 not in arr:
-            continue
-        if src.get(g3) != src[g2]:
-            r.add("product.source", g1, g2, g3)
-        if tgt.get(g3) != tgt[g1]:
-            r.add("product.target", g1, g2, g3)
+    exact = _compose_exact(G, known, by_target)
+    if not exact:
+        composable: set[tuple[str, str]] = set()
+        for g1 in known:
+            for g2 in by_target.get(src[g1], ()):
+                composable.add((g1, g2))
+                if (g1, g2) not in G.compose:
+                    r.add("table.compose.missing", g1, g2)
+        for (g1, g2), g3 in sorted(G.compose.items()):
+            if g1 not in arr or g2 not in arr:
+                r.add("table.compose.unknown-key", g1, g2)
+            elif g1 in known and g2 in known and (g1, g2) not in composable:
+                r.add("table.compose.extra", g1, g2)
+            if g3 not in arr:
+                r.add("table.compose.dangling", g1, g2, g3)
+
+        for g1, g2 in sorted(composable):
+            g3 = mul((g1, g2))
+            if g3 is None or g3 not in arr:
+                continue
+            if src.get(g3) != src[g2]:
+                r.add("product.source", g1, g2, g3)
+            if tgt.get(g3) != tgt[g1]:
+                r.add("product.target", g1, g2, g3)
 
     for x in sorted(obj):
         e = unit(x)
@@ -331,19 +425,18 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         if q is not None and e_s is not None and q != e_s:
             r.add("inverse.left", g)
 
-    # rows[g1][g2] is "g1 after g2".  Left multiplication by g1 commutes
-    # with right multiplication by g3: (g1 g2) g3 == g1 (g2 g3).
     rows: dict[str, dict[str, str]] = {}
     for (g1, g2), g3 in G.compose.items():
         rows.setdefault(g1, {})[g2] = g3
-    for g1 in known:
-        row1 = rows.get(g1, {})
-        for g2 in by_target.get(src[g1], ()):
-            third = by_target.get(src[g2], ())
-            lefts = list(map(rows.get(row1.get(g2), {}).get, third))
-            rights = list(map(row1.get, map(rows.get(g2, {}).get, third)))
-            for g3 in _commute(third, lefts, rights):
-                r.add("associativity", g1, g2, g3)
+    associative = False
+    if exact:  # Light's test: the middle arrow in a generating set only
+        middles: dict[str, list[str]] = {}
+        for s in _generators(known, rows):
+            middles.setdefault(tgt[s], []).append(s)
+        associative = next(_associativity(rows, src, known, middles, by_target), None) is None
+    if not associative:
+        for w in _associativity(rows, src, known, by_target, by_target):
+            r.add("associativity", *w)
 
     hit_s = {src[g] for g in known}
     hit_t = {tgt[g] for g in known}

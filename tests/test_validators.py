@@ -17,6 +17,7 @@ import pytest
 from gpdkit import (
     CONJUGATION_VARIANTS,
     GGT,
+    BundleMorphism,
     GaugeTransformation,
     GeneratorSpec,
     GroupoidMorphism,
@@ -28,7 +29,9 @@ from gpdkit import (
     gauge_to_ggt,
     generalized_conjugation,
     ggt_to_gauge,
+    group_table,
     hs_from_groupoid_morphism,
+    make_group_groupoid,
     make_pair_groupoid,
     random_bundle,
     random_groupoid,
@@ -256,6 +259,34 @@ def test_validate_bundle_morphism_accepts_exactly_the_enumerated_morphisms(docs)
                 candidate = replace(f, mapping=mapping)
                 expected = frozenset(mapping.items()) in members
                 assert validate_bundle_morphism(candidate).ok == expected
+
+
+def test_swapped_points_break_only_equivariance():
+    """Swapping two points of a unit bundle of a group keeps the map
+    bijective and over the one base point and object, so equivariance is
+    the only law it breaks."""
+    B = unit_bundle(make_group_groupoid(group_table("z3")))
+    mapping = {"c1": "c2", "c2": "c1", "e": "e"}
+    report = validate_bundle_morphism(BundleMorphism(B, B, mapping))
+    assert report.render().splitlines() == [
+        "morphism.equivariance[c1,c1]",
+        "morphism.equivariance[c1,c2]",
+        "morphism.equivariance[c2,c1]",
+        "morphism.equivariance[c2,c2]",
+        "morphism.equivariance[e,c1]",
+        "morphism.equivariance[e,c2]",
+    ]
+
+
+def test_a_rewritten_inverse_breaks_division_symmetry(docs):
+    """d(p, q) == d(q, p)^-1 reads G's inverse table, which the division
+    map itself never reads: each one-entry rewrite of it breaks symmetry."""
+    s3 = docs["s3.gpd"]
+    inverses = rewrites(s3.inverse, s3.arrows)
+    assert len(inverses) == 30
+    for inverse in inverses:
+        B = unit_bundle(replace(s3, inverse=inverse))
+        assert "division.symmetry" in verify_division_properties(B).rules()
 
 
 def naively_left_invariant(h1, h2, values: dict) -> bool:
