@@ -148,8 +148,14 @@ class FiniteGroupoid:
         return index
 
 
-def _key_ids(key) -> tuple:
-    return key if isinstance(key, tuple) else (str(key),)
+def _key_ids(key) -> tuple[str, ...]:
+    """The ids of a table key, as witnesses and as a sort key that orders
+    keys of any type without comparing a str with a tuple."""
+    return tuple(map(str, key)) if isinstance(key, tuple) else (str(key),)
+
+
+def _is_pair(key) -> bool:
+    return type(key) is tuple and len(key) == 2
 
 
 def _check_table(
@@ -176,7 +182,7 @@ def _check_table(
     for key in domain:
         if key not in table:
             r.add(f"table.{name}.missing", *_key_ids(key))
-    for key in sorted(table):
+    for key in sorted(table, key=_key_ids):
         if key in expected:
             if table[key] not in values:
                 r.add(f"table.{name}.dangling", *_key_ids(key), str(table[key]))
@@ -368,6 +374,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     inv = G.inverse.get
 
     exact = _compose_exact(G, known, by_target)
+    entries = G.compose.items()
     if not exact:
         composable: set[tuple[str, str]] = set()
         for g1 in known:
@@ -375,13 +382,17 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
                 composable.add((g1, g2))
                 if (g1, g2) not in G.compose:
                     r.add("table.compose.missing", g1, g2)
-        for (g1, g2), g3 in sorted(G.compose.items()):
-            if g1 not in arr or g2 not in arr:
-                r.add("table.compose.unknown-key", g1, g2)
-            elif g1 in known and g2 in known and (g1, g2) not in composable:
-                r.add("table.compose.extra", g1, g2)
+        # sorted by key ids, so that a key that is not a pair neither
+        # raises nor reaches the loops below
+        entries = sorted(entries, key=lambda entry: _key_ids(entry[0]))
+        for key, g3 in entries:
+            if not _is_pair(key) or not arr.issuperset(key):
+                r.add("table.compose.unknown-key", *_key_ids(key))
+            elif key[0] in known and key[1] in known and key not in composable:
+                r.add("table.compose.extra", *key)
             if g3 not in arr:
-                r.add("table.compose.dangling", g1, g2, g3)
+                r.add("table.compose.dangling", *_key_ids(key), g3)
+        entries = [(key, g3) for key, g3 in entries if _is_pair(key)]
 
         for g1, g2 in sorted(composable):
             g3 = mul((g1, g2))
@@ -426,7 +437,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             r.add("inverse.left", g)
 
     rows: dict[str, dict[str, str]] = {}
-    for (g1, g2), g3 in G.compose.items():
+    for (g1, g2), g3 in entries:
         rows.setdefault(g1, {})[g2] = g3
     associative = False
     if exact:  # Light's test: the middle arrow in a generating set only

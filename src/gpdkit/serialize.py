@@ -5,7 +5,8 @@ it canonically, so equal structures serialize to identical bytes.  Its
 bytes equal json.dumps(doc, sort_keys=True, indent=1) plus a trailing
 newline; _write produces them with json's C string encoder instead of
 the per-leaf Python calls that indent forces on json.dumps.  Tables
-keyed by pairs are stored as entry lists [key0, key1, value].
+keyed by pairs are stored as entry lists [key0, key1, value], each
+written with one join over its quoted rows and read with one dict build.
 
 Each kind's body format is stated once, in _SCHEMAS: its fields in
 document order, each an id list, an id map, an entry table, a choice
@@ -15,17 +16,17 @@ walk it, so the writer and the reader cannot drift apart.
 
 loads is strict about shape: wrong types, missing or unexpected keys,
 duplicate entries and ids that do not resolve raise SchemaError with
-the offending path, e.g. body.compose[3].  An entry table is checked
-whole; when a check fails, the error names the first bad entry, with
-shape and duplicate faults anywhere in the table reported before an
-unknown id.  Totality and the algebraic laws are left to the
+the offending path, e.g. body.compose[3].  An entry table is decided
+whole and scanned only to name a fault: the error names the first bad
+entry, with shape and duplicate faults anywhere in the table reported
+before an unknown id.  Totality and the algebraic laws are left to the
 validators, so a well-formed file can still fail validation.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable
 
@@ -102,39 +103,30 @@ def _table(
     """An entry list [[k0, k1, v], ...] as {(k0, k1): v}.
 
     columns holds one (pool, kind) pair per entry position, the pool
-    named by its key in pools.  The table is checked whole: every entry
-    a list of len(columns) strings (leaf types before any leaf is
-    hashed), unique keys, each column inside its pool.  Only a table
-    that fails a check is scanned in order, to name the first bad
+    named by its key in pools.  The table is decided whole: each entry a
+    list of len(columns) items, each column inside its pool of id strings
+    (which tests leaf types too), and one dict of as many keys as entries.
+    Only a table that fails is scanned in order, to name the first bad
     entry: shape and duplicate faults anywhere come before an unknown
     id, which is found by entry, then by column.
     """
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of entries")
     width = len(columns)
-    if (
-        set(map(type, value)) <= {list}
-        and set(map(len, value)) <= {width}
-        and set(map(type, chain.from_iterable(value))) <= {str}
-    ):
+    if set(map(type, value)) <= {list} and set(map(len, value)) <= {width}:
         cols = list(zip(*value)) or [()] * width
-        keys = list(zip(*cols[:-1]))
-        if len(set(keys)) == len(keys) and all(
-            pools[pool].issuperset(col) for col, (pool, _) in zip(cols, columns)
-        ):
-            return dict(zip(keys, cols[-1]))
-    # The scan tests exact types, as the checks above do, so it raises
-    # whenever one of them failed.
+        try:  # an unhashable leaf raises TypeError; the scan names it
+            inside = all(pools[pool].issuperset(col) for col, (pool, _) in zip(cols, columns))
+        except TypeError:
+            inside = False
+        if inside and len(table := dict(zip(zip(*cols[:-1]), cols[-1]))) == len(value):
+            return table
+    # The scan raises on every fault found above: a leaf that is in no
+    # pool of id strings fails its exact type test or its pool.
     seen = set()
     for i, item in enumerate(value):
-        if (
-            type(item) is not list
-            or len(item) != width
-            or not all(type(x) is str for x in item)
-        ):
-            raise SchemaError(
-                f"{path}[{i}]", f"expected an entry of {width} id strings"
-            )
+        if type(item) is not list or len(item) != width or not all(type(x) is str for x in item):
+            raise SchemaError(f"{path}[{i}]", f"expected an entry of {width} id strings")
         key = tuple(item[:-1])
         if key in seen:
             raise SchemaError(f"{path}[{i}]", f"duplicate entry for {key!r}")
@@ -281,7 +273,7 @@ def _body(kind: str, obj: object) -> dict:
         if form == "ids":
             value = sorted(value)
         elif form == "table":
-            value = [[*key, v] for key, v in sorted(value.items())]
+            value = sorted(map(tuple.__add__, value, zip(value.values())))
         elif form in _SCHEMAS:
             value = _body(form, value)
         body[name] = value
@@ -322,8 +314,10 @@ def _write(value: object, pad: str) -> str:
     """json.dumps(value, sort_keys=True, indent=1) nested at pad.
 
     pad is a newline and the indent of the line that closes value.  A
-    document's lists hold either ids or entry rows of ids, so a list is
-    written from its first item's type with str.join over quoted ids.
+    document's lists hold either ids or entry rows, tuples of ids sorted
+    by _body.  A table is written with one join: its cells are quoted in
+    one pass and regrouped into rows by zip.  Rows of mixed widths would
+    group wrongly and sort unlike their keys; they are re-sorted by key.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -336,12 +330,15 @@ def _write(value: object, pad: str) -> str:
     if isinstance(value, dict):
         items = [f"{_quote(k)}: {_write(v, inner)}" for k, v in sorted(value.items())]
         return "{" + inner + sep.join(items) + pad + "}"
-    if isinstance(value[0], list):
-        row_sep = sep + " "
-        items = [f"[{inner} {row_sep.join(map(_quote, row))}{inner}]" for row in value]
+    if not isinstance(value[0], tuple):
+        return "[" + inner + sep.join(map(_quote, value)) + pad + "]"
+    widths = set(map(len, value))
+    if len(widths) == 1:
+        rows = zip(*[map(_quote, chain.from_iterable(value))] * widths.pop())
     else:
-        items = map(_quote, value)
-    return "[" + inner + sep.join(items) + pad + "]"
+        rows = map(map, repeat(_quote), sorted(value, key=lambda row: row[:-1]))
+    rows = map((sep + " ").join, rows)
+    return f"[{inner}[{inner} " + f"{inner}]{sep}[{inner} ".join(rows) + f"{inner}]{pad}]"
 
 
 def dumps(obj: object) -> str:

@@ -123,6 +123,20 @@ def test_extra_compose_entry_reported(pair2):
     }
 
 
+def test_keys_that_are_not_pairs_are_reported_not_raised(z2):
+    # a str, a 3-tuple and an int compose key are each reported by its
+    # ids; none is compared with a pair key or unpacked as a pair
+    for key, witness in (("ee", ("ee",)), (("a", "a", "a"), ("a", "a", "a")), (5, ("5",))):
+        report = validate_groupoid(replace(z2, compose={**z2.compose, key: "e"}))
+        assert [(v.rule, v.witness) for v in report.violations] == [
+            ("table.compose.unknown-key", witness)
+        ]
+    report = validate_groupoid(replace(z2, source={**z2.source, 5: "e"}))
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("table.source.unknown-key", ("5",))
+    ]
+
+
 def test_dangling_ids_reported(z2):
     report = validate_groupoid(replace(z2, source={**z2.source, "a": "ghost"}))
     assert "table.source.dangling" in report.rules()

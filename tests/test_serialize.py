@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from gpdkit import (
     GroupoidMorphism,
     HSBundleMorphism,
     KINDS,
+    LeftAction,
     SchemaError,
     dumps,
     enumerate_bundle_morphisms,
@@ -88,6 +90,9 @@ AWKWARD_IDS = [
 def test_dumps_bytes_equal_json_dumps(z2, unit_z2):
     empty = FiniteGroupoid(frozenset(), frozenset(), {}, {}, {}, {}, {})
     awkward = make_pair_groupoid(AWKWARD_IDS)
+    # rows holding quotes, backslashes, commas, brackets and pair ids of those
+    awkward3 = make_pair_groupoid(AWKWARD_IDS[:3])
+    no_points = LeftAction(z2, frozenset(), {}, {})
     structures = [
         *_samples(z2, unit_z2).values(),
         unit_z2.right_action(),
@@ -96,12 +101,22 @@ def test_dumps_bytes_equal_json_dumps(z2, unit_z2):
         unit_bundle(awkward),
         product_groupoid(z2, awkward),
         *(generalized_conjugation(z2, v) for v in CONJUGATION_VARIANTS),
+        *(generalized_conjugation(awkward3, v) for v in CONJUGATION_VARIANTS),
+        no_points,
     ]
     for obj in structures:
         doc = json.loads(dumps(obj))
         assert dumps(obj) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
         assert loads(dumps(obj)) == obj
     assert '"objects": [],' in dumps(empty) and '"source": {},' in dumps(empty)
+    assert '"act": [],' in dumps(no_points)
+    # a 3-tuple key extending a pair key: the rows have two widths, and
+    # ("a", "a", "a", "e") sorts before ("a", "a", "e") though its key
+    # sorts after; the rows are still written in key order
+    mixed = replace(z2, compose={**z2.compose, ("a", "a", "a"): "e"})
+    doc = json.loads(dumps(mixed))
+    assert dumps(mixed) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert doc["body"]["compose"] == [[*k, v] for k, v in sorted(mixed.compose.items())]
 
 
 def test_fixture_files_hold_canonical_bytes():
@@ -361,7 +376,11 @@ def _entry_tables(node: dict, path: str):
 
 def _table_mutations(entries: list):
     """Single faults in an entry table, plus a later shape fault after an
-    earlier unknown id, which must be the one reported."""
+    earlier unknown id, which must be the one reported.
+
+    Every JSON leaf that is not a str is tried at each position: the
+    reader leaves leaf types to its pool check, True == 1 and 1.0 == 1
+    hash alike, and a list or an object is unhashable."""
     yield {"not": "a list"}
     for i, entry in enumerate(entries):
         def put(new, at=i):
@@ -372,9 +391,8 @@ def _table_mutations(entries: list):
         yield put(entry[0])
         yield put({"entry": entry})
         for j in range(len(entry)):
-            yield put(entry[:j] + [7] + entry[j + 1:])
-            yield put(entry[:j] + [[entry[j]]] + entry[j + 1:])
-            yield put(entry[:j] + ["zz-unknown"] + entry[j + 1:])
+            for leaf in (7, None, True, 1.5, {"a": "b"}, [entry[j]], "zz-unknown"):
+                yield put(entry[:j] + [leaf] + entry[j + 1:])
         yield entries + [list(entry)]
         yield entries[:i] + [entry[:-1] + ["zz-unknown"]] + entries[i:]
         if i + 1 < len(entries):
