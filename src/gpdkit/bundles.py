@@ -266,6 +266,13 @@ def pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
     Points are pair_id(m, p) with f(m) == projection(p); the action only
     touches the second component.
     """
+    return _pullback(B, f, _PairIds())
+
+
+def _pullback(B: PrincipalBundle, f: dict[str, str], ids: _PairIds) -> PrincipalBundle:
+    """pullback_bundle, naming each point (m, p) as ids[m][p]; a caller
+    that goes on to name the same points passes its ids and builds no
+    pair id twice."""
     for m in sorted(f):
         if f[m] not in B.base:
             raise ValueError(f"f({m!r}) = {f[m]!r} is not a base point")
@@ -274,7 +281,6 @@ def pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
     for m in sorted(f):
         for p in B.fiber(f[m]):
             total.append((m, p))
-    ids = _PairIds()
     projection = {ids[m][p]: m for m, p in total}
     momentum = {ids[m][p]: B.momentum[p] for m, p in total}
     act = {}

@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from .bundles import IntegrityError, PrincipalBundle, _fibred_pairs, division_map
 from .core import (
@@ -404,11 +405,14 @@ class GaugeGroup:
 
     product and inverse index into elements; unit is the index of the
     transformation sending every point to the unit at its momentum.
+    From gauge_group and hs_gauge_group, product is a read-only mapping
+    whose entries are computed on its first read (see _tabulate); it
+    compares, prints, copies and pickles as the dict it holds.
     """
 
     bundle: PrincipalBundle
     elements: tuple[GaugeTransformation, ...]
-    product: dict[tuple[int, int], int]
+    product: Mapping[tuple[int, int], int]
     unit: int
     inverse: tuple[int, ...]
 
@@ -417,16 +421,94 @@ class GaugeGroup:
         return len(self.elements)
 
 
-def _gauge_elements(B: PrincipalBundle) -> list[GaugeTransformation]:
-    """Every gauge transformation of B, in content order (by the value
-    row over the sorted points): the automorphisms sigma of B read on
-    the diagonal of their GGTs, G(p) = K(p, p) = d(p, sigma(p))."""
+def _gauge_elements(
+    B: PrincipalBundle, keep: Callable[[list[str]], bool] | None = None
+) -> list[GaugeTransformation]:
+    """Every gauge transformation of B whose value row over the sorted
+    points keep admits (all of them without keep), in content order (by
+    that row): the automorphisms sigma of B read on the diagonal of their
+    GGTs, G(p) = K(p, p) = d(p, sigma(p)).  A transformation is built
+    only for a row that is kept."""
     points = sorted(B.total)
     diagonal = [(p, p) for p in points]
     rows = sorted(
         list(_ggt_values(diagonal, f.mapping, B).values()) for f in _morphisms(B, B)
     )
-    return [GaugeTransformation(B, dict(zip(points, row))) for row in rows]
+    return [
+        GaugeTransformation(B, dict(zip(points, row)))
+        for row in (rows if keep is None else filter(keep, rows))
+    ]
+
+
+def _missing(what: str) -> IntegrityError:
+    return IntegrityError(f"{what} missing from the gauge transformations")
+
+
+def _fill_products(
+    keys: list[tuple[int, ...]],
+    columns: list[list[int]],
+    table: list[list[list[int | None]]],
+    by_key: dict[tuple[int, ...], int],
+) -> dict[tuple[int, int], int]:
+    """The product table of _tabulate, row i (element i on the left) a
+    fiber column at a time; a product that is no element is an
+    IntegrityError naming the first such (i, j)."""
+    found: list[int | None] = []
+    for key in keys:
+        blocks = [map(table[k][a].__getitem__, columns[k]) for k, a in enumerate(key)]
+        found += map(by_key.get, zip(*blocks))
+    n = len(keys)
+    if None in found:
+        i, j = divmod(found.index(None), n)
+        raise _missing(f"product of elements {i} and {j}")
+    return dict(zip(itertools.product(range(n), repeat=2), found))
+
+
+class _FilledOnRead(Mapping):
+    """A read-only mapping that is fill(*inputs), computed on the first
+    read; the inputs are dropped once it is.  It equals, prints, copies
+    and pickles as that dict; a copy or pickle holds the dict itself.
+    One attribute holds (fill, inputs) and then the dict, so two first
+    reads at once both fill and neither sees half a swap."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, fill: Callable[..., dict], *inputs) -> None:
+        self._state: tuple | dict = (fill, inputs)
+
+    def filled(self) -> dict:
+        state = self._state
+        if not isinstance(state, dict):
+            fill, inputs = state
+            state = self._state = fill(*inputs)
+        return state
+
+    def __getitem__(self, key):
+        return self.filled()[key]
+
+    def __iter__(self):
+        return iter(self.filled())
+
+    def __len__(self) -> int:
+        return len(self.filled())
+
+    def keys(self):
+        return self.filled().keys()
+
+    def values(self):
+        return self.filled().values()
+
+    def items(self):
+        return self.filled().items()
+
+    def __eq__(self, other) -> bool:
+        return self.filled() == other
+
+    def __repr__(self) -> str:
+        return repr(self.filled())
+
+    def __reduce__(self):
+        return type(self), (dict, self.filled())
 
 
 def _tabulate(
@@ -444,24 +526,31 @@ def _tabulate(
     once, as the id of the restriction it equals (None if it is
     undefined or no element restricts to it).  An element is keyed by
     its tuple of restriction ids, and product row i is filled a fiber
-    column at a time.  B.fibers group all of B's points, None and
-    off-base projections too, so keys match rows one to one.
+    column at a time (_fill_products).  B.fibers group all of B's
+    points, None and off-base projections too, so keys match rows one
+    to one.
+
+    Closure is decided from the fiber tables before any row is filled.
+    The elements are closed under the product when no fiber product is
+    None and the distinct keys are all prod_k len(table[k]) combinations
+    of fiber ids.  Proof: the fibers partition the points, so an element
+    is fixed by its key; the key of the product of elements i and j is
+    (table[k][i_k][j_k])_k, a combination of ids, so it is some element's
+    key and no row can miss.  The distinct keys are counted, not the
+    elements, so repeated elements cannot stand in for a missing
+    combination.  When closure holds, the product table is filled on its
+    first read; otherwise it is filled here, and names the first product
+    missing.  Subgroups that are no full product of fiber restrictions
+    (hs_gauge_group's) take that path.
     """
     G = B.groupoid
     points = sorted(B.total)
-    rows = [tuple(t.values[p] for p in points) for t in elements]
+    rows = [tuple(map(t.values.__getitem__, points)) for t in elements]
     index = {row: i for i, row in enumerate(rows)}
-
-    def missing(what: str) -> IntegrityError:
-        return IntegrityError(f"{what} missing from the gauge transformations")
-
-    def find(row: tuple, what: str) -> int:
-        found = index.get(row)
-        if found is None:
-            raise missing(what)
-        return found
-
-    unit = find(tuple(G.unit[B.momentum[p]] for p in points), "unit")
+    momenta = map(B.momentum.__getitem__, points)
+    unit = index.get(tuple(map(G.unit.__getitem__, momenta)))
+    if unit is None:
+        raise _missing("unit")
 
     # columns[k][i] is the id of element i's restriction to fiber k, and
     # table[k][a][b] the id of the product of restrictions a and b there.
@@ -483,18 +572,15 @@ def _tabulate(
         ])
     keys = list(zip(*columns))
     by_key = {key: i for i, key in enumerate(keys)}
-
-    product: dict[tuple[int, int], int] = {}
-    for i, key in enumerate(keys):
-        blocks = [map(table[k][a].__getitem__, columns[k]) for k, a in enumerate(key)]
-        found = list(map(by_key.get, zip(*blocks)))
-        if None in found:
-            raise missing(f"product of elements {i} and {found.index(None)}")
-        product.update(zip(zip(itertools.repeat(i), range(len(found))), found))
-    inverse = tuple(
-        find(tuple(map(G.inverse.get, row)), f"inverse of element {i}")
-        for i, row in enumerate(rows)
+    product = _FilledOnRead(_fill_products, keys, columns, table, by_key)
+    closed = len(by_key) == math.prod(map(len, table)) and not any(
+        None in row for block in table for row in block
     )
+    if not closed:
+        product.filled()
+    inverse = tuple([index.get(tuple(map(G.inverse.get, row))) for row in rows])
+    if None in inverse:
+        raise _missing(f"inverse of element {inverse.index(None)}")
     return GaugeGroup(B, tuple(elements), product, unit, inverse)
 
 

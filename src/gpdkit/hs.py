@@ -19,14 +19,15 @@ invariance; no composition or lookup code lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bundles import (
     IntegrityError,
     PrincipalBundle,
     _fibred_pairs,
+    _pullback,
     fibred_product,
     product_bundle,
-    pullback_bundle,
     unit_bundle,
     validate_bundle,
     verify_division_properties,
@@ -143,8 +144,9 @@ def hs_from_groupoid_morphism(m: GroupoidMorphism) -> HSMorphism:
     """
     G, H = m.domain, m.codomain
     U = unit_bundle(H)
-    bundle = pullback_bundle(U, m.object_map)
-    out_of, ids = G.by_source(), _PairIds()
+    ids = _PairIds()
+    bundle = _pullback(U, m.object_map, ids)
+    out_of = G.by_source()
     left_act = {}
     for x in sorted(G.objects):
         for k in U.fiber(m.object_map[x]):
@@ -289,13 +291,19 @@ def hs_ggt_to_morphism(h1: HSMorphism, h2: HSMorphism, K: GGT) -> HSBundleMorphi
 
 def hs_gauge_group(h: HSMorphism) -> GaugeGroup:
     """Gauge transformations of the bundle that are constant on left
-    orbits, as a subgroup of gauge_group(h.bundle)."""
-    kept = [
-        t
-        for t in _gauge_elements(h.bundle)
-        if all(t.values[gp] == t.values[p] for (g, p), gp in h.left_act.items())
-    ]
-    return _tabulate(h.bundle, kept)
+    orbits, as a subgroup of gauge_group(h.bundle).
+
+    A value row over the sorted points is kept when it agrees at p and
+    g.p for every left move (g, p) -> g.p; the rows are filtered before
+    any transformation is built."""
+    B = h.bundle
+    if not h.left_act:
+        return _tabulate(B, _gauge_elements(B))
+    position = {p: n for n, p in enumerate(sorted(B.total))}.__getitem__
+    # itemgetter of one index gives a value, not a 1-tuple; either compares
+    there = itemgetter(*map(position, h.left_act.values()))
+    back = itemgetter(*map(position, map(itemgetter(1), h.left_act)))
+    return _tabulate(B, _gauge_elements(B, lambda row: there(row) == back(row)))
 
 
 def build_hs_gauge_groupoid(hs_list: list[HSMorphism]) -> GaugeGroupoid:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -25,6 +26,7 @@ from gpdkit import (
     loads,
     pullback_bundle,
     random_groupoid,
+    unit_bundle,
     validate_bundle,
     validate_groupoid,
     validate_hs,
@@ -202,6 +204,21 @@ def test_gauge_group_output(capsys):
     assert lines[0] == "order 2"
     assert lines[1].startswith("unit ")
     assert sum(1 for line in lines if line.startswith("element ")) == 2
+
+
+def test_gauge_group_output_on_the_order_144_unit_bundle_is_pinned(tmp_path, capsys):
+    # ROADMAP's U; the command prints elements, never the product table
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
+    path = tmp_path / "U.bnd"
+    path.write_text(dumps(U))
+    assert main(["gauge-group", str(path)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out.startswith(b"order 144\nunit 11\n")
+    assert len(out) == 17_332
+    assert (
+        hashlib.sha256(out).hexdigest()
+        == "82164e2ebed60665e58c691c5510912698e45654179a93267a4495edede69c2c"
+    )
 
 
 def test_hs_gauge_group_output(tmp_path, z2, capsys):

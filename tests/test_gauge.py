@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
 import json
+import pickle
 import time
 from dataclasses import replace
 
@@ -590,6 +593,97 @@ def test_gauge_group_refusals_match_the_reference(docs, unit_s3):
     kinds = {text.split(" ")[0] for text in seen}
     assert kinds == {"unit", "product", "inverse"}
     assert len(seen) > 5
+
+
+def _restriction(t: GaugeTransformation, fiber) -> tuple:
+    return tuple(t.values[p] for p in fiber)
+
+
+def _constructed(B: PrincipalBundle, elements: list) -> tuple | str:
+    """The tables of _tabulate, or the text of the IntegrityError it
+    raised while constructing.  A product table that refuses only when
+    it is read raises out of here and fails the caller."""
+    try:
+        gg = gpdkit.gauge._tabulate(B, elements)
+    except IntegrityError as e:
+        return str(e)
+    return _tables(gg)
+
+
+def test_gauge_group_closure_is_decided_at_construction(docs):
+    """Element lists that hold every combination of their fiber
+    restrictions but are not closed, that are closed but no full product,
+    and that are neither: each refuses at construction with the
+    reference's text, or tabulates as the reference does."""
+    combined, subgroups, neither = [], [], []
+    for B in _tabulated_bundles(docs):
+        elements = gpdkit.gauge._gauge_elements(B)
+        one = elements[gauge_group(B).unit]
+        fibers = list(B.fibers.values())
+        restrictions = [{_restriction(t, f) for t in elements} for f in fibers]
+        for fiber, seen in zip(fibers, restrictions):
+            # a proper subset of a group with more than half its elements
+            # is no subgroup (Lagrange), and keeping every element that
+            # avoids one restriction keeps every combination of the rest
+            if len(seen) >= 3:
+                dropped = max(seen - {_restriction(one, fiber)})
+                kept = [t for t in elements if _restriction(t, fiber) != dropped]
+                combined.append((B, kept))
+        if sum(len(seen) >= 2 for seen in restrictions) >= 2 and len(elements) >= 3:
+            # one element fewer: every restriction is still some element's
+            gone = next(t for t in reversed(elements) if t is not one)
+            neither.append((B, [t for t in elements if t is not gone]))
+    for seed in range(12):
+        G = random_groupoid(GeneratorSpec(seed + 300, max_objects=2, max_group_order=6))
+        H = random_groupoid(GeneratorSpec(seed + 400, max_objects=2, max_group_order=3))
+        try:
+            h = random_hs(G, H, GeneratorSpec(seed + 500, max_total=12))
+        except GeneratorError:
+            continue
+        kept = list(hs_gauge_group(h).elements)
+        fibers = list(h.bundle.fibers.values())
+        combinations = 1
+        for fiber in fibers:
+            combinations *= len({_restriction(t, fiber) for t in kept})
+        if len(kept) < combinations:
+            subgroups.append((h.bundle, kept))
+    assert [len(combined), len(subgroups), len(neither)] == [14, 4, 8]
+    for cases, refused in ((combined, True), (subgroups, False), (neither, True)):
+        for B, kept in cases:
+            outcome = _constructed(B, kept)
+            assert outcome == naive_gauge_tables(B, kept)
+            assert isinstance(outcome, str) == refused
+
+
+def test_gauge_group_product_table_refuses_mutation(unit_s3):
+    for read in (False, True):
+        gg = gauge_group(unit_s3)
+        if read:
+            assert gg.product[(0, 0)] == 0
+        with pytest.raises(TypeError):
+            gg.product[(0, 0)] = 1
+        with pytest.raises(TypeError):
+            del gg.product[(0, 0)]
+        assert gg.product[(0, 0)] == 0
+
+
+def test_gauge_group_copies_and_pickles_whole():
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
+    want = _tables(gauge_group(U))
+    for copied in (
+        lambda gg: pickle.loads(pickle.dumps(gg)),
+        copy.deepcopy,
+        lambda gg: pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(gg)))),
+    ):
+        gg = gauge_group(U)
+        again = copied(gg)
+        assert again == gg
+        assert again.product == gg.product == dict(want[0])
+        assert _tables(again) == _tables(gg) == want
+        assert repr(again.product) == repr(dict(want[0]))
+    # once filled, the table holds its entries and nothing it was filled from
+    held = [r for r in gc.get_referents(gg.product) if r is not None]
+    assert [r for r in held if not isinstance(r, type)] == [dict(want[0])]
 
 
 def _hom_outcomes(cases) -> list:
