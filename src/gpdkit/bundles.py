@@ -123,15 +123,15 @@ class PrincipalBundle:
 
     @cached_property
     def quotients(self) -> dict[tuple[str, str], str]:
-        """The division map: the one arrow g with p.g == q, by (p, q), for
-        the total points p and q of one fiber that have exactly one."""
+        """The division map, read off moves in one pass: by (p, q), the one
+        arrow g with p.g == q, for total points p, q of one fiber that have one."""
         total, pi = self.total, self.projection
-        return _ReadOnlyDict(
-            ((p, q), gs[0])
-            for (p, q), gs in self.divisions.items()
-            if len(gs) == 1 and p in total and q in total
-            and p in pi and q in pi and pi[p] == pi[q]
-        )
+        found, many = {}, object()
+        for p, row in self.moves.items():
+            for g, q in row.items() if p in total and p in pi else ():
+                if q in total and q in pi and pi[q] == pi[p]:
+                    found[p, q] = many if (p, q) in found else g
+        return _ReadOnlyDict((pq, g) for pq, g in found.items() if g is not many)
 
     def fiber(self, m: str) -> tuple[str, ...]:
         """Total points over base point m, sorted."""

@@ -48,6 +48,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bundles import IntegrityError, PrincipalBundle, _fibred_pairs, division_map
 from .core import (
@@ -156,6 +157,11 @@ def validate_bundle_morphism(f: BundleMorphism) -> ValidationReport:
     return r
 
 
+def _cells(keys: list) -> Callable:
+    """itemgetter(*keys) as a tuple for 0 or 1 keys too (one gives a value)."""
+    return itemgetter(*keys) if len(keys) > 1 else lambda row: tuple(map(row.__getitem__, keys))
+
+
 def _piece_ok(B1: PrincipalBundle, B2: PrincipalBundle, m: str, piece: dict) -> bool:
     """Whether piece, a candidate map of B1's fiber over m, passes every
     law of validate_bundle_morphism on its own: images are points of B2
@@ -184,12 +190,13 @@ def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]
     r over m goes to any q of B2 over m with momentum(q) == momentum(r),
     and the fiber follows through sigma(r.g) = q.g, g = d1(r, p).
 
-    Each morphism is a product of one piece per fiber, and each piece is
-    checked once.  The laws of validate_bundle_morphism are local to a
-    fiber when the bundles share groupoid and base, the fibers over
-    B1's base cover B1.total and the total spaces have one size; then
-    every product passes if every piece does.  Otherwise each product is
-    validated in turn, and the first failure is an IntegrityError.
+    Each morphism is a product of one piece per fiber, each piece checked
+    once, entry by entry: its rows are too short for maps to pay.  The
+    laws of validate_bundle_morphism are local to a fiber when the
+    bundles share groupoid and base, the fibers over B1's base cover
+    B1.total and the total spaces have one size; then every product
+    passes if every piece does.  Otherwise each product is validated in
+    turn, and the first failure is an IntegrityError.
     """
     bases = sorted(B1.base)
     choices = []
@@ -295,15 +302,15 @@ def validate_gauge_transformation(t: GaugeTransformation) -> ValidationReport:
 
 
 def _ggt_values(
-    pairs: list[tuple[str, str]], mapping: dict[str, str], B2: PrincipalBundle
-) -> dict[tuple[str, str], str]:
-    """K(p1, p2) = d2(p2, sigma(p1)) over the same-fiber pairs, read from
+    firsts: list[str], seconds: list[str], mapping: dict[str, str], B2: PrincipalBundle
+) -> list[str]:
+    """K(p1, p2) = d2(p2, sigma(p1)) over the same-fiber pairs (p1, p2)
+    of firsts and seconds, in their order, as one map through
     B2.quotients; division_map names the first pair missing there."""
-    d2 = B2.quotients
     try:
-        return {(p1, p2): d2[p2, mapping[p1]] for p1, p2 in pairs}
+        return list(map(B2.quotients.__getitem__, zip(seconds, map(mapping.__getitem__, firsts))))
     except KeyError:
-        for p1, p2 in pairs:
+        for p1, p2 in zip(firsts, seconds):
             division_map(B2, p2, mapping[p1])
         raise
 
@@ -312,7 +319,8 @@ def morphism_to_ggt(f: BundleMorphism) -> GGT:
     """The GGT of a bundle morphism: K(p1, p2) = d2(p2, sigma(p1))."""
     B1, B2 = f.source, f.target
     pairs = _fibred_pairs(B1, B2)
-    return GGT(B1, B2, _ggt_values(pairs, f.mapping, B2))
+    firsts, seconds = zip(*pairs) if pairs else ((), ())
+    return GGT(B1, B2, dict(zip(pairs, _ggt_values(firsts, seconds, f.mapping, B2))))
 
 
 def ggt_to_morphism(K: GGT) -> BundleMorphism:
@@ -427,17 +435,14 @@ def _gauge_elements(
     """Every gauge transformation of B whose value row over the sorted
     points keep admits (all of them without keep), in content order (by
     that row): the automorphisms sigma of B read on the diagonal of their
-    GGTs, G(p) = K(p, p) = d(p, sigma(p)).  A transformation is built
-    only for a row that is kept."""
+    GGTs, G(p) = K(p, p) = d(p, sigma(p)).  Each row is read whole, one
+    map through B.quotients (_ggt_values) that reads rows of 0 or 1
+    points alike; a transformation is built only for a row that is kept."""
     points = sorted(B.total)
-    diagonal = [(p, p) for p in points]
-    rows = sorted(
-        list(_ggt_values(diagonal, f.mapping, B).values()) for f in _morphisms(B, B)
-    )
-    return [
-        GaugeTransformation(B, dict(zip(points, row)))
-        for row in (rows if keep is None else filter(keep, rows))
-    ]
+    rows = sorted(_ggt_values(points, points, f.mapping, B) for f in _morphisms(B, B))
+    kept = rows if keep is None else filter(keep, rows)
+    tables = map(dict, map(zip, itertools.repeat(points), kept))
+    return list(map(GaugeTransformation, itertools.repeat(B), tables))
 
 
 def _missing(what: str) -> IntegrityError:
@@ -447,7 +452,7 @@ def _missing(what: str) -> IntegrityError:
 def _fill_products(
     keys: list[tuple[int, ...]],
     columns: list[list[int]],
-    table: list[list[list[int | None]]],
+    table: list[list[tuple[int | None, ...]]],
     by_key: dict[tuple[int, ...], int],
 ) -> dict[tuple[int, int], int]:
     """The product table of _tabulate, row i (element i on the left) a
@@ -518,17 +523,18 @@ def _tabulate(
     transformations of B; any of them falling outside the set is an
     IntegrityError naming which.
 
-    Elements are indexed by their value rows over the sorted points; the
+    Elements are indexed by their value rows over the sorted points, one
+    itemgetter map (_cells, which also reads rows of 0 or 1 points); the
     unit and inverses are looked up as whole rows.  Products are
-    pointwise, so they are taken one fiber at a time: on each fiber the
-    distinct restrictions of the elements get ids, and the entrywise
-    product through G's compose table of each pair of ids is computed
-    once, as the id of the restriction it equals (None if it is
-    undefined or no element restricts to it).  An element is keyed by
-    its tuple of restriction ids, and product row i is filled a fiber
-    column at a time (_fill_products).  B.fibers group all of B's
-    points, None and off-base projections too, so keys match rows one
-    to one.
+    pointwise, so they are taken one fiber at a time: the elements'
+    restrictions to a fiber are one itemgetter map, the distinct ones
+    get ids, and the entrywise products of all pairs of ids are one
+    compose map per point, each the id of the restriction it equals
+    (None if it is undefined or no element restricts to it).  An element
+    is keyed by its tuple of restriction ids, and product row i is
+    filled a fiber column at a time (_fill_products).  B.fibers group
+    all of B's points, None and off-base projections too, so keys match
+    rows one to one.
 
     Closure is decided from the fiber tables before any row is filled.
     The elements are closed under the product when no fiber product is
@@ -545,33 +551,30 @@ def _tabulate(
     """
     G = B.groupoid
     points = sorted(B.total)
-    rows = [tuple(map(t.values.__getitem__, points)) for t in elements]
-    index = {row: i for i, row in enumerate(rows)}
+    tables = [t.values for t in elements]
+    rows = list(map(_cells(points), tables))
+    index = dict(zip(rows, itertools.count()))
     momenta = map(B.momentum.__getitem__, points)
     unit = index.get(tuple(map(G.unit.__getitem__, momenta)))
     if unit is None:
         raise _missing("unit")
 
     # columns[k][i] is the id of element i's restriction to fiber k, and
-    # table[k][a][b] the id of the product of restrictions a and b there.
-    # A bundle without points gets one empty fiber, so elements have keys.
-    # Restrictions and their products are built as lists first: a tuple
-    # grown from an iterator is resized on the way, which leaves the heap
-    # fragmented (peak RSS).
-    columns = []
-    table = []
+    # table[k][a][b] that of the product of restrictions a and b there,
+    # taken a point at a time (by_point).  Tuples are not grown from
+    # iterators: resizing them fragments the heap (peak RSS).  A bundle
+    # without points gets one empty fiber, so elements have keys.
+    columns, table = [], []
     for fiber in list(B.fibers.values()) or [()]:
         ids: dict[tuple, int] = {}
-        columns.append([
-            ids.setdefault(tuple([t.values[p] for p in fiber]), len(ids))
-            for t in elements
-        ])
-        table.append([
-            [ids.get(tuple(list(map(G.compose.get, zip(a, b))))) for b in ids]
-            for a in ids
-        ])
+        columns.append([ids.setdefault(r, len(ids)) for r in map(_cells(fiber), tables)])
+        by_point = list(zip(*ids))
+        pairs = map(itertools.product, by_point, by_point)
+        products = zip(*map(map, itertools.repeat(G.compose.get), pairs)) if fiber else [()]
+        found = iter(list(map(ids.get, products)))
+        table.append(list(zip(*[found] * len(ids))))
     keys = list(zip(*columns))
-    by_key = {key: i for i, key in enumerate(keys)}
+    by_key = dict(zip(keys, itertools.count()))
     product = _FilledOnRead(_fill_products, keys, columns, table, by_key)
     closed = len(by_key) == math.prod(map(len, table)) and not any(
         None in row for block in table for row in block
@@ -642,17 +645,23 @@ def build_gauge_groupoid(bundles: list[PrincipalBundle]) -> GaugeGroupoid:
     for B in bundles[1:]:
         if B.groupoid != bundles[0].groupoid or B.base != bundles[0].base:
             raise ValueError("bundles must share base and groupoid")
-    return _assemble(bundles, lambda i, j, K: True)
+    return _assemble(bundles, lambda i, j, pairs: None)
 
 
 def _assemble(
-    bundles: list[PrincipalBundle], keep: Callable[[int, int, GGT], bool]
+    bundles: list[PrincipalBundle], keep: Callable[[int, int, list], Callable | None]
 ) -> GaugeGroupoid:
     """The gauge groupoid on the GGTs K = morphism_to_ggt(sigma) of the
-    bundle morphisms sigma from bundles[i] to bundles[j] with
-    keep(i, j, K); its objects are P0, P1, ...  Each hom set is sorted by
-    content: its GGTs share one domain, so by their values read over the
-    sorted same-fiber pairs.
+    bundle morphisms sigma from bundles[i] to bundles[j] that
+    keep(i, j, pairs) admits, a test of K's value row over the same-fiber
+    pairs or None for all; its objects are P0, P1, ...  Each hom set is
+    sorted by content: by the values read over the sorted pairs.
+
+    Rows are read whole: a value row is one map (_ggt_values), its content
+    a permutation of it, the composites with an inner arrow one itemgetter
+    map over the outer rows.  As itemgetter of one index gives a value, a
+    row of 0 or 1 pairs is its own content, of 0 or 1 points (the only one
+    of its length) its own composite.
 
     Units, inverses and composites are found through the GGT-morphism
     bijection, by morphism row, which is exact: identity_ggt(B) is
@@ -673,31 +682,35 @@ def _assemble(
     # An arrow's morphism as a row: the position in bundles[j]'s sorted
     # points of the image of each of bundles[i]'s sorted points.  by_row
     # lists each hom set's arrows by row, in content order.  A
-    # permutation's inverse lists its positions by image; composite rows
-    # go through a list, for the reason given in _tabulate.
+    # permutation's inverse lists its positions by image.
     points = [sorted(B.total) for B in bundles]
-    position = [{p: n for n, p in enumerate(pts)} for pts in points]
+    position = [dict(zip(pts, itertools.count())) for pts in points]
     by_row: dict[tuple[int, int], dict[tuple[int, ...], str]] = {}
     for i, Bi in enumerate(bundles):
         for j, Bj in enumerate(bundles):
             pairs = _fibred_pairs(Bi, Bj)
             order = sorted(pairs)
+            positions = sorted(range(len(pairs)), key=pairs.__getitem__) if order != pairs else ()
+            content = itemgetter(*positions) if positions else tuple
             heads = [f"[{_quote(p1)},{_quote(p2)}," for p1, p2 in order]
+            firsts, seconds = zip(*pairs) if pairs else ((), ())
+            admit = keep(i, j, pairs)
             kept = []
             for f in _morphisms(Bi, Bj):
-                K = GGT(Bi, Bj, _ggt_values(pairs, f.mapping, Bj))
-                if keep(i, j, K):
-                    kept.append((list(map(K.values.__getitem__, order)), K, f))
-            kept.sort(key=lambda entry: entry[0])
-            by_row[(i, j)] = {}
-            for values, K, f in kept:
-                entries = map("{}{}]".format, heads, map(_quote, values))
+                values = _ggt_values(firsts, seconds, f.mapping, Bj)
+                if admit is None or admit(values):
+                    kept.append((content(values), values, f.mapping))
+            kept.sort(key=itemgetter(0))
+            hom = by_row[(i, j)] = {}
+            for cells, values, mapping in kept:
+                entries = map("{}{}]".format, heads, map(_quote, cells))
                 aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, entries)}"
                 if aid in arrows:
                     raise IntegrityError(f"arrow id {aid!r} names two different GGTs")
-                arrows[aid] = K
+                arrows[aid] = GGT(Bi, Bj, dict(zip(pairs, values)))
                 source[aid], target[aid] = ids[i], ids[j]
-                by_row[(i, j)][tuple(position[j][f.mapping[p]] for p in points[i])] = aid
+                images = map(mapping.__getitem__, points[i])
+                hom[tuple(map(position[j].__getitem__, images))] = aid
 
     def missing(i: int, j: int, what: str) -> IntegrityError:
         return IntegrityError(f"{what} GGT missing from hom({ids[i]}, {ids[j]})")
@@ -719,17 +732,20 @@ def _assemble(
             inverse[aid] = find(j, i, back, "inverse")
     compose = {}
     for (j, k), hom2 in by_row.items():
+        rows2 = list(hom2)
         for (i, j2), hom1 in by_row.items():
             if j2 != j:
                 continue
             composites = by_row[(i, k)]
-            for row2, a2 in hom2.items():
-                image = row2.__getitem__
-                for row1, a1 in hom1.items():
-                    found = composites.get(tuple(list(map(image, row1))))
-                    if found is None:
-                        raise missing(i, k, "composite")
-                    compose[(a2, a1)] = found
+            columns = []
+            for row1 in hom1:
+                outer = map(itemgetter(*row1), rows2) if len(row1) > 1 else [row1] * len(rows2)
+                columns.append(list(map(composites.get, outer)))
+                if None in columns[-1]:
+                    raise missing(i, k, "composite")
+            # column a1 holds (a2, a1) for every a2; entries go in a2-major order
+            cells = itertools.chain.from_iterable(zip(*columns))
+            compose.update(zip(itertools.product(hom2.values(), hom1.values()), cells))
 
     groupoid = FiniteGroupoid(
         objects=frozenset(ids),

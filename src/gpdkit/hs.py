@@ -52,6 +52,7 @@ from .gauge import (
     GaugeGroup,
     GaugeGroupoid,
     _assemble,
+    _cells,
     _gauge_elements,
     _tabulate,
     morphism_to_ggt,
@@ -297,12 +298,9 @@ def hs_gauge_group(h: HSMorphism) -> GaugeGroup:
     g.p for every left move (g, p) -> g.p; the rows are filtered before
     any transformation is built."""
     B = h.bundle
-    if not h.left_act:
-        return _tabulate(B, _gauge_elements(B))
     position = {p: n for n, p in enumerate(sorted(B.total))}.__getitem__
-    # itemgetter of one index gives a value, not a 1-tuple; either compares
-    there = itemgetter(*map(position, h.left_act.values()))
-    back = itemgetter(*map(position, map(itemgetter(1), h.left_act)))
+    there = _cells(list(map(position, h.left_act.values())))
+    back = _cells(list(map(position, map(itemgetter(1), h.left_act))))
     return _tabulate(B, _gauge_elements(B, lambda row: there(row) == back(row)))
 
 
@@ -311,8 +309,9 @@ def build_hs_gauge_groupoid(hs_list: list[HSMorphism]) -> GaugeGroupoid:
 
     The assembly of build_gauge_groupoid, keeping the GGTs that
     is_left_invariant_ggt admits, so its arrow set is contained in the
-    bundle-level one for the same bundle list.  Closure is enforced by
-    lookup: a non-invariant unit, inverse or composite raises IntegrityError.
+    bundle-level one for the same bundle list, one row comparison per GGT
+    (_invariant_rows).  Closure is enforced by lookup: a non-invariant
+    unit, inverse or composite raises IntegrityError.
     """
     if not hs_list:
         raise ValueError("need at least one bibundle")
@@ -321,5 +320,20 @@ def build_hs_gauge_groupoid(hs_list: list[HSMorphism]) -> GaugeGroupoid:
             raise ValueError("bibundles must share domain and codomain")
     return _assemble(
         [h.bundle for h in hs_list],
-        lambda i, j, K: is_left_invariant_ggt(hs_list[i], hs_list[j], K),
+        lambda i, j, pairs: _invariant_rows(hs_list[i], hs_list[j], pairs),
     )
+
+
+def _invariant_rows(h1: HSMorphism, h2: HSMorphism, pairs: list):
+    """is_left_invariant_ggt as a test of value rows over pairs, or None
+    when no left move links two pairs: with their positions as values,
+    _left_invariance_violations yields every move from pair to pair."""
+    at = dict(zip(pairs, range(len(pairs))))
+    moves = [
+        (at[p1, p2], at[h1.left_act[g, p1], h2.left_act[g, p2]])
+        for g, p1, p2 in _left_invariance_violations(h1, h2, pairs, at)
+    ]
+    if not moves:
+        return None
+    back, there = map(_cells, zip(*moves))
+    return lambda row: there(row) == back(row)

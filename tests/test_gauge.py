@@ -16,6 +16,7 @@ import gpdkit.gauge
 from gpdkit import (
     GGT,
     BundleMorphism,
+    FiniteGroupoid,
     GroupoidMorphism,
     PrincipalBundle,
     GaugeTransformation,
@@ -382,7 +383,9 @@ def test_gauge_groupoid_refuses_arrow_id_collisions(unit_z2, monkeypatch):
 def test_assembly_refuses_a_unit_that_was_not_kept(unit_z2):
     unit_values = identity_ggt(unit_z2).values
     with pytest.raises(IntegrityError, match=r"unit GGT missing from hom\(P0, P0\)"):
-        gpdkit.gauge._assemble([unit_z2], lambda i, j, K: K.values != unit_values)
+        gpdkit.gauge._assemble(
+            [unit_z2], lambda i, j, pairs: lambda row: dict(zip(pairs, row)) != unit_values
+        )
 
 
 def _relabelled(B, tag: str):
@@ -436,7 +439,9 @@ def test_assembly_refuses_a_composite_that_was_not_kept(unit_s3):
     with pytest.raises(
         IntegrityError, match=r"composite GGT missing from hom\(P0, P0\)"
     ):
-        gpdkit.gauge._assemble([unit_s3], lambda i, j, K: K.values != dropped)
+        gpdkit.gauge._assemble(
+            [unit_s3], lambda i, j, pairs: lambda row: dict(zip(pairs, row)) != dropped
+        )
 
 
 def test_gauge_groupoid_of_the_order_144_unit_bundle_is_fast():
@@ -464,6 +469,41 @@ def test_constructed_hom_sets_equal_the_oracle(family, request):
         for j, Bj in enumerate(bundles):
             mine = sorted(_ggt_table(gg.ggts[a]) for a in gg.groupoid.hom(ids[i], ids[j]))
             assert mine == [_ggt_table(K) for K in enumerate_ggts(Bi, Bj)]
+
+
+def test_gauge_groupoids_with_rows_of_zero_and_one_points(z2):
+    """Morphism rows and value rows of 0 and 1 points, which itemgetter
+    reads as a value or refuses: the unit bundle of the one-arrow
+    groupoid, alone and twice, and the bundle with no points."""
+    one = FiniteGroupoid(
+        objects=frozenset({"*"}),
+        arrows=frozenset({"e"}),
+        source={"e": "*"},
+        target={"e": "*"},
+        unit={"*": "e"},
+        inverse={"e": "e"},
+        compose={("e", "e"): "e"},
+    )
+    point = unit_bundle(one)
+    empty = PrincipalBundle(z2, frozenset(), frozenset(), {}, {}, {})
+    assert len(point.total) == 1
+    for bundles, counts in (
+        ([point], [1, 1]),
+        ([point, point], [4, 8]),
+        ([empty], [1, 1]),
+        ([empty, empty], [4, 8]),
+    ):
+        gg = build_gauge_groupoid(bundles)
+        assert [len(gg.groupoid.arrows), len(gg.groupoid.compose)] == counts
+        assert validate_groupoid(gg.groupoid).ok
+        ids = gg.bundle_ids
+        for i, Bi in enumerate(bundles):
+            for j, Bj in enumerate(bundles):
+                mine = sorted(_ggt_table(gg.ggts[a]) for a in gg.groupoid.hom(ids[i], ids[j]))
+                assert mine == [_ggt_table(K) for K in enumerate_ggts(Bi, Bj)]
+        _assert_stated_units_inverses_order_and_ids(gg)
+    for B in (point, empty):
+        assert _tables(gauge_group(B)) == naive_gauge_tables(B, list(gauge_group(B).elements))
 
 
 def test_gauge_groupoid_above_the_oracle_bounds(s3):

@@ -268,3 +268,36 @@ def test_hs_product_refuses_a_bundle_off_its_codomain(hs_z2, hs_s3):
     with pytest.raises(ValueError, match="second factor's bundle groupoid"):
         hs_product(hs_z2, off)
     assert validate_hs(hs_product(hs_z2, hs_s3)).ok
+
+
+def test_invariant_gauge_groupoid_keeps_the_invariant_arrows_of_the_full_one():
+    """Over the bibundle families of run_checks (seed offset 0, seeds 0
+    to 11), the arrows of build_hs_gauge_groupoid are exactly those of
+    build_gauge_groupoid on the same bundles that is_left_invariant_ggt
+    admits, with the same ids and the same GGTs."""
+    families = []
+    for seed in range(12):
+        G = random_groupoid(GeneratorSpec(seed + 300, max_objects=2, max_group_order=6))
+        H = random_groupoid(GeneratorSpec(seed + 400, max_objects=2, max_group_order=3))
+        try:
+            pair = [random_hs(G, H, GeneratorSpec(seed + k, max_total=12)) for k in (500, 600)]
+        except GeneratorError:
+            continue
+        families.append(pair)
+    assert len(families) == 12
+    dropped = 0
+    for hs in families:
+        full = build_gauge_groupoid([h.bundle for h in hs])
+        index = {x: i for i, x in enumerate(full.bundle_ids)}
+        kept = {
+            a
+            for a, K in full.ggts.items()
+            if is_left_invariant_ggt(
+                hs[index[full.groupoid.source[a]]], hs[index[full.groupoid.target[a]]], K
+            )
+        }
+        invariant = build_hs_gauge_groupoid(hs)
+        assert invariant.groupoid.arrows == kept
+        assert all(invariant.ggts[a].values == full.ggts[a].values for a in kept)
+        dropped += len(full.groupoid.arrows) - len(kept)
+    assert dropped > 0
