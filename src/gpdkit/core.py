@@ -26,12 +26,13 @@ Left invariance keeps its own loop.  An instance whose product the
 tables leave undefined is skipped, so the division verifiers, too,
 report and never raise.
 
-validate_groupoid decides first and explains after: whole-column checks
-decide its compose table, Light's test on a generating set decides
-associativity, and _check_table returns at once on a table with the
-expected keys and values.  The loops that name each violation, in
-witness order, run only when a decision fails, so reports are the same
-as from the loops alone.
+The validators decide first and explain after: whole-column checks
+decide a groupoid's compose table and then its unit and inverse laws,
+Light's test on a generating set decides associativity, validate_bundle
+decides its fiber laws a row of moves at a time, and _check_table
+returns at once, unsorted, on a table with the expected keys and values.
+The loops that name each violation, in witness order, run only when a
+decision fails, so reports are the same as from the loops alone.
 """
 
 from __future__ import annotations
@@ -162,24 +163,24 @@ def _check_table(
     r: ValidationReport,
     name: str,
     table: dict,
-    domain: Iterable,
     expected: Container,
     declared: Container,
     values: Container,
+    domain: Iterable | None = None,
 ) -> None:
     """Check table against its exact domain as table.<name>.* rules.
 
-    domain lists the keys the table must have, in witness order, and
-    expected holds the same keys.  Each absent one is missing; each table
-    key, sorted, is dangling if it is expected and its value is not in
-    values, extra if it is not expected but declared (made of declared
+    expected holds the keys the table must have, and domain lists them in
+    witness order (sorted when None).  Each absent one is missing; each
+    table key, sorted, is dangling if it is expected and its value is not
+    in values, extra if it is not expected but declared (made of declared
     ids), and unknown-key otherwise.  Witnesses are the key's ids, then
     the value.  A table whose keys are expected and whose values are all
-    in values has none of these, and is not scanned.
+    in values has none of these, and is neither scanned nor sorted.
     """
     if table.keys() == expected and all(map(values.__contains__, table.values())):
         return
-    for key in domain:
+    for key in sorted(expected) if domain is None else domain:
         if key not in table:
             r.add(f"table.{name}.missing", *_key_ids(key))
     for key in sorted(table, key=_key_ids):
@@ -250,11 +251,10 @@ def _structure_ok(r: ValidationReport, G: FiniteGroupoid, prefix: str = "") -> b
     """Report G's source, target, unit and inverse tables as table.*
     rules after prefix; whether all are total, so law loops may index them."""
     sub = ValidationReport()
-    arrows, objects = sorted(G.arrows), sorted(G.objects)
-    _check_table(sub, "source", G.source, arrows, G.arrows, G.arrows, G.objects)
-    _check_table(sub, "target", G.target, arrows, G.arrows, G.arrows, G.objects)
-    _check_table(sub, "unit", G.unit, objects, G.objects, G.objects, G.arrows)
-    _check_table(sub, "inverse", G.inverse, arrows, G.arrows, G.arrows, G.arrows)
+    _check_table(sub, "source", G.source, G.arrows, G.arrows, G.objects)
+    _check_table(sub, "target", G.target, G.arrows, G.arrows, G.objects)
+    _check_table(sub, "unit", G.unit, G.objects, G.objects, G.arrows)
+    _check_table(sub, "inverse", G.inverse, G.arrows, G.arrows, G.arrows)
     r.extend(sub, prefix)
     return sub.ok
 
@@ -282,6 +282,27 @@ def _compose_exact(G: FiniteGroupoid, known: list[str], by_target: dict) -> bool
         list(map(src.get, firsts)) == list(map(tgt.get, seconds))
         and list(map(src.get, values)) == list(map(src.get, seconds))
         and list(map(tgt.get, values)) == list(map(tgt.get, firsts))
+    )
+
+
+def _units_and_inverses(G: FiniteGroupoid, arrows: list[str]) -> bool:
+    """Whether no unit.* or inverse.* rule can fire on G, with total
+    structure tables and an exact compose table, decided on whole columns
+    over arrows, all of G's, sorted.  Each unit must run from its object to
+    itself; g composed with the unit at either end gives g, and with its
+    inverse on either side the unit at that end, so the inverse's
+    endpoints follow: an exact table defines g h only where they meet."""
+    src, tgt, unit, mul = G.source.get, G.target.get, G.unit.get, G.compose.get
+    objects = sorted(G.objects)
+    units = list(map(unit, objects))
+    at_target, at_source = list(map(unit, map(tgt, arrows))), list(map(unit, map(src, arrows)))
+    invs = list(map(G.inverse.get, arrows))
+    return (
+        list(map(src, units)) == objects == list(map(tgt, units))
+        and list(map(mul, zip(at_target, arrows))) == arrows
+        and list(map(mul, zip(arrows, at_source))) == arrows
+        and list(map(mul, zip(arrows, invs))) == at_target
+        and list(map(mul, zip(invs, arrows))) == at_source
     )
 
 
@@ -341,10 +362,11 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
                              consequences of the unit laws, checked so a
                              broken unit table cannot mask them
 
-    The compose table and associativity are decided first, and the loops
-    that name each violation in order run only when a decision fails.
-    _compose_exact decides the table.compose.* and product.* rules on
-    whole columns.  When it holds, associativity is decided by Light's
+    The laws are decided first, and the loops that name each violation
+    in order run only when a decision fails.  _compose_exact decides the
+    table.compose.* and product.* rules on whole columns.  When it holds,
+    _units_and_inverses decides the unit and inverse laws (given total
+    structure tables), and associativity is decided by Light's
     test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     1961, 1.2): the law is checked with its middle arrow in a generating
     set S (_generators) only.  Proof: let M be the arrows s with
@@ -357,7 +379,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """
     r = ValidationReport()
     obj, arr = G.objects, G.arrows
-    _structure_ok(r, G)
+    total = _structure_ok(r, G)
 
     src, tgt = G.source, G.target
     known = [
@@ -369,10 +391,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     for g in known:
         by_target.setdefault(tgt[g], []).append(g)
 
-    mul = G.compose.get
-    unit = G.unit.get
-    inv = G.inverse.get
-
+    mul, unit, inv = G.compose.get, G.unit.get, G.inverse.get
     exact = _compose_exact(G, known, by_target)
     entries = G.compose.items()
     if not exact:
@@ -403,38 +422,39 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             if tgt.get(g3) != tgt[g1]:
                 r.add("product.target", g1, g2, g3)
 
-    for x in sorted(obj):
-        e = unit(x)
-        if e is None or e not in arr:
-            continue
-        if src.get(e) != x or tgt.get(e) != x:
-            r.add("unit.endpoints", x, e)
+    if not (exact and total and _units_and_inverses(G, known)):
+        for x in sorted(obj):
+            e = unit(x)
+            if e is None or e not in arr:
+                continue
+            if src.get(e) != x or tgt.get(e) != x:
+                r.add("unit.endpoints", x, e)
 
-    for g in known:
-        e_t = unit(tgt[g])
-        if e_t is not None:
-            p = mul((e_t, g))
-            if p is not None and p != g:
-                r.add("unit.left", g)
-        e_s = unit(src[g])
-        if e_s is not None:
-            p = mul((g, e_s))
-            if p is not None and p != g:
-                r.add("unit.right", g)
+        for g in known:
+            e_t = unit(tgt[g])
+            if e_t is not None:
+                p = mul((e_t, g))
+                if p is not None and p != g:
+                    r.add("unit.left", g)
+            e_s = unit(src[g])
+            if e_s is not None:
+                p = mul((g, e_s))
+                if p is not None and p != g:
+                    r.add("unit.right", g)
 
-    for g in known:
-        h = inv(g)
-        if h is None or h not in arr or h not in known:
-            continue
-        if src[h] != tgt[g] or tgt[h] != src[g]:
-            r.add("inverse.endpoints", g, h)
-        e_t, e_s = unit(tgt[g]), unit(src[g])
-        p = mul((g, h))
-        if p is not None and e_t is not None and p != e_t:
-            r.add("inverse.right", g)
-        q = mul((h, g))
-        if q is not None and e_s is not None and q != e_s:
-            r.add("inverse.left", g)
+        for g in known:
+            h = inv(g)
+            if h is None or h not in arr or h not in known:
+                continue
+            if src[h] != tgt[g] or tgt[h] != src[g]:
+                r.add("inverse.endpoints", g, h)
+            e_t, e_s = unit(tgt[g]), unit(src[g])
+            p = mul((g, h))
+            if p is not None and e_t is not None and p != e_t:
+                r.add("inverse.right", g)
+            q = mul((h, g))
+            if q is not None and e_s is not None and q != e_s:
+                r.add("inverse.left", g)
 
     rows: dict[str, dict[str, str]] = {}
     for (g1, g2), g3 in entries:
@@ -561,8 +581,8 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     """
     r = ValidationReport()
     G, H = m.domain, m.codomain
-    _check_table(r, "object_map", m.object_map, sorted(G.objects), G.objects, G.objects, H.objects)
-    _check_table(r, "arrow_map", m.arrow_map, sorted(G.arrows), G.arrows, G.arrows, H.arrows)
+    _check_table(r, "object_map", m.object_map, G.objects, G.objects, H.objects)
+    _check_table(r, "arrow_map", m.arrow_map, G.arrows, G.arrows, H.arrows)
     # The laws index the domain's tables and compare with the codomain's.
     domain_ok = _structure_ok(r, G, "domain.")
     if not (_structure_ok(r, H, "codomain.") and domain_ok):
@@ -640,7 +660,7 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     """
     r = ValidationReport()
     G = A.groupoid
-    _check_table(r, "momentum", A.momentum, sorted(A.carrier), A.carrier, A.carrier, G.objects)
+    _check_table(r, "momentum", A.momentum, A.carrier, A.carrier, G.objects)
     # Everything below indexes G's tables.
     if not _structure_ok(r, G):
         return r
@@ -672,7 +692,7 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     ):
         domain = [side((g, m)) for g in sorted(G.arrows) for m in anchored.get(endpoint[g], ())]
         declared = {side((g, m)) for g in G.arrows for m in A.carrier}
-        _check_table(r, "act", A.act, domain, set(domain), declared, A.carrier)
+        _check_table(r, "act", A.act, set(domain), declared, A.carrier, domain)
 
     # Compose law: acting by g and then by each h that meets g's far end
     # equals acting by their composite gh, "h after g" (on the right side

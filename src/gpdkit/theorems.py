@@ -292,7 +292,11 @@ def run_checks(
 
     fixtures maps labels to structures (defaults to the built-in set);
     random sweeps derive their generator specs from seed and cap totals
-    at max_size.  Undersized bounds shrink sweeps rather than fail.
+    at max_size.  Undersized bounds shrink sweeps rather than fail.  A
+    generated structure's definitional row is its generator's self-check,
+    which runs the same validator; fixtures, unit bundles and identity
+    bibundles are validated in the sweep.  Each oracle runs once per
+    bundle pair, inside the sweeps that read it.
     """
     if fixtures is None:
         fixtures = fixture_documents()
@@ -314,16 +318,24 @@ def run_checks(
                 held.append((label, *args))
         return held
 
+    self_checked: set[int] = set()  # ids of generator outputs; they outlive the run
+
     def generated(check: str, label: str, make):
         """make(), or None: a GeneratorError skips the instance, and any
         other error is check's FAIL row at label with the error's text."""
         try:
-            return make()
+            made = make()
         except GeneratorError:
             return None
         except Exception as e:
             rows[check].append((label, str(e) or repr(e)))
             return None
+        self_checked.update(map(id, made if isinstance(made, list) else [made]))
+        return made
+
+    def validated(validate, x) -> str:
+        """The first violation of validate(x), unless x passed its generator's."""
+        return "" if id(x) in self_checked else _first(validate(x))
 
     # --- groupoids -------------------------------------------------------
     docs = sorted(fixtures.items())
@@ -336,7 +348,7 @@ def run_checks(
         G = generated("def-groupoid", label, partial(random_groupoid, spec))
         if G is not None:
             groupoids.append((label, G))
-    valid_groupoids = sweep("def-groupoid", groupoids, lambda G: _first(validate_groupoid(G)))
+    valid_groupoids = sweep("def-groupoid", groupoids, partial(validated, validate_groupoid))
     # the conjugation and bundle sweeps grow cubically with arrows, so
     # oversized generator outputs stay in the axiom checks only
     small_groupoids = [row for row in valid_groupoids if len(row[1].arrows) <= max_size]
@@ -372,7 +384,7 @@ def run_checks(
         bundles.append((f"bundle[seed={seed + 200 + i}] over {label}", b2))
         if b1.base == b2.base:
             paired.append((f"bundles over {label}", b1, b2))
-    valid_bundles = sweep("def-princgroupoid", bundles, lambda B: _first(validate_bundle(B)))
+    valid_bundles = sweep("def-princgroupoid", bundles, partial(validated, validate_bundle))
     paired = _both_kept(paired, valid_bundles)
 
     sweep("def-unitbun", units, _unit_division)
@@ -389,28 +401,27 @@ def run_checks(
     def within(B: PrincipalBundle) -> bool:
         return not bounds.refusal(B, B)
 
-    # one enumeration per bundle pair; the bundles outlive the run, so ids stay unique
-    oracle_ggts: dict[tuple[int, int], tuple] = {}
+    oracle_runs: dict[tuple, tuple] = {}
 
-    def ggts_of(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple:
-        if (id(B1), id(B2)) not in oracle_ggts:
-            oracle_ggts[id(B1), id(B2)] = enumerate_ggts(B1, B2)
-        return oracle_ggts[id(B1), id(B2)]
+    def once(oracle, B1: PrincipalBundle, B2: PrincipalBundle):
+        """oracle(B1, B2), run once; the bundles outlive the run, so ids stay unique."""
+        if (oracle, id(B1), id(B2)) not in oracle_runs:
+            oracle_runs[oracle, id(B1), id(B2)] = oracle(B1, B2)
+        return oracle_runs[oracle, id(B1), id(B2)]
 
+    ggts_of, morphisms_of = partial(once, enumerate_ggts), partial(once, enumerate_bundle_morphisms)
     oracle_bundles = [(label, B) for label, B in valid_bundles if within(B)]
     oracle_paired = [row for row in paired if within(row[1]) and within(row[2])]
-    hom_pairs = [(f"{label} with itself", B, B) for label, B in oracle_bundles]
-    homs = [
-        (label, enumerate_bundle_morphisms(B1, B2), ggts_of(B1, B2))
-        for label, B1, B2 in hom_pairs + oracle_paired
-    ]
-    sweep("lem-inverequiv", homs, lambda fs, Ks: _bijective(fs))
+    homs = [(f"{label} with itself", B, B) for label, B in oracle_bundles] + oracle_paired
+    sweep("lem-inverequiv", homs, lambda B1, B2: _bijective(morphisms_of(B1, B2)))
     sweep(
         "thm-gengaugeeq",
         homs,
-        lambda fs, Ks: _correspondence(fs, Ks, morphism_to_ggt, ggt_to_morphism, "GGT"),
+        lambda B1, B2: _correspondence(
+            morphisms_of(B1, B2), ggts_of(B1, B2), morphism_to_ggt, ggt_to_morphism, "GGT"
+        ),
     )
-    sweep("thm-gaugeinvdiv", homs, lambda fs, Ks: _division_invariance(fs))
+    sweep("thm-gaugeinvdiv", homs, lambda B1, B2: _division_invariance(morphisms_of(B1, B2)))
     sweep("prop-gaugegr", oracle_bundles, lambda B: _gauge_group_laws(B, ggts_of(B, B)))
     families = [(label, [B1, B2]) for label, B1, B2 in oracle_paired[:2]]
     for label, B in _two_smallest(oracle_bundles)[:1]:
@@ -442,7 +453,7 @@ def run_checks(
     valid_hs = sweep(
         "prop-proddivhils",
         [(label, h) for label, h in hs_samples if within(h.bundle)],
-        lambda h: _first(validate_hs(h)) or _first(verify_hs_division_properties(h)),
+        lambda h: validated(validate_hs, h) or _first(verify_hs_division_properties(h)),
     )
     hs_paired = _both_kept(hs_paired, valid_hs)
     hs_small = _two_smallest(valid_hs, lambda h: h.bundle)

@@ -19,6 +19,8 @@ bundle's indexes by trying every key of its raw tables, as references
 for PrincipalBundle.
 naive_gauge_tables multiplies every pair of gauge transformations over
 all points, as a reference for the tables of gauge groups.
+naive_bundle_violations re-derives every bundle.* violation of a bundle
+from its raw tables, as a reference for validate_bundle.
 bundle_mutations yields every single-entry rewrite or deletion of a
 bundle's act, projection and momentum tables.  reference_morphisms
 validates every product of per-fiber images with validate_bundle_morphism,
@@ -569,6 +571,38 @@ def naive_gauge_tables(
             return f"inverse of element {i}" + absent
         inverse.append(k)
     return product, unit, tuple(inverse)
+
+
+def naive_bundle_violations(B: PrincipalBundle) -> list[tuple[str, ...]]:
+    """(rule, *witness) for every bundle.* violation of B, in validate_bundle's
+    order, by trying every key of its raw tables: each base point over no
+    total point, each act entry of a total point to a total point over
+    another base point, then per base point and point p over it, in
+    order, each act entry p.h that lands on an earlier p.g (free), and
+    each point over it that no act entry of p reaches (transitive)."""
+    total, pi = B.total, B.projection.get
+    entries = sorted(B.act.items())
+    found = [
+        ("bundle.projection-surjective", m)
+        for m in sorted(B.base)
+        if all(pi(p) != m for p in total)
+    ]
+    found += [
+        ("bundle.projection-invariant", p, g)
+        for (p, g), q in entries
+        if p in total and q in total and pi(q) != pi(p)
+    ]
+    for m in sorted(B.base):
+        fiber = sorted(p for p in total if pi(p) == m)
+        for p in fiber:
+            first: dict[str, str] = {}
+            for (p2, h), q in entries:
+                if p2 == p and q in total:
+                    if q in first:
+                        found.append(("bundle.free", p, first[q], h))
+                    first.setdefault(q, h)
+            found += [("bundle.transitive", p, q) for q in fiber if q not in first]
+    return found
 
 
 def bundle_mutations(B: PrincipalBundle) -> Iterator[tuple[str, PrincipalBundle]]:

@@ -16,6 +16,8 @@ from gpdkit import (
     PrincipalBundle,
     division_map,
     fibred_product,
+    group_table,
+    make_group_groupoid,
     pair_id,
     product_bundle,
     pullback_bundle,
@@ -28,7 +30,14 @@ from gpdkit import (
     verify_division_properties,
 )
 
-from helpers import naive_divisions, naive_fibers, naive_moves, naive_quotients
+from helpers import (
+    bundle_mutations,
+    naive_bundle_violations,
+    naive_divisions,
+    naive_fibers,
+    naive_moves,
+    naive_quotients,
+)
 
 
 def test_unit_bundles_validate(z2, s3, pair3, z2_swap):
@@ -133,6 +142,59 @@ def test_projection_rules(unit_pair2):
     projection = {**unit_pair2.projection, "(0,1)": "1"}
     report = validate_bundle(replace(unit_pair2, projection=projection))
     assert "bundle.projection-invariant" in report.rules()
+
+
+def _bundle_law_mutants(z2, unit_z2):
+    """(rule, bundle) pairs on which rule fires: each bundle carries a valid
+    action of its groupoid, so only the bundle rules can catch it."""
+    one = make_group_groupoid(group_table("trivial"))
+
+    def bundle(G, projection: dict, act: dict) -> PrincipalBundle:
+        return PrincipalBundle(
+            G, frozenset(projection), frozenset(projection.values()), projection,
+            {p: "*" for p in projection}, act,
+        )
+
+    # z2 fixing one point: its row has the fiber's points, but twice
+    fat = bundle(z2, {"p": "m"}, {("p", "e"): "p", ("p", "a"): "p"})
+    # the trivial group on two points over one base point: each row reaches one
+    lonely = bundle(one, {"p": "m", "q": "m"}, {("p", "e"): "p", ("q", "e"): "q"})
+    # z2 swapping two fibers of two points: each row has its fiber's size
+    # but lands in the other fiber
+    points = {"p0": "m0", "p1": "m0", "q0": "m1", "q1": "m1"}
+    swap = {"p0": "q0", "q0": "p0", "p1": "q1", "q1": "p1"}
+    act = {(x, "e"): x for x in points} | {(x, "a"): y for x, y in swap.items()}
+    crossing = bundle(z2, points, act)
+    extra = replace(unit_z2, base=unit_z2.base | {"extra"})
+    return [
+        ("bundle.free", fat),
+        ("bundle.transitive", lonely),
+        ("bundle.projection-invariant", crossing),
+        ("bundle.projection-surjective", extra),
+    ]
+
+
+def test_bundle_law_witnesses_match_a_naive_scan(z2, unit_z2, unit_pair2, unit_s3):
+    """validate_bundle decides projection invariance, freeness and
+    transitivity a point at a time, and names violations with its loops
+    only when that fails.  Each mutant of _bundle_law_mutants breaks its
+    rule and no action rule, so a decider that dropped a condition would
+    pass it.  On these, on every single-entry mutant of three unit bundles
+    and on an act value that is not a point id, the bundle.* witnesses
+    are those of the naive scan."""
+    for rule, B in _bundle_law_mutants(z2, unit_z2):
+        report = validate_bundle(B)
+        assert rule in report.rules(), rule
+        assert all(v.rule.startswith("bundle.") for v in report.violations), rule
+        got = [(v.rule, *v.witness) for v in report.violations]
+        assert got == naive_bundle_violations(B), rule
+    mutants = [m for B in (unit_z2, unit_pair2, unit_s3) for m in bundle_mutations(B)]
+    # an act value that is no point id, beside the ids of its row
+    mutants.append(("act value None", replace(unit_z2, act={**unit_z2.act, ("e", "a"): None})))
+    for desc, M in mutants:
+        report = validate_bundle(M)
+        got = [(v.rule, *v.witness) for v in report.violations if v.rule.startswith("bundle.")]
+        assert got == naive_bundle_violations(M), desc
 
 
 def test_pullback_bundle(unit_z2):

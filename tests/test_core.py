@@ -18,6 +18,7 @@ from gpdkit import (
     GroupoidMorphism,
     LeftAction,
     RightAction,
+    Violation,
     dumps,
     fibred_product,
     generalized_conjugation,
@@ -26,6 +27,7 @@ from gpdkit import (
     hs_product,
     isotropy_group,
     make_group_groupoid,
+    make_pair_groupoid,
     pair_id,
     product_bundle,
     product_groupoid,
@@ -392,6 +394,82 @@ def test_associativity_witnesses_match_a_naive_scan(docs, monkeypatch):
     # 1,607 reports: 674 decided by Light's test, 290 of them not associative
     assert rejected > 200
     assert sum(not _compose_decided(report) for report in decided) > 500
+
+
+UNIT_INVERSE_RULES = (
+    "unit.endpoints",
+    "unit.left",
+    "unit.right",
+    "inverse.endpoints",
+    "inverse.left",
+    "inverse.right",
+)
+
+
+def _unit_inverse_mutants(z2):
+    """(rule, groupoid) pairs on which rule fires while every structure
+    table is total and the compose table stays exact, so the decider of
+    validate_groupoid is consulted.  Each but inverse.endpoints fails one
+    of its columns only."""
+    alone = replace(z2, objects=z2.objects | {"x"}, unit={**z2.unit, "x": "e"})
+    z3 = make_group_groupoid(group_table("z3"))
+    pair2 = make_pair_groupoid(2)
+    # v4 with each of a, b, c sent to the next as its inverse, and the
+    # products of each with its new inverse on one side made the unit
+    v4 = make_group_groupoid(group_table("v4"))
+    turn = {"e": "e", "a": "b", "b": "c", "c": "a"}
+    rights = {(x, turn[x]): "e" for x in "abc"}
+    lefts = {(turn[x], x): "e" for x in "abc"}
+    return [
+        ("unit.endpoints", alone),
+        ("unit.left", replace(z3, compose={**z3.compose, ("e", "c1"): "c2"})),
+        ("unit.right", replace(z3, compose={**z3.compose, ("c1", "e"): "c2"})),
+        ("inverse.endpoints", replace(pair2, inverse={**pair2.inverse, "(0,1)": "(0,1)"})),
+        ("inverse.left", replace(v4, inverse=turn, compose={**v4.compose, **rights})),
+        ("inverse.right", replace(v4, inverse=turn, compose={**v4.compose, **lefts})),
+    ]
+
+
+def _naive_unit_inverse(G: FiniteGroupoid) -> list[tuple]:
+    """(rule, *witness) for every unit.* and inverse.* candidate that
+    violation_holds confirms, by rule, then in candidate order."""
+    objects, arrows = sorted(G.objects), sorted(G.arrows)
+    candidates = {
+        "unit.endpoints": [(x, e) for x in objects for e in arrows],
+        "unit.left": [(g,) for g in arrows],
+        "unit.right": [(g,) for g in arrows],
+        "inverse.endpoints": [(g, h) for g in arrows for h in arrows],
+        "inverse.left": [(g,) for g in arrows],
+        "inverse.right": [(g,) for g in arrows],
+    }
+    return [
+        (rule, *w)
+        for rule in UNIT_INVERSE_RULES
+        for w in candidates[rule]
+        if violation_holds(G, Violation(rule, w))
+    ]
+
+
+def test_unit_and_inverse_witnesses_match_a_naive_scan(docs, z2, monkeypatch):
+    """validate_groupoid decides the unit and inverse laws on whole columns
+    when its structure tables are total and its compose table is exact,
+    and explains with its loops: on each mutant of _unit_inverse_mutants,
+    where the decider is consulted and the rule fires, and on the decider
+    corpus, each report equals the loops' own, and its unit and inverse
+    witnesses those that violation_holds confirms."""
+    mutants = _unit_inverse_mutants(z2)
+    corpus = list(_decider_corpus(docs)) + mutants
+    decided = [validate_groupoid(G) for _, G in corpus]
+    for rule, G in mutants:
+        report = validate_groupoid(G)
+        assert rule in report.rules(), rule
+        assert not any(v.rule.startswith(("table.", "product.")) for v in report.violations)
+    monkeypatch.setattr(gpdkit.core, "_units_and_inverses", lambda *args: False)
+    for (desc, G), report in zip(corpus, decided):
+        assert report.violations == validate_groupoid(G).violations, desc
+        got = [(v.rule, *v.witness) for v in report.violations if v.rule in UNIT_INVERSE_RULES]
+        got.sort(key=lambda w: UNIT_INVERSE_RULES.index(w[0]))
+        assert got == _naive_unit_inverse(G), desc
 
 
 def _escaped(G: FiniteGroupoid, tag: str) -> FiniteGroupoid:

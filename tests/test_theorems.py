@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import gpdkit.builders
 import gpdkit.theorems
 from gpdkit import (
     CHECKS,
@@ -405,3 +406,66 @@ def test_a_broken_construction_fails_its_statement(docs, monkeypatch, name, brok
     result = next(r for r in results if r.check == check)
     assert result.status == "FAIL"
     assert detail in result.witness
+
+
+@pytest.mark.parametrize(
+    "oracle, check",
+    [("enumerate_ggts", "thm-gengaugeeq"), ("enumerate_bundle_morphisms", "lem-inverequiv")],
+)
+def test_a_raising_oracle_fails_the_statements_that_read_it(docs, monkeypatch, oracle, check):
+    """The oracles run inside the sweeps that read them, so one that raises
+    fails those statements' rows instead of the run."""
+    monkeypatch.setattr(gpdkit.theorems, oracle, _raises(f"no {oracle}")(None))
+    results = run_checks(42, 4, docs)
+    assert tuple(r.check for r in results) == EXPECTED_IDS
+    result = next(r for r in results if r.check == check)
+    assert result.status == "FAIL"
+    assert f"no {oracle}" in result.witness
+
+
+VALIDATORS = {
+    "validate_groupoid": "random_groupoid",
+    "validate_bundle": "random_bundle",
+    "validate_hs": "random_hs",
+}
+
+
+def test_generated_structures_are_validated_once(docs, monkeypatch):
+    """A structure made by random_groupoid, random_bundle or random_hs is
+    validated by its generator's self-check and not again by its
+    definitional statement; the spies keep every argument, so no id is
+    reused during the run."""
+    made: dict[str, list] = {name: [] for name in VALIDATORS.values()}
+    calls: dict[str, list] = {name: [] for name in VALIDATORS}
+
+    def spy(log: list, orig):
+        def wrapper(*args):
+            out = orig(*args)
+            log.append((args[0], out))
+            return out
+
+        return wrapper
+
+    for validator, generator in VALIDATORS.items():
+        for module in (gpdkit.builders, gpdkit.theorems):
+            orig = getattr(module, validator)
+            monkeypatch.setattr(module, validator, spy(calls[validator], orig))
+        orig = getattr(gpdkit.theorems, generator)
+        monkeypatch.setattr(gpdkit.theorems, generator, spy(made[generator], orig))
+    results = run_checks(seed=42, max_size=4, fixtures=docs)
+    assert all(r.ok for r in results)
+    for validator, generator in VALIDATORS.items():
+        assert made[generator], generator
+        counts = [sum(x is y for x, _ in calls[validator]) for _, y in made[generator]]
+        assert counts == [1] * len(counts), validator
+
+
+def test_a_generator_whose_self_check_fails_fails_its_statement(docs, monkeypatch):
+    """A generated bundle's definitional row is its generator's self-check:
+    a violation there fails def-princgroupoid although the sweep does not
+    validate the bundle again."""
+    monkeypatch.setattr(gpdkit.builders, "validate_bundle", _failing_report)
+    results = run_checks(42, 4, docs)
+    result = next(r for r in results if r.check == "def-princgroupoid")
+    assert result.status == "FAIL"
+    assert "built bundle fails validation" in result.witness
