@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .bundles import (
     IntegrityError,
     PrincipalBundle,
+    _pullback,
     division_map,
     unit_bundle,
     validate_bundle,
@@ -34,7 +35,7 @@ from .core import (
     GroupoidMorphism,
     LeftAction,
     ValidationReport,
-    isotropy_group,
+    _PairIds,
     pair_id,
     validate_action,
     validate_groupoid,
@@ -420,26 +421,31 @@ def random_bundle(G: FiniteGroupoid, base_size: int, spec: GeneratorSpec) -> Pri
             f"no fiber fits in a total space of {spec.max_total} points"
         )
 
-    points = [(m, g) for m in sorted(alpha) for g in by_target[alpha[m]]]
-    shuffled = list(points)
-    rng.shuffle(shuffled)
-    label = {pt: f"p{i}" for i, pt in enumerate(shuffled)}
-    projection = {label[(m, g)]: m for m, g in points}
-    momentum = {label[(m, g)]: G.source[g] for m, g in points}
-    act = {}
-    for m, g in points:
-        for h in by_target[G.source[g]]:
-            act[(label[(m, g)], h)] = label[(m, G.compose[(g, h)])]
-    B = PrincipalBundle(
-        groupoid=G,
-        total=frozenset(projection),
-        base=frozenset(alpha),
-        projection=projection,
-        momentum=momentum,
-        act=act,
-    )
+    ids = _PairIds()
+    pulled = _pullback(unit_bundle(G), alpha, ids)
+    points = [ids[m][g] for m in sorted(alpha) for g in by_target[alpha[m]]]
+    B = _relabel(pulled, points, rng, "p")[0]
     _require_valid(validate_bundle(B), "bundle")
     return B
+
+
+def _relabel(
+    B: PrincipalBundle, points: list[str], rng: random.Random, prefix: str
+) -> tuple[PrincipalBundle, dict[str, str]]:
+    """B with its points, listed in the given order, shuffled by rng and
+    renamed prefix0, prefix1, ...; and that renaming."""
+    shuffled = list(points)
+    rng.shuffle(shuffled)
+    label = {p: f"{prefix}{i}" for i, p in enumerate(shuffled)}
+    relabeled = PrincipalBundle(
+        groupoid=B.groupoid,
+        total=frozenset(label.values()),
+        base=B.base,
+        projection={label[p]: m for p, m in B.projection.items()},
+        momentum={label[p]: x for p, x in B.momentum.items()},
+        act={(label[p], k): label[q] for (p, k), q in B.act.items()},
+    )
+    return relabeled, label
 
 
 def _components(G: FiniteGroupoid) -> list[list[str]]:
@@ -512,7 +518,7 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
         arrow_map: dict[str, str] = {}
         for component in _components(G):
             tau = _spanning_arrows(G, component)
-            iso = tuple(sorted(isotropy_group(G, min(component)).arrows))
+            iso = G.hom(min(component), min(component))
             y0, rho, u = pick(component, iso)
             for x in component:
                 object_map[x] = H.target[u[x]]
@@ -526,7 +532,7 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
 
     def rich_pick(component, iso):
         y0 = rng.choice(sorted(H.objects))
-        cod = tuple(sorted(isotropy_group(H, y0).arrows))
+        cod = H.hom(y0, y0)
         homs = _group_homs(G, iso, H, cod)
         rho = rng.choice(homs)
         u = {x: rng.choice(out_of[y0]) for x in sorted(component)}
@@ -551,23 +557,9 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
     _require_valid(validate_morphism(morphism), "groupoid morphism")
 
     h = hs_from_groupoid_morphism(morphism)
-    shuffled = sorted(h.bundle.total)
-    rng.shuffle(shuffled)
-    label = {p: f"q{i}" for i, p in enumerate(shuffled)}
-    bundle = PrincipalBundle(
-        groupoid=h.bundle.groupoid,
-        total=frozenset(label.values()),
-        base=h.bundle.base,
-        projection={label[p]: m for p, m in h.bundle.projection.items()},
-        momentum={label[p]: x for p, x in h.bundle.momentum.items()},
-        act={(label[p], k): label[q] for (p, k), q in h.bundle.act.items()},
-    )
-    relabeled = HSMorphism(
-        h.dom,
-        h.cod,
-        bundle,
-        {(g, label[p]): label[q] for (g, p), q in h.left_act.items()},
-    )
+    bundle, label = _relabel(h.bundle, sorted(h.bundle.total), rng, "q")
+    left_act = {(g, label[p]): label[q] for (g, p), q in h.left_act.items()}
+    relabeled = HSMorphism(h.dom, h.cod, bundle, left_act)
     _require_valid(validate_hs(relabeled), "bibundle")
     return relabeled
 
@@ -611,7 +603,7 @@ def oracle_bounds() -> OracleBounds:
             key = {"total": "max_total", "arrows": "max_arrows", "base": "max_base"}.get(
                 name.strip()
             )
-            if key is None or not value.strip().isdigit():
+            if key is None or not value.strip().isdecimal():
                 raise ValueError(
                     f"cannot parse {ORACLE_BOUNDS_ENV}: bad piece {piece!r}"
                 )

@@ -80,9 +80,8 @@ class PrincipalBundle:
     act maps (p, g) to p.g and is defined exactly when
     momentum(p) == target(g); then momentum(p.g) == source(g) and
     projection(p.g) == projection(p).  act and projection are read-only
-    copies; the fibers, moves, divisions and quotients indexes are built
-    on first use, shared by every reader and read-only too, rows of moves
-    included.
+    copies; the fibers, moves and quotients indexes are built on first
+    use, shared by every reader and read-only too, rows of moves included.
     """
 
     groupoid: FiniteGroupoid
@@ -112,15 +111,6 @@ class PrincipalBundle:
         for (p, g), q in sorted(self.act.items()):
             rows.setdefault(p, {})[g] = q
         return _ReadOnlyDict((p, _ReadOnlyDict(row)) for p, row in rows.items())
-
-    @cached_property
-    def divisions(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """The sorted arrows g with p.g == q, by (p, q)."""
-        table: dict[tuple[str, str], list[str]] = {}
-        for p, row in self.moves.items():
-            for g, q in row.items():
-                table.setdefault((p, q), []).append(g)
-        return _ReadOnlyDict((pq, tuple(gs)) for pq, gs in table.items())
 
     @cached_property
     def quotients(self) -> dict[tuple[str, str], str]:
@@ -209,7 +199,8 @@ def division_map(B: PrincipalBundle, p: str, q: str) -> str:
         raise NotSameFiberError(
             f"{p!r} and {q!r} lie over different base points"
         )
-    kind = "multiple solutions" if B.divisions.get((p, q)) else "no solution"
+    # one arrow moving p to q would be in quotients, so any is one of many
+    kind = "multiple solutions" if q in B.moves.get(p, {}).values() else "no solution"
     raise IntegrityError(
         f"division of {q!r} by {p!r} has {kind} in the fiber over {m!r}"
     )

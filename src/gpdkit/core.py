@@ -137,15 +137,19 @@ class FiniteGroupoid:
         )
 
     def by_source(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {x: [] for x in sorted(self.objects)}
-        for g in sorted(self.arrows):
-            index.setdefault(self.source[g], []).append(g)
-        return index
+        return self._by_end(self.source)
 
     def by_target(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {x: [] for x in sorted(self.objects)}
+        return self._by_end(self.target)
+
+    def _by_end(self, end: dict[str, str]) -> dict[str, list[str]]:
+        """The sorted arrows by end(g), every object a key; an arrow whose
+        source or target is not a declared object is skipped."""
+        objects, src, tgt = self.objects, self.source, self.target
+        index: dict[str, list[str]] = {x: [] for x in sorted(objects)}
         for g in sorted(self.arrows):
-            index.setdefault(self.target[g], []).append(g)
+            if src.get(g) in objects and tgt.get(g) in objects:
+                index[end[g]].append(g)
         return index
 
 
@@ -387,9 +391,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         for g in sorted(arr)
         if src.get(g) in obj and tgt.get(g) in obj
     ]
-    by_target: dict[str, list[str]] = {}
-    for g in known:
-        by_target.setdefault(tgt[g], []).append(g)
+    by_target = G.by_target()
 
     mul, unit, inv = G.compose.get, G.unit.get, G.inverse.get
     exact = _compose_exact(G, known, by_target)

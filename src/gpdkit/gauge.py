@@ -185,10 +185,11 @@ def _piece_ok(B1: PrincipalBundle, B2: PrincipalBundle, m: str, piece: dict) -> 
     return len(set(piece.values())) == len(piece)
 
 
-def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]:
-    """Every bundle morphism B1 -> B2: per base point m, the least point
-    r over m goes to any q of B2 over m with momentum(q) == momentum(r),
-    and the fiber follows through sigma(r.g) = q.g, g = d1(r, p).
+def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dict[str, str]]:
+    """The mapping sigma of every bundle morphism B1 -> B2: per base point
+    m, the least point r over m goes to any q of B2 over m with
+    momentum(q) == momentum(r), and the fiber follows through
+    sigma(r.g) = q.g, g = d1(r, p).
 
     Each morphism is a product of one piece per fiber, each piece checked
     once, entry by entry: its rows are too short for maps to pay.  The
@@ -196,7 +197,7 @@ def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]
     bundles share groupoid and base, the fibers over B1's base cover
     B1.total and the total spaces have one size; then every product
     passes if every piece does.  Otherwise each product is validated in
-    turn, and the first failure is an IntegrityError.
+    turn as a BundleMorphism, and the first failure is an IntegrityError.
     """
     bases = sorted(B1.base)
     choices = []
@@ -223,20 +224,19 @@ def _morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]
             for piece in pieces
         )
     )
-    morphisms = []
+    mappings = []
     for pieces in itertools.product(*choices):
         mapping: dict[str, str] = {}
         for piece in pieces:
             mapping.update(piece)
-        f = BundleMorphism(B1, B2, mapping)
         if not local:
-            report = validate_bundle_morphism(f)
+            report = validate_bundle_morphism(BundleMorphism(B1, B2, mapping))
             if not report.ok:
                 raise IntegrityError(
                     "constructed bundle morphism fails validation: " + report.render()
                 )
-        morphisms.append(f)
-    return morphisms
+        mappings.append(mapping)
+    return mappings
 
 
 def validate_ggt(K: GGT) -> ValidationReport:
@@ -440,7 +440,7 @@ def _gauge_elements(
     map through B.quotients (_ggt_values) that reads rows of 0 or 1
     points alike; a transformation is built only for a row that is kept."""
     points = sorted(B.total)
-    rows = sorted(_ggt_values(points, points, f.mapping, B) for f in _morphisms(B, B))
+    rows = sorted(_ggt_values(points, points, mapping, B) for mapping in _morphisms(B, B))
     kept = rows if keep is None else filter(keep, rows)
     tables = map(dict, map(zip, itertools.repeat(points), kept))
     return list(map(GaugeTransformation, itertools.repeat(B), tables))
@@ -697,10 +697,10 @@ def _assemble(
             firsts, seconds = zip(*pairs) if pairs else ((), ())
             admit = keep(i, j, pairs)
             kept = []
-            for f in _morphisms(Bi, Bj):
-                values = _ggt_values(firsts, seconds, f.mapping, Bj)
+            for mapping in _morphisms(Bi, Bj):
+                values = _ggt_values(firsts, seconds, mapping, Bj)
                 if admit is None or admit(values):
-                    kept.append((content(values), values, f.mapping))
+                    kept.append((content(values), values, mapping))
             kept.sort(key=itemgetter(0))
             hom = by_row[(i, j)] = {}
             for cells, values, mapping in kept:

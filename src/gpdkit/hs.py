@@ -19,7 +19,6 @@ invariance; no composition or lookup code lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .bundles import (
     IntegrityError,
@@ -97,7 +96,7 @@ class HSMorphism:
         return LeftAction(
             self.dom,
             self.bundle.total,
-            dict(self.bundle.projection),
+            self.bundle.projection,
             self.left_act,
         )
 
@@ -294,14 +293,14 @@ def hs_gauge_group(h: HSMorphism) -> GaugeGroup:
     """Gauge transformations of the bundle that are constant on left
     orbits, as a subgroup of gauge_group(h.bundle).
 
-    A value row over the sorted points is kept when it agrees at p and
-    g.p for every left move (g, p) -> g.p; the rows are filtered before
-    any transformation is built."""
+    A gauge transformation is the diagonal G(p) = K(p, p) of an
+    automorphism's GGT, so its value row over the sorted points is the
+    GGT's row over the diagonal pairs (p, p), and is kept when
+    _invariant_rows admits it there; the rows are filtered before any
+    transformation is built."""
     B = h.bundle
-    position = {p: n for n, p in enumerate(sorted(B.total))}.__getitem__
-    there = _cells(list(map(position, h.left_act.values())))
-    back = _cells(list(map(position, map(itemgetter(1), h.left_act))))
-    return _tabulate(B, _gauge_elements(B, lambda row: there(row) == back(row)))
+    diagonal = [(p, p) for p in sorted(B.total)]
+    return _tabulate(B, _gauge_elements(B, _invariant_rows(h, h, diagonal)))
 
 
 def build_hs_gauge_groupoid(hs_list: list[HSMorphism]) -> GaugeGroupoid:

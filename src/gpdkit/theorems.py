@@ -251,10 +251,9 @@ def _gauge_groupoid_laws(family: list[PrincipalBundle], ggts_of) -> str:
     return ""
 
 
-def _hs_correspondence(h1, h2, ggts_of) -> str:
+def _hs_correspondence(h1, h2, morphisms_of, ggts_of) -> str:
     """_correspondence of the left equivariant morphisms and invariant GGTs."""
-    found = enumerate_bundle_morphisms(h1.bundle, h2.bundle)
-    fs = [HSBundleMorphism(h1, h2, f.mapping) for f in found]
+    fs = [HSBundleMorphism(h1, h2, f.mapping) for f in morphisms_of(h1.bundle, h2.bundle)]
     fs = [f for f in fs if validate_hs_morphism(f).ok]
     Ks = [K for K in ggts_of(h1.bundle, h2.bundle) if is_left_invariant_ggt(h1, h2, K)]
     back = partial(hs_ggt_to_morphism, h1, h2)
@@ -467,7 +466,7 @@ def run_checks(
     sweep(
         "thm-gengaugehils",
         (row for row in hs_homs if row[1].bundle.base == row[2].bundle.base),
-        partial(_hs_correspondence, ggts_of=ggts_of),
+        partial(_hs_correspondence, morphisms_of=morphisms_of, ggts_of=ggts_of),
     )
     sweep("prop-gaugegrhils", valid_hs, _hs_gauge_group_laws)
     hs_families = [(f"{label} alone", [h]) for label, h in hs_small]

@@ -14,17 +14,19 @@ constructions build every entry of a product with its own pair_id call,
 as references for the products of core, bundles and hs.
 naive_table_error names the first bad entry of a document's entry table
 by a plain scan, as a reference for the errors loads raises.
-naive_fibers, naive_moves, naive_divisions and naive_quotients rebuild a
-bundle's indexes by trying every key of its raw tables, as references
-for PrincipalBundle.
+naive_fibers, naive_moves and naive_quotients rebuild a bundle's
+indexes by trying every key of its raw tables, as references for
+PrincipalBundle; naive_divisions lists every arrow moving p to q, as a
+reference for the fault division_map names off the quotients index.
 naive_gauge_tables multiplies every pair of gauge transformations over
 all points, as a reference for the tables of gauge groups.
 naive_bundle_violations re-derives every bundle.* violation of a bundle
 from its raw tables, as a reference for validate_bundle.
 bundle_mutations yields every single-entry rewrite or deletion of a
 bundle's act, projection and momentum tables.  reference_morphisms
-validates every product of per-fiber images with validate_bundle_morphism,
-as a reference for the constructed hom sets of gauge.
+validates every product of per-fiber images with validate_bundle_morphism
+and returns the mappings, as a reference for the constructed hom sets of
+gauge.
 """
 
 from __future__ import annotations
@@ -664,9 +666,9 @@ def bundle_mutations(B: PrincipalBundle) -> Iterator[tuple[str, PrincipalBundle]
     )
 
 
-def reference_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[BundleMorphism]:
-    """The bundle morphisms B1 -> B2 as gauge._morphisms constructs them,
-    each validated in full before it is kept.
+def reference_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dict[str, str]]:
+    """The mappings of the bundle morphisms B1 -> B2 as gauge._morphisms
+    constructs them, each validated in full before it is kept.
 
     Per base point m, the least point r over m goes to each q of B2 over
     m with r's momentum, and p to q.d1(r, p); every product of these
@@ -686,15 +688,14 @@ def reference_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[Bundle
             for q in sorted(B2.total)
             if B2.projection.get(q) == m and B2.momentum.get(q) == B1.momentum.get(r)
         ])
-    morphisms = []
+    mappings = []
     for images in itertools.product(*choices):
         mapping = {p: q for image in images for p, q in image.items()}
-        f = BundleMorphism(B1, B2, mapping)
-        report = validate_bundle_morphism(f)
+        report = validate_bundle_morphism(BundleMorphism(B1, B2, mapping))
         if not report.ok:
             raise IntegrityError(
                 "constructed bundle morphism fails validation: " + report.render()
             )
-        morphisms.append(f)
-    return morphisms
+        mappings.append(mapping)
+    return mappings
 

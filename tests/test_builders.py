@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from gpdkit import (
     OracleBounds,
     PrincipalBundle,
     division_map,
+    dumps,
     enumerate_bundle_morphisms,
     enumerate_ggts,
     fixture_documents,
     group_table,
+    loads,
     make_action_groupoid,
     make_gauge_groupoid_example,
     make_group_groupoid,
@@ -213,6 +216,46 @@ def test_random_hs_is_deterministic_and_valid(z2, s3, pair2):
         random_hs(pair2, s3, GeneratorSpec(0, max_total=4))
 
 
+FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# sha256 of the concatenated dumps of each generator's output at seeds
+# 0-29, as gen builds it (a GeneratorError as its text instead); any
+# change to a generator's bytes, labels or rng use changes these.
+GENERATOR_DIGESTS = {
+    "groupoid": "581569236895e2b6da068ea84274b021786dd406e0917f6c88c964f149890c27",
+    "bundle": "df84f37bccce61fc74fab298544d42022099b1725b627a92c4463f4ef119831a",
+    "bundle over s3.gpd": "054f2025188eeee650f5592ced86a826783ccd3a75aba2f4403e4849e7ef43ea",
+    "bundle over pair3.gpd": "95fe74d420dff0e34a529e945fda5bd8facfc5a9a6d3c80920fd62ca61205247",
+    "hs": "9c373c0439ab7f048b4ecf2872faa3e886c514f419dd385cf60da78356b354e0",
+}
+
+
+def test_generator_bytes_are_pinned():
+    """Every generator's output stays byte-identical at seeds 0-29."""
+    s3, pair3 = (loads((FIXTURES_DIR / name).read_text()) for name in ("s3.gpd", "pair3.gpd"))
+    makers = {
+        "groupoid": random_groupoid,
+        "bundle": lambda spec: random_bundle(random_groupoid(spec), 2, spec),
+        "bundle over s3.gpd": lambda spec: random_bundle(s3, 3, replace(spec, max_total=18)),
+        "bundle over pair3.gpd": lambda spec: random_bundle(pair3, 2, spec),
+        "hs": lambda spec: random_hs(
+            random_groupoid(replace(spec, max_objects=2)),
+            random_groupoid(GeneratorSpec(spec.seed + 1, max_objects=2, max_group_order=3)),
+            spec,
+        ),
+    }
+    digests = {}
+    for kind, make in makers.items():
+        texts = []
+        for seed in range(30):
+            try:
+                texts.append(dumps(make(GeneratorSpec(seed))))
+            except GeneratorError as e:
+                texts.append(f"GeneratorError: {e}\n")
+        digests[kind] = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digests == GENERATOR_DIGESTS
+
+
 def test_oracle_bounds_env_override(monkeypatch):
     monkeypatch.delenv(ORACLE_BOUNDS_ENV, raising=False)
     assert oracle_bounds() == OracleBounds()
@@ -220,6 +263,9 @@ def test_oracle_bounds_env_override(monkeypatch):
     assert oracle_bounds() == OracleBounds(max_total=24, max_arrows=48, max_base=6)
     monkeypatch.setenv(ORACLE_BOUNDS_ENV, "total=many")
     with pytest.raises(ValueError, match="bad piece 'total=many'"):
+        oracle_bounds()
+    monkeypatch.setenv(ORACLE_BOUNDS_ENV, "total=²")
+    with pytest.raises(ValueError, match=f"cannot parse {ORACLE_BOUNDS_ENV}: bad piece 'total=²'"):
         oracle_bounds()
     monkeypatch.setenv(ORACLE_BOUNDS_ENV, "frobs=3")
     with pytest.raises(ValueError, match="bad piece"):
@@ -319,7 +365,7 @@ def test_oracles_share_no_index_with_the_bundle(unit_z2, unit_s3, unit_pair2, mo
         raise AssertionError("an oracle read a bundle index")
 
     monkeypatch.setattr(PrincipalBundle, "fiber", refuse)
-    for index in ("fibers", "moves", "divisions", "quotients"):
+    for index in ("fibers", "moves", "quotients"):
         monkeypatch.setattr(PrincipalBundle, index, property(refuse))
     with pytest.raises(AssertionError, match="bundle index"):
         division_map(unit_z2, "e", "a")

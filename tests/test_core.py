@@ -95,6 +95,15 @@ def test_source_and_target_indexes(z2_swap):
     for g in z2_swap.arrows:
         assert g in by_source[z2_swap.source[g]]
         assert g in by_target[z2_swap.target[g]]
+    # an arrow with a missing endpoint, or one off the objects, is skipped
+    x = min(z2_swap.objects)
+    G = replace(
+        z2_swap,
+        arrows=z2_swap.arrows | {"loose", "stray"},
+        source={**z2_swap.source, "stray": x},
+        target={**z2_swap.target, "loose": x, "stray": "nowhere"},
+    )
+    assert G.by_source() == by_source and G.by_target() == by_target
 
 
 def test_mutations_rejected_with_real_witnesses(z2, pair2):
