@@ -35,7 +35,6 @@ from .core import (
     GroupoidMorphism,
     LeftAction,
     ValidationReport,
-    _PairIds,
     pair_id,
     validate_action,
     validate_groupoid,
@@ -421,9 +420,8 @@ def random_bundle(G: FiniteGroupoid, base_size: int, spec: GeneratorSpec) -> Pri
             f"no fiber fits in a total space of {spec.max_total} points"
         )
 
-    ids = _PairIds()
-    pulled = _pullback(unit_bundle(G), alpha, ids)
-    points = [ids[m][g] for m in sorted(alpha) for g in by_target[alpha[m]]]
+    pulled, rows = _pullback(unit_bundle(G), alpha)
+    points = [p for row in rows.values() for p in row.values()]
     B = _relabel(pulled, points, rng, "p")[0]
     _require_valid(validate_bundle(B), "bundle")
     return B

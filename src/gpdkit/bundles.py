@@ -24,12 +24,12 @@ from .core import (
     RightAction,
     ValidationReport,
     _check_table,
-    _PairIds,
+    _pair_of,
+    _pair_rows,
+    _product,
     _product_table,
     _transport,
     pair_id,
-    product_groupoid,
-    split_pair,
     validate_action,
 )
 
@@ -266,52 +266,48 @@ def pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
     Points are pair_id(m, p) with f(m) == projection(p); the action only
     touches the second component.
     """
-    return _pullback(B, f, _PairIds())
+    return _pullback(B, f)[0]
 
 
-def _pullback(B: PrincipalBundle, f: dict[str, str], ids: _PairIds) -> PrincipalBundle:
-    """pullback_bundle, naming each point (m, p) as ids[m][p]; a caller
-    that goes on to name the same points passes its ids and builds no
-    pair id twice."""
+def _pullback(B: PrincipalBundle, f: dict[str, str]) -> tuple[PrincipalBundle, dict]:
+    """pullback_bundle with its rows: rows[m][p] is the point (m, p), one
+    plain row per new base point m over the fiber of f(m), in sorted order.
+    A move of B that leaves its fiber, on an invalid B only, still names
+    its point (m, q) with pair_id."""
     for m in sorted(f):
         if f[m] not in B.base:
             raise ValueError(f"f({m!r}) = {f[m]!r} is not a base point")
-    base = frozenset(f)
-    total = []
+    rows: dict[str, dict[str, str]] = {}
+    projection, momentum, act = {}, {}, {}
     for m in sorted(f):
-        for p in B.fiber(f[m]):
-            total.append((m, p))
-    projection = {ids[m][p]: m for m, p in total}
-    momentum = {ids[m][p]: B.momentum[p] for m, p in total}
-    act = {}
-    for m, p in total:
-        for g, q in B.moves.get(p, {}).items():
-            act[(ids[m][p], g)] = ids[m][q]
-    return PrincipalBundle(
-        groupoid=B.groupoid,
-        total=frozenset(projection),
-        base=base,
-        projection=projection,
-        momentum=momentum,
-        act=act,
-    )
+        rows[m] = row = {p: pair_id(m, p) for p in B.fiber(f[m])}
+        for p, mp in row.items():
+            projection[mp] = m
+            momentum[mp] = B.momentum[p]
+    moves = B.moves
+    for m, row in rows.items():
+        for p, mp in row.items():
+            for g, q in moves.get(p, {}).items():
+                act[(mp, g)] = _pair_of(rows, m, q)
+    total = frozenset(projection)
+    return PrincipalBundle(B.groupoid, total, frozenset(f), projection, momentum, act), rows
 
 
 def product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     """Componentwise product bundle over the product of the bases."""
-    GG = product_groupoid(B1.groupoid, B2.groupoid)
-    ids = _PairIds()
-    total = [(p1, p2) for p1 in sorted(B1.total) for p2 in sorted(B2.total)]
-    projection = {ids[p1][p2]: ids[B1.projection[p1]][B2.projection[p2]] for p1, p2 in total}
-    momentum = {ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for p1, p2 in total}
-    return PrincipalBundle(
-        groupoid=GG,
-        total=frozenset(projection),
-        base=frozenset(projection.values()),
-        projection=projection,
-        momentum=momentum,
-        act=_product_table(ids, B1.act, B2.act),
-    )
+    return _product_bundle(B1, B2)[0]
+
+
+def _product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[PrincipalBundle, dict]:
+    """product_bundle with the rows that name its points (_pair_rows)."""
+    GG, arrows, objects = _product(B1.groupoid, B2.groupoid)
+    points, base = _pair_rows(B1.total, B2.total), _pair_rows(B1.base, B2.base)
+    pairs = [(p1, p2, p) for p1, row in points.items() for p2, p in row.items()]
+    projection = {p: base[B1.projection[p1]][B2.projection[p2]] for p1, p2, p in pairs}
+    momentum = {p: objects[B1.momentum[p1]][B2.momentum[p2]] for p1, p2, p in pairs}
+    act = _product_table(B1.act, B2.act, points, arrows, points)
+    total, base = frozenset(projection), frozenset(projection.values())
+    return PrincipalBundle(GG, total, base, projection, momentum, act), points
 
 
 def _fibred_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, str]]:
@@ -325,29 +321,33 @@ def _fibred_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, s
 def fibred_product(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
     """Pairs of points over one base point, as a bundle for the product
     groupoid over the shared base."""
+    return _fibred_product(B1, B2)[0]
+
+
+def _fibred_product(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[PrincipalBundle, dict]:
+    """fibred_product with its rows: rows[p1][p2] is the point (p1, p2),
+    by base point, then p1, then p2.  A move that leaves the fibred pairs,
+    on an invalid bundle only, still names its point with pair_id."""
     if B1.base != B2.base:
         raise ValueError("fibred product needs a shared base")
-    GG = product_groupoid(B1.groupoid, B2.groupoid)
-    pairs = _fibred_pairs(B1, B2)
-    ids = _PairIds()
-    projection = {ids[p1][p2]: B1.projection[p1] for p1, p2 in pairs}
-    momentum = {
-        ids[p1][p2]: ids[B1.momentum[p1]][B2.momentum[p2]] for p1, p2 in pairs
-    }
-    act = {}
-    for p1, p2 in pairs:
-        row2 = B2.moves.get(p2, {}).items()
-        for g1, q1 in B1.moves.get(p1, {}).items():
-            for g2, q2 in row2:
-                act[(ids[p1][p2], ids[g1][g2])] = ids[q1][q2]
-    return PrincipalBundle(
-        groupoid=GG,
-        total=frozenset(projection),
-        base=frozenset(B1.base),
-        projection=projection,
-        momentum=momentum,
-        act=act,
-    )
+    GG, arrows, objects = _product(B1.groupoid, B2.groupoid)
+    rows: dict[str, dict[str, str]] = {}
+    for m in sorted(B1.base):
+        rows.update(_pair_rows(B1.fiber(m), B2.fiber(m)))
+    pairs = [(p1, p2, p) for p1, row in rows.items() for p2, p in row.items()]
+    projection = {p: B1.projection[p1] for p1, p2, p in pairs}
+    momentum = {p: objects[B1.momentum[p1]][B2.momentum[p2]] for p1, p2, p in pairs}
+    act, moves1, moves2 = {}, B1.moves, B2.moves
+    for p1, row in rows.items():
+        row1 = moves1.get(p1, {}).items()
+        for p2, p in row.items():
+            row2 = moves2.get(p2, {}).items()
+            for g1, q1 in row1:
+                g = arrows[g1]
+                for g2, q2 in row2:
+                    act[(p, g[g2])] = _pair_of(rows, q1, q2)
+    total = frozenset(projection)
+    return PrincipalBundle(GG, total, frozenset(B1.base), projection, momentum, act), rows
 
 
 @dataclass(frozen=True)
@@ -391,15 +391,14 @@ def trivialize(B: PrincipalBundle, section: dict[str, str]) -> BundleIso:
     U = frozenset(section)
     restricted = _restrict(B, U)
     alpha = {m: B.momentum[section[m]] for m in sorted(section)}
-    trivial = pullback_bundle(unit_bundle(B.groupoid), alpha)
+    trivial, rows = _pullback(unit_bundle(B.groupoid), alpha)
 
     forward = {}
     for p in sorted(restricted.total):
         m = B.projection[p]
         forward[p] = pair_id(m, division_map(B, section[m], p))
     backward = {}
-    for mp in sorted(trivial.total):
-        m, g = split_pair(mp)
+    for mp, m, g in sorted((mp, m, g) for m, row in rows.items() for g, mp in row.items()):
         backward[mp] = B.act[(section[m], g)]
 
     for p in sorted(restricted.total):

@@ -516,52 +516,57 @@ def split_pair(ab: str) -> tuple[str, str]:
     return a, b
 
 
-class _PairIds(dict):
-    """ids[a][b] == pair_id(a, b), built once per distinct pair; ids[a] is a's row."""
-
-    def __init__(self, a: str | None = None) -> None:
-        self.a = a
-
-    def __missing__(self, key: str):
-        self[key] = value = _PairIds(key) if self.a is None else pair_id(self.a, key)
-        return value
+def _pair_rows(xs: Iterable[str], ys: Iterable[str]) -> dict[str, dict[str, str]]:
+    """rows[x][y] == pair_id(x, y), rows and entries in sorted id order."""
+    ys = sorted(ys)
+    return {x: {y: pair_id(x, y) for y in ys} for x in sorted(xs)}
 
 
-def _product_table(ids: _PairIds, t1: dict, t2: dict) -> dict:
+def _pair_of(rows: dict, a: str, b: str) -> str:
+    """rows[a][b], or pair_id(a, b) for a pair the rows do not hold."""
+    row = rows.get(a, ())
+    return row[b] if b in row else pair_id(a, b)
+
+
+def _product_table(t1: dict, t2: dict, rows_a: dict, rows_b: dict, rows_c: dict) -> dict:
     """Entrywise product of two tables keyed by pairs: ((a1, b1), c1) and
-    ((a2, b2), c2) give ((ids[a1][a2], ids[b1][b2]), ids[c1][c2]).  t1's
-    sorted entries are paired with t2's, sorted once."""
+    ((a2, b2), c2) give ((rows_a[a1][a2], rows_b[b1][b2]), rows_c[c1][c2]),
+    one row table per column.  t1's sorted entries are paired with t2's,
+    sorted once."""
     table = {}
     entries2 = sorted(t2.items())
     for (a1, b1), c1 in sorted(t1.items()):
-        ra, rb, rc = ids[a1], ids[b1], ids[c1]
+        ra, rb, rc = rows_a[a1], rows_b[b1], rows_c[c1]
         for (a2, b2), c2 in entries2:
             table[(ra[a2], rb[b2])] = rc[c2]
     return table
 
 
+def _product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> tuple[FiniteGroupoid, dict, dict]:
+    """product_groupoid(G1, G2) with the rows that name its arrows and its
+    objects (_pair_rows), for callers that name the same pairs again."""
+    arrows = _pair_rows(G1.arrows, G2.arrows)
+    objects = _pair_rows(G1.objects, G2.objects)
+    src2, tgt2, inv2, unit2 = G2.source, G2.target, G2.inverse, G2.unit
+    source, target, inverse, unit = {}, {}, {}, {}
+    for g1, row in arrows.items():
+        s, t, i = objects[G1.source[g1]], objects[G1.target[g1]], arrows[G1.inverse[g1]]
+        for g2, g in row.items():
+            source[g] = s[src2[g2]]
+            target[g] = t[tgt2[g2]]
+            inverse[g] = i[inv2[g2]]
+    for x1, row in objects.items():
+        e = arrows[G1.unit[x1]]
+        for x2, x in row.items():
+            unit[x] = e[unit2[x2]]
+    compose = _product_table(G1.compose, G2.compose, arrows, arrows, arrows)
+    G = FiniteGroupoid(frozenset(unit), frozenset(source), source, target, unit, inverse, compose)
+    return G, arrows, objects
+
+
 def product_groupoid(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
-    """Componentwise product; objects and arrows get pair_id ids, each
-    built once (_PairIds)."""
-    ids = _PairIds()
-    objects = frozenset(ids[x1][x2] for x1 in G1.objects for x2 in G2.objects)
-    arrows = frozenset(ids[g1][g2] for g1 in G1.arrows for g2 in G2.arrows)
-    source = {}
-    target = {}
-    inverse = {}
-    for g1 in sorted(G1.arrows):
-        for g2 in sorted(G2.arrows):
-            g = ids[g1][g2]
-            source[g] = ids[G1.source[g1]][G2.source[g2]]
-            target[g] = ids[G1.target[g1]][G2.target[g2]]
-            inverse[g] = ids[G1.inverse[g1]][G2.inverse[g2]]
-    unit = {
-        ids[x1][x2]: ids[G1.unit[x1]][G2.unit[x2]]
-        for x1 in sorted(G1.objects)
-        for x2 in sorted(G2.objects)
-    }
-    compose = _product_table(ids, G1.compose, G2.compose)
-    return FiniteGroupoid(objects, arrows, source, target, unit, inverse, compose)
+    """Componentwise product; objects and arrows get pair_id ids."""
+    return _product(G1, G2)[0]
 
 
 @dataclass(frozen=True)
@@ -748,25 +753,25 @@ def generalized_conjugation(
     """
     if variant not in CONJUGATION_VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
-    GG = product_groupoid(G, G)
+    GG, arrows, objects = _product(G, G)
     carrier = frozenset(G.arrows)
     left = variant.startswith("left")
     bar = variant.endswith("_bar")
-    ids = _PairIds()
-    momentum = {
-        m: ids[G.source[m]][G.target[m]] if bar else ids[G.target[m]][G.source[m]]
-        for m in sorted(G.arrows)
-    }
+    ends = (G.source, G.target) if bar else (G.target, G.source)
+    momentum = {m: objects[ends[0][m]][ends[1][m]] for m in sorted(G.arrows)}
     # a runs over the arrows at target(m), b over those at source(m): their
     # sources for a left variant, their targets for a right one
     by = G.by_source() if left else G.by_target()
+    mul, inv = G.mul, G.inv
     act: dict[tuple[str, str], str] = {}
     for m in sorted(G.arrows):
+        bs = by.get(G.source[m], ())
         for a in by.get(G.target[m], ()):
-            for b in by.get(G.source[m], ()):
-                g = ids[b][a] if bar else ids[a][b]
+            am, row = (mul(a, m) if left else mul(inv(a), m)), arrows[a]
+            for b in bs:
+                g = arrows[b][a] if bar else row[b]
                 if left:
-                    act[(g, m)] = G.mul(G.mul(a, m), G.inv(b))
+                    act[(g, m)] = mul(am, inv(b))
                 else:
-                    act[(m, g)] = G.mul(G.mul(G.inv(a), m), b)
+                    act[(m, g)] = mul(am, b)
     return (LeftAction if left else RightAction)(GG, carrier, momentum, act)

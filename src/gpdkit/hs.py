@@ -24,9 +24,9 @@ from .bundles import (
     IntegrityError,
     PrincipalBundle,
     _fibred_pairs,
+    _fibred_product,
+    _product_bundle,
     _pullback,
-    fibred_product,
-    product_bundle,
     unit_bundle,
     validate_bundle,
     verify_division_properties,
@@ -39,10 +39,10 @@ from .core import (
     _commute,
     _context_ok,
     _equivariance,
-    _PairIds,
+    _pair_of,
+    _product,
     _product_table,
     product_groupoid,
-    split_pair,
     validate_action,
 )
 from .gauge import (
@@ -143,15 +143,13 @@ def hs_from_groupoid_morphism(m: GroupoidMorphism) -> HSMorphism:
     the arrow image.
     """
     G, H = m.domain, m.codomain
-    U = unit_bundle(H)
-    ids = _PairIds()
-    bundle = _pullback(U, m.object_map, ids)
+    bundle, rows = _pullback(unit_bundle(H), m.object_map)
     out_of = G.by_source()
     left_act = {}
     for x in sorted(G.objects):
-        for k in U.fiber(m.object_map[x]):
+        for k, xk in rows[x].items():
             for g in out_of.get(x, ()):
-                left_act[(g, ids[x][k])] = ids[G.target[g]][H.mul(m.arrow_map[g], k)]
+                left_act[(g, xk)] = _pair_of(rows, G.target[g], H.mul(m.arrow_map[g], k))
     return HSMorphism(G, H, bundle, left_act)
 
 
@@ -161,9 +159,10 @@ def hs_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
     for side, h in (("first", h1), ("second", h2)):
         if h.bundle.groupoid != h.cod:
             raise ValueError(f"{side} factor's bundle groupoid is not its codomain")
-    bundle = product_bundle(h1.bundle, h2.bundle)
-    left_act = _product_table(_PairIds(), h1.left_act, h2.left_act)
-    return HSMorphism(product_groupoid(h1.dom, h2.dom), bundle.groupoid, bundle, left_act)
+    bundle, points = _product_bundle(h1.bundle, h2.bundle)
+    dom, arrows, _ = _product(h1.dom, h2.dom)
+    left_act = _product_table(h1.left_act, h2.left_act, arrows, points, points)
+    return HSMorphism(dom, bundle.groupoid, bundle, left_act)
 
 
 def hs_fibred_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
@@ -171,20 +170,13 @@ def hs_fibred_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
     the shared domain to the product of the codomains."""
     if h1.dom != h2.dom:
         raise ValueError("fibred product needs a shared domain")
-    bundle = fibred_product(h1.bundle, h2.bundle)
+    bundle, rows = _fibred_product(h1.bundle, h2.bundle)
     movers = h1.dom.by_source()
-    ids = _PairIds()
     left_act = {}
-    for p in sorted(bundle.total):
-        p1, p2 = split_pair(p)
+    for p, p1, p2 in sorted((p, p1, p2) for p1, row in rows.items() for p2, p in row.items()):
         for g in movers.get(bundle.projection[p], ()):
-            left_act[(g, p)] = ids[h1.left_act[(g, p1)]][h2.left_act[(g, p2)]]
-    return HSMorphism(
-        h1.dom,
-        product_groupoid(h1.cod, h2.cod),
-        bundle,
-        left_act,
-    )
+            left_act[(g, p)] = _pair_of(rows, h1.left_act[(g, p1)], h2.left_act[(g, p2)])
+    return HSMorphism(h1.dom, product_groupoid(h1.cod, h2.cod), bundle, left_act)
 
 
 def verify_hs_division_properties(h: HSMorphism) -> ValidationReport:

@@ -170,8 +170,9 @@ def _product_division(B1: PrincipalBundle, B2: PrincipalBundle) -> str:
     if bad := _first(validate_bundle(P)):
         return bad
     for p in sorted(P.total):
+        pa, pb = split_pair(p)
         for q in P.fiber(P.projection[p]):
-            (pa, pb), (qa, qb) = split_pair(p), split_pair(q)
+            qa, qb = split_pair(q)
             want = (division_map(B1, pa, qa), division_map(B2, pb, qb))
             if want != split_pair(division_map(P, p, q)):
                 return f"division at ({p!r}, {q!r})"

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import types
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from gpdkit import (
     GeneratorSpec,
     GroupoidMorphism,
     LeftAction,
+    PrincipalBundle,
     RightAction,
     Violation,
     dumps,
@@ -24,6 +26,7 @@ from gpdkit import (
     generalized_conjugation,
     group_table,
     hs_fibred_product,
+    hs_from_groupoid_morphism,
     hs_product,
     isotropy_group,
     make_group_groupoid,
@@ -36,6 +39,7 @@ from gpdkit import (
     random_groupoid,
     random_hs,
     split_pair,
+    trivialize,
     unit_bundle,
     validate_action,
     validate_groupoid,
@@ -537,6 +541,181 @@ def test_products_match_a_pair_id_reference(z2, pair2, s3):
         same(hs_fibred_product(h1, h2), reference_hs_fibred_product(h1, h2))
         built += 1
     assert built >= 2
+
+
+def _feed(h, s) -> None:
+    """Feed h every table of s in insertion order, field by field; a
+    frozenset has no order, so its sorted members."""
+    if is_dataclass(s):
+        for f in fields(s):
+            _feed(h, getattr(s, f.name))
+    elif isinstance(s, dict):
+        h.update(repr(list(s.items())).encode())
+    elif isinstance(s, frozenset):
+        h.update(repr(sorted(s)).encode())
+    else:
+        h.update(repr(s).encode())
+
+
+def _digest(structures) -> str:
+    h = hashlib.sha256()
+    for s in structures:
+        _feed(h, s)
+    return h.hexdigest()
+
+
+def _inclusion(G: FiniteGroupoid) -> GroupoidMorphism:
+    x = min(G.objects)
+    iso = isotropy_group(G, x)
+    return GroupoidMorphism(iso, G, {x: x}, {g: g for g in sorted(iso.arrows)})
+
+
+def _identity(G: FiniteGroupoid) -> GroupoidMorphism:
+    return GroupoidMorphism(
+        G, G, {x: x for x in sorted(G.objects)}, {g: g for g in sorted(G.arrows)}
+    )
+
+
+# sha256 of the tables of each product construction's outputs, in insertion
+# order (_digest), over the inputs of test_product_table_orders_are_pinned
+PRODUCT_ORDER_DIGESTS = {
+    "product_groupoid": "b80c6f0dc446620ef0df6700a0639a5573e88ae900885069a7158939135e581b",
+    "conjugation left": "de445b7634215451cab8c59cbba44d1793549a5fd0354ceb4b55a9e81cebea55",
+    "conjugation left_bar": "85e3d924f31a5c3e163869776a76653b0d982e11be2e387d628f54a43aa308f8",
+    "conjugation right": "2c2aedfce493671301bca21b421c5edfad1714f83753c1013710b94c225e0ea0",
+    "conjugation right_bar": "6a0f31ca0bb6245e3d5211096fd2ec9e10e8e6a6301ac51b37e1c35573b828c2",
+    "hs_from_groupoid_morphism": "aef7f40055eb8dbcadf27d34b7277ff5eb072c0ec99fa19eed2e95ab3e15a195",
+    "random_bundle": "d46420d76b3b3d6bfcb95ec953d17bd6cb626e38f0b84f3646b9628ed3b8ced1",
+    "pullback_bundle": "1e78f77a25b1f644bd4e3837b9b2bfd85e0d0b3ac4088597ae505532c6126e47",
+    "trivialize": "e0085bac3f8f08a47734937e41da590ca8c0e9e56439b13775673b217876cfd4",
+    "product_bundle": "c6322a6094d765029656110c62274d0fea9d6d25f68cdcf31cd1216cee1c9f9a",
+    "fibred_product": "8987fb83753d242bb152263ef0511d77394d54e781fe34e48523ac84ba403734",
+    "random_hs": "eeb0f0a97bbae4f93d86c81003f2c462b9ffac048110fb0d8d5fd066b9ff9299",
+    "hs_product": "d24faf57cb2331cbf226e7ff6a0dfc1feeb648297f549eb089c16f50db9a8206",
+    "hs_fibred_product": "cffa000484d9196af4613d9d8adfe7521a707e8baa46e298d05362ae89083176",
+}
+
+
+def test_product_table_orders_are_pinned(z2, pair2, s3):
+    """Every table a product construction builds keeps its insertion order.
+
+    dumps and == cannot see an order change; these digests hash each
+    table's items as they are stored, so a construction that names its
+    pairs some other way must still insert them in the same order.
+    """
+    R = random_groupoid(GeneratorSpec(2, max_objects=3, max_group_order=3))
+    groupoids = [_escaped(G, str(i)) for i, G in enumerate((z2, pair2, s3, R))]
+    for seed in (3, 7):
+        groupoids.append(random_groupoid(GeneratorSpec(seed, max_objects=3, max_group_order=4)))
+    out: dict[str, list] = {name: [] for name in PRODUCT_ORDER_DIGESTS}
+    for G1 in groupoids:
+        for G2 in groupoids[:2] + groupoids[-1:]:
+            out["product_groupoid"].append(product_groupoid(G1, G2))
+        for variant in CONJUGATION_VARIANTS:
+            out[f"conjugation {variant}"].append(generalized_conjugation(G1, variant))
+        out["hs_from_groupoid_morphism"].append(hs_from_groupoid_morphism(_identity(G1)))
+        out["hs_from_groupoid_morphism"].append(hs_from_groupoid_morphism(_inclusion(G1)))
+
+    bundles = [unit_bundle(G) for G in groupoids]
+    for i, G in enumerate(groupoids):
+        try:
+            out["random_bundle"].append(random_bundle(G, 2, GeneratorSpec(10 + i, max_total=12)))
+        except GeneratorError:
+            pass
+    bundles += out["random_bundle"]
+    for B1 in bundles:
+        f = {f'n"{i}é': x for i, x in enumerate(sorted(B1.base) * 2)}
+        out["pullback_bundle"].append(pullback_bundle(B1, f))
+        out["trivialize"].append(trivialize(B1, {m: B1.fiber(m)[-1] for m in sorted(B1.base)}))
+        for B2 in bundles[:2]:
+            out["product_bundle"].append(product_bundle(B1, B2))
+        for B2 in bundles:
+            if B1.base == B2.base:
+                out["fibred_product"].append(fibred_product(B1, B2))
+
+    for seed in range(6):
+        G = _escaped(random_groupoid(GeneratorSpec(seed, max_objects=2, max_group_order=4)), "d")
+        H = random_groupoid(GeneratorSpec(seed + 40, max_objects=2, max_group_order=3))
+        try:
+            h1 = random_hs(G, H, GeneratorSpec(seed + 80, max_total=8))
+            h2 = random_hs(G, H, GeneratorSpec(seed + 120, max_total=8))
+        except GeneratorError:
+            continue
+        out["random_hs"] += [h1, h2]
+        out["hs_product"].append(hs_product(h1, h2))
+        out["hs_fibred_product"] += [hs_fibred_product(h1, h2), hs_fibred_product(h2, h2)]
+    assert all(out.values())
+    assert {name: _digest(built) for name, built in out.items()} == PRODUCT_ORDER_DIGESTS
+
+
+def _deletions(s):
+    """Each copy of s, a groupoid or a bundle, with one entry of one of its
+    tables (or of its groupoid's) deleted: (description, copy) pairs."""
+    if isinstance(s, PrincipalBundle):
+        yield from (
+            (f"groupoid.{desc}", replace(s, groupoid=G)) for desc, G in _deletions(s.groupoid)
+        )
+        names = ("projection", "momentum", "act")
+    else:
+        names = ("source", "target", "unit", "inverse", "compose")
+    for name in names:
+        table = getattr(s, name)
+        for key in sorted(table):
+            rest = {k: v for k, v in table.items() if k != key}
+            yield f"{name} {key!r}", replace(s, **{name: rest})
+
+
+# sha256 of the outcome lines of test_product_error_texts_are_pinned, by
+# construction: the error's type and text, or the digest of the output
+PRODUCT_ERROR_DIGESTS = {
+    "product_groupoid": "578562757ba70176869f4dd2b4693d7b1642d89ab6a53fe577ce7358b0afcb5a",
+    "generalized_conjugation": "57535ff2ebb6dcf8bd9796d65fc0eeaa8a30c31fb78816f4f42922dd3299a708",
+    "product_bundle": "b6b01a93ad9b8923aed2808ef45bf5b2a5726d6bc2a8530a4e1ef1b0e39f6878",
+    "fibred_product": "9df6108b45226f320c78e53db631aadb84b6ed2238384613d5e632e5c2ca5b92",
+    "pullback_bundle": "848e99f91e143235ca0a4fca392638cbfd15de7e494e532ee7d40f70318ee127",
+}
+
+
+def test_product_error_texts_are_pinned(z2, pair2, unit_z2):
+    """A product of inputs with one table entry deleted raises the same
+    error, or builds the same tables, as it always has."""
+    B = random_bundle(pair2, 2, GeneratorSpec(3, max_total=6))
+    cases = {
+        "product_groupoid": [(product_groupoid, (z2, pair2)), (product_groupoid, (pair2, z2))],
+        "generalized_conjugation": [
+            (lambda G, v=v: generalized_conjugation(G, v), (pair2,)) for v in CONJUGATION_VARIANTS
+        ],
+        "product_bundle": [(product_bundle, (unit_z2, B)), (product_bundle, (B, unit_z2))],
+        "fibred_product": [(fibred_product, (B, B))],
+        "pullback_bundle": [(lambda B1: pullback_bundle(B1, {"u": "m1", "v": "m0"}), (B,))],
+    }
+    digests = {}
+    for name, calls in cases.items():
+        lines, raised = [], 0
+        for make, args in calls:
+            for i, arg in enumerate(args):
+                for desc, mutant in _deletions(arg):
+                    mutated = args[:i] + (mutant,) + args[i + 1 :]
+                    try:
+                        outcome = _digest([make(*mutated)])
+                    except Exception as e:
+                        outcome = f"{type(e).__name__}: {e}"
+                        raised += 1
+                    lines.append(f"{i} {desc}: {outcome}\n")
+        assert raised, name
+        digests[name] = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digests == PRODUCT_ERROR_DIGESTS
+
+
+def test_products_refuse_undeclared_ids(z2):
+    # products name pairs from rows over the declared ids; a table value
+    # off them is refused by name instead of paired into the product
+    for name in ("source", "inverse"):
+        G = replace(z2, **{name: {**getattr(z2, name), "a": "ghost"}})
+        with pytest.raises(KeyError, match="ghost"):
+            product_groupoid(G, z2)
+        with pytest.raises(KeyError, match="ghost"):
+            generalized_conjugation(G)
 
 
 def test_package_reexports_each_module_all():
