@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from .bundles import (
     IntegrityError,
     PrincipalBundle,
-    _pullback,
+    _ReadOnlyDict,
+    _unit_pullback,
     division_map,
     unit_bundle,
     validate_bundle,
@@ -420,7 +421,7 @@ def random_bundle(G: FiniteGroupoid, base_size: int, spec: GeneratorSpec) -> Pri
             f"no fiber fits in a total space of {spec.max_total} points"
         )
 
-    pulled, rows = _pullback(unit_bundle(G), alpha)
+    pulled, rows = _unit_pullback(G, alpha)
     points = [p for row in rows.values() for p in row.values()]
     B = _relabel(pulled, points, rng, "p")[0]
     _require_valid(validate_bundle(B), "bundle")
@@ -439,9 +440,9 @@ def _relabel(
         groupoid=B.groupoid,
         total=frozenset(label.values()),
         base=B.base,
-        projection={label[p]: m for p, m in B.projection.items()},
+        projection=_ReadOnlyDict((label[p], m) for p, m in B.projection.items()),
         momentum={label[p]: x for p, x in B.momentum.items()},
-        act={(label[p], k): label[q] for (p, k), q in B.act.items()},
+        act=_ReadOnlyDict(((label[p], k), label[q]) for (p, k), q in B.act.items()),
     )
     return relabeled, label
 

@@ -10,7 +10,14 @@ The division map of a principal bundle sends a same-fiber pair (p, q)
 to the unique arrow g with p.g == q.  It is answered from the bundle's
 quotients index alone, one of the read-only indexes built on first use
 from read-only copies of its act and projection tables, so no index can
-go stale.
+go stale.  The same-fiber pairs, which the division laws and every GGT
+of a bundle with itself run over, are one more such index.
+
+The unit bundle of G is G's arrows over its objects, acting by
+composition.  Trivializations, random bundles and the bibundles of
+groupoid morphisms pull it back along a map into G's objects; that
+pullback reads G's tables directly, the fibers it needs and the compose
+rows of their arrows, without building the unit bundle or its indexes.
 """
 
 from __future__ import annotations
@@ -80,8 +87,9 @@ class PrincipalBundle:
     act maps (p, g) to p.g and is defined exactly when
     momentum(p) == target(g); then momentum(p.g) == source(g) and
     projection(p.g) == projection(p).  act and projection are read-only
-    copies; the fibers, moves and quotients indexes are built on first
-    use, shared by every reader and read-only too, rows of moves included.
+    copies, taken unless the caller passes read-only tables already; the
+    fibers, moves, quotients and self_pairs indexes are built on first use,
+    shared by every reader and read-only too, rows of moves included.
     """
 
     groupoid: FiniteGroupoid
@@ -92,8 +100,10 @@ class PrincipalBundle:
     act: dict[tuple[str, str], str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "projection", _ReadOnlyDict(self.projection))
-        object.__setattr__(self, "act", _ReadOnlyDict(self.act))
+        for name in ("projection", "act"):
+            table = getattr(self, name)
+            if not isinstance(table, _ReadOnlyDict):
+                object.__setattr__(self, name, _ReadOnlyDict(table))
 
     @cached_property
     def fibers(self) -> dict[str, tuple[str, ...]]:
@@ -123,6 +133,12 @@ class PrincipalBundle:
                 if q in total and q in pi and pi[q] == pi[p]:
                     found[p, q] = many if (p, q) in found else g
         return _ReadOnlyDict((pq, g) for pq, g in found.items() if g is not many)
+
+    @cached_property
+    def self_pairs(self) -> tuple[tuple[str, str], ...]:
+        """The pairs (p, q) of points over one base point, by base point,
+        then p, then q."""
+        return tuple(_same_fiber_pairs(self, self))
 
     def fiber(self, m: str) -> tuple[str, ...]:
         """Total points over base point m, sorted."""
@@ -266,31 +282,53 @@ def pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> PrincipalBundle:
     Points are pair_id(m, p) with f(m) == projection(p); the action only
     touches the second component.
     """
-    return _pullback(B, f)[0]
+    return _pull(B.groupoid, f, B.base, B.fibers, B.momentum, B.moves)[0]
 
 
-def _pullback(B: PrincipalBundle, f: dict[str, str]) -> tuple[PrincipalBundle, dict]:
-    """pullback_bundle with its rows: rows[m][p] is the point (m, p), one
-    plain row per new base point m over the fiber of f(m), in sorted order.
-    A move of B that leaves its fiber, on an invalid B only, still names
-    its point (m, q) with pair_id."""
+def _unit_pullback(G: FiniteGroupoid, f: dict[str, str]) -> tuple[PrincipalBundle, dict]:
+    """The pullback of unit_bundle(G) along f and its rows, read from G's
+    tables.  The fiber over x is the sorted arrows with target x, and the
+    move row of an arrow a holds every compose key (a, g) in arrow order,
+    composable or not, so a malformed compose table pulls back as it
+    does through the unit bundle."""
+    target = G.target.get
+    fibers: dict[str, list[str]] = {x: [] for x in f.values()}
+    for g in sorted(G.arrows):
+        if target(g) in fibers:
+            fibers[target(g)].append(g)
+    moves: dict[str, list] = {a: [] for fiber in fibers.values() for a in fiber}
+    for (a, g), ag in G.compose.items():
+        if a in moves:
+            moves[a].append((g, ag))
+    moves = {a: dict(sorted(row)) for a, row in moves.items()}
+    return _pull(G, f, G.objects, fibers, G.source, moves)
+
+
+def _pull(
+    G: FiniteGroupoid, f: dict[str, str], base, fibers: dict, momentum: dict, moves: dict
+) -> tuple[PrincipalBundle, dict]:
+    """The pullback along f of the G-bundle over base with these fibers
+    (by base point), momentum and moves (by point), with its rows:
+    rows[m][p] is the point (m, p), one plain row per new base point m
+    over the fiber of f(m), in sorted order.  A move that leaves its
+    fiber, on an invalid bundle only, still names its point (m, q) with
+    pair_id."""
     for m in sorted(f):
-        if f[m] not in B.base:
+        if f[m] not in base:
             raise ValueError(f"f({m!r}) = {f[m]!r} is not a base point")
     rows: dict[str, dict[str, str]] = {}
-    projection, momentum, act = {}, {}, {}
+    projection, momenta, act = {}, {}, {}
     for m in sorted(f):
-        rows[m] = row = {p: pair_id(m, p) for p in B.fiber(f[m])}
+        rows[m] = row = {p: pair_id(m, p) for p in fibers.get(f[m], ())}
         for p, mp in row.items():
             projection[mp] = m
-            momentum[mp] = B.momentum[p]
-    moves = B.moves
+            momenta[mp] = momentum[p]
     for m, row in rows.items():
         for p, mp in row.items():
             for g, q in moves.get(p, {}).items():
                 act[(mp, g)] = _pair_of(rows, m, q)
     total = frozenset(projection)
-    return PrincipalBundle(B.groupoid, total, frozenset(f), projection, momentum, act), rows
+    return PrincipalBundle(G, total, frozenset(f), projection, momenta, act), rows
 
 
 def product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> PrincipalBundle:
@@ -311,7 +349,12 @@ def _product_bundle(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[Principal
 
 
 def _fibred_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, str]]:
-    """The pairs (p1, p2) of points over one base point, by base point."""
+    """The pairs (p1, p2) of points over one base point, by base point;
+    a copy of B.self_pairs when B1 and B2 are one bundle B."""
+    return list(B1.self_pairs) if B1 is B2 else _same_fiber_pairs(B1, B2)
+
+
+def _same_fiber_pairs(B1: PrincipalBundle, B2: PrincipalBundle) -> list[tuple[str, str]]:
     fibers1, fibers2 = B1.fibers, B2.fibers
     return [
         pair for m in sorted(B1.base) for pair in product(fibers1.get(m, ()), fibers2.get(m, ()))
@@ -361,14 +404,19 @@ class BundleIso:
 
 
 def _restrict(B: PrincipalBundle, U: frozenset[str]) -> PrincipalBundle:
+    """B over U: the points over U and their table entries; B itself when
+    that drops nothing, as for a section over the whole base."""
     total = frozenset(p for p in B.total if B.projection[p] in U)
+    keyed = (B.projection.keys(), B.momentum.keys(), B.moves.keys())
+    if U == B.base and total == B.total and all(keys <= total for keys in keyed):
+        return B
     return PrincipalBundle(
         groupoid=B.groupoid,
         total=total,
         base=U,
-        projection={p: B.projection[p] for p in B.projection if p in total},
+        projection=_ReadOnlyDict((p, m) for p, m in B.projection.items() if p in total),
         momentum={p: B.momentum[p] for p in B.momentum if p in total},
-        act={k: v for k, v in B.act.items() if k[0] in total},
+        act=_ReadOnlyDict((k, v) for k, v in B.act.items() if k[0] in total),
     )
 
 
@@ -391,7 +439,7 @@ def trivialize(B: PrincipalBundle, section: dict[str, str]) -> BundleIso:
     U = frozenset(section)
     restricted = _restrict(B, U)
     alpha = {m: B.momentum[section[m]] for m in sorted(section)}
-    trivial, rows = _pullback(unit_bundle(B.groupoid), alpha)
+    trivial, rows = _unit_pullback(B.groupoid, alpha)
 
     forward = {}
     for p in sorted(restricted.total):

@@ -663,7 +663,9 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     One pass over act builds rows[m][g], g acting on m on either side,
     where that lands in the carrier; the sorted table.act.* scan runs only
     when an entry is missing, unknown, extra or dangling.  The laws run
-    in one g-major loop; a right action's witnesses are sorted after it.
+    over the arrows at each anchor of a point, so an arrow that acts on no
+    point costs nothing, and the witnesses are sorted after: g-major on
+    the left, point-major on the right, as the act keys run.
     """
     r = ValidationReport()
     G = A.groupoid
@@ -686,14 +688,18 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     endpoint, far = (G.source, G.target) if left else (G.target, G.source)
     side = (lambda t: t) if left else (lambda t: t[::-1])
     meets = G.by_source() if left else G.by_target()
-    rows: dict[str, dict[str, str]] = {m: {} for m in A.carrier}
+    carrier = A.carrier
+    rows: dict[str, dict[str, str]] = {m: {} for m in carrier}
     for key, v in A.act.items():
-        if v in A.carrier:
-            g, m = side(key)
+        if v in carrier:
+            if left:
+                g, m = key
+            else:
+                m, g = key
             rows.setdefault(m, {})[g] = v
 
     # Scan the table only if some entry is off the carrier or off the anchors.
-    meet_sets = {x: set(gs) for x, gs in meets.items()}
+    meet_sets = {x: set(meets[x]) for x in anchored}
     if len(rows) > len(A.carrier) or sum(map(len, rows.values())) < len(A.act) or any(
         row.keys() != meet_sets.get(J(m), set()) for m, row in rows.items()
     ):
@@ -706,22 +712,23 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     # "g after h", h after g in the opposite groupoid): the move by g
     # commutes with the moves by every h.
     momentum_law, compose_law = [], []
-    for g in sorted(G.arrows):
-        f, hs = far[g], meets.get(far[g], [])
-        composites = zip(hs, repeat(g)) if left else zip(repeat(g), hs)
-        ghs = list(map(G.compose.get, composites))
-        for m in anchored.get(endpoint[g], ()):
-            step = rows[m].get(g)
-            if step is None:
-                continue
-            if J(step) != f:
-                momentum_law.append(side((g, m)))
-            ones, boths = list(map(rows[step].get, hs)), list(map(rows[m].get, ghs))
-            for h in _commute(hs, ones, boths):
-                compose_law.append(side((h, g, m)))
-    if not left:  # a right action's act keys, and so its witnesses, are point-major
-        momentum_law.sort()
-        compose_law.sort()
+    for x, ms in anchored.items():
+        for g in meets[x]:
+            f = far[g]
+            hs = meets[f]
+            composites = zip(hs, repeat(g)) if left else zip(repeat(g), hs)
+            ghs = list(map(G.compose.get, composites))
+            for m in ms:
+                row = rows[m]
+                step = row.get(g)
+                if step is None:
+                    continue
+                if J(step) != f:
+                    momentum_law.append(side((g, m)))
+                for h in _commute(hs, list(map(rows[step].get, hs)), list(map(row.get, ghs))):
+                    compose_law.append(side((h, g, m)))
+    momentum_law.sort()
+    compose_law.sort(key=(lambda w: w[1:] + w[:1]) if left else None)
     for w in momentum_law:
         r.add("action.momentum", *w)
     for w in compose_law:

@@ -26,8 +26,7 @@ from .bundles import (
     _fibred_pairs,
     _fibred_product,
     _product_bundle,
-    _pullback,
-    unit_bundle,
+    _unit_pullback,
     validate_bundle,
     verify_division_properties,
 )
@@ -42,7 +41,6 @@ from .core import (
     _pair_of,
     _product,
     _product_table,
-    product_groupoid,
     validate_action,
 )
 from .gauge import (
@@ -143,7 +141,7 @@ def hs_from_groupoid_morphism(m: GroupoidMorphism) -> HSMorphism:
     the arrow image.
     """
     G, H = m.domain, m.codomain
-    bundle, rows = _pullback(unit_bundle(H), m.object_map)
+    bundle, rows = _unit_pullback(H, m.object_map)
     out_of = G.by_source()
     left_act = {}
     for x in sorted(G.objects):
@@ -176,7 +174,7 @@ def hs_fibred_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
     for p, p1, p2 in sorted((p, p1, p2) for p1, row in rows.items() for p2, p in row.items()):
         for g in movers.get(bundle.projection[p], ()):
             left_act[(g, p)] = _pair_of(rows, h1.left_act[(g, p1)], h2.left_act[(g, p2)])
-    return HSMorphism(h1.dom, product_groupoid(h1.cod, h2.cod), bundle, left_act)
+    return HSMorphism(h1.dom, bundle.groupoid, bundle, left_act)
 
 
 def verify_hs_division_properties(h: HSMorphism) -> ValidationReport:

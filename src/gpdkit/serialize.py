@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable
 
-from .bundles import PrincipalBundle
+from .bundles import PrincipalBundle, _ReadOnlyDict
 from .core import FiniteGroupoid, GroupoidMorphism, LeftAction, RightAction, _quote
 from .gauge import GGT, BundleMorphism
 from .hs import HSBundleMorphism, HSMorphism
@@ -83,6 +83,7 @@ def _str_map(
     key_kind: str,
     values: frozenset | set,
     value_kind: str,
+    mapping: type,
 ) -> dict[str, str]:
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object mapping ids to ids")
@@ -94,13 +95,13 @@ def _str_map(
         if v not in values:
             raise SchemaError(_join(path, k), f"unknown {value_kind} {v!r}")
     # the parser's own dict: nothing else holds it
-    return value
+    return value if mapping is dict else mapping(value)
 
 
 def _table(
-    value: object, path: str, pools: dict, columns: tuple[tuple[str, str], ...]
+    value: object, path: str, pools: dict, columns: tuple[tuple[str, str], ...], mapping: type
 ) -> dict[tuple[str, ...], str]:
-    """An entry list [[k0, k1, v], ...] as {(k0, k1): v}.
+    """An entry list [[k0, k1, v], ...] as the mapping {(k0, k1): v}.
 
     columns holds one (pool, kind) pair per entry position, the pool
     named by its key in pools.  The table is decided whole: each entry a
@@ -119,7 +120,7 @@ def _table(
             inside = all(pools[pool].issuperset(col) for col, (pool, _) in zip(cols, columns))
         except TypeError:
             inside = False
-        if inside and len(table := dict(zip(zip(*cols[:-1]), cols[-1]))) == len(value):
+        if inside and len(table := mapping(zip(zip(*cols[:-1]), cols[-1]))) == len(value):
             return table
     # The scan raises on every fault found above: a leaf that is in no
     # pool of id strings fails its exact type test or its pool.
@@ -140,7 +141,7 @@ def _table(
 _SCHEMAS: dict[str, tuple] = {}  # kind: (types, build, names, fields), filled by _kind
 
 
-def _field(name: str, form: str, columns: tuple | dict = (), get=None) -> tuple:
+def _field(name: str, form: str, columns: tuple | dict = (), get=None, mapping=dict) -> tuple:
     """One body field, a plain tuple so that loads unpacks it fast.
 
     form is "ids", "map", "table", "choice" or a nested body's kind.
@@ -150,15 +151,17 @@ def _field(name: str, form: str, columns: tuple | dict = (), get=None) -> tuple:
     the body's choice; a choice lists its values.  A nested body's
     columns pair each of its id lists' paths inside it and here.  get
     reads the field off the structure, by default the named attribute.
+    mapping is the dict type a map or table is read into: a bundle's
+    tables are read once, straight into read-only dicts.
     """
     if form in _SCHEMAS:
         columns = tuple((below, f"{name}.{below}") for below in _pools(form))
-    return name, form, columns, get
+    return name, form, columns, get, mapping
 
 
 def _pools(kind: str):
     """The paths of the id lists a body of kind declares."""
-    for name, form, columns, _ in _SCHEMAS[kind][-1]:
+    for name, form, columns, *_ in _SCHEMAS[kind][-1]:
         if form == "ids":
             yield name
         elif form in _SCHEMAS:
@@ -212,11 +215,13 @@ _kind("bundle", (PrincipalBundle,), PrincipalBundle, (
     _field("groupoid", "groupoid"),
     _field("total", "ids"),
     _field("base", "ids"),
-    _field("projection", "map", (("total", "point"), ("base", "base point"))),
+    _field(
+        "projection", "map", (("total", "point"), ("base", "base point")), mapping=_ReadOnlyDict
+    ),
     _field("momentum", "map", (("total", "point"), ("groupoid.objects", "object"))),
     _field("act", "table", (
         ("total", "point"), ("groupoid.arrows", "arrow"), ("total", "point"),
-    )),
+    ), mapping=_ReadOnlyDict),
 ))
 _kind("bundle_morphism", (BundleMorphism,), BundleMorphism, (
     _field("source", "bundle"),
@@ -238,13 +243,13 @@ _kind("hs", (HSMorphism,), _build_hs, (
     _field("total", "ids", get=attrgetter("bundle.total")),
     _field("projection", "map", (
         ("total", "point"), ("dom.objects", "base point"),
-    ), attrgetter("bundle.projection")),
+    ), attrgetter("bundle.projection"), _ReadOnlyDict),
     _field("momentum", "map", (
         ("total", "point"), ("cod.objects", "object"),
     ), attrgetter("bundle.momentum")),
     _field("right_act", "table", (
         ("total", "point"), ("cod.arrows", "arrow"), ("total", "point"),
-    ), attrgetter("bundle.act")),
+    ), attrgetter("bundle.act"), _ReadOnlyDict),
     _field("left_act", "table", (
         ("dom.arrows", "arrow"), ("total", "point"), ("total", "point"),
     )),
@@ -268,7 +273,7 @@ def kind_of(obj: object) -> str:
 def _body(kind: str, obj: object) -> dict:
     """The body of obj's document; _write sorts the maps."""
     body = {}
-    for name, form, _, get in _SCHEMAS[kind][-1]:
+    for name, form, _, get, _ in _SCHEMAS[kind][-1]:
         value = get(obj) if get else getattr(obj, name)
         if form == "ids":
             value = sorted(value)
@@ -286,17 +291,17 @@ def _read(kind: str, value: object, path: str) -> tuple[object, dict]:
     _, build, names, fields = _SCHEMAS[kind]
     body = _require_keys(value, path, names)
     values, pools = [], {}
-    for name, form, columns, _ in fields:
+    for name, form, columns, _, mapping in fields:
         at, value = _join(path, name), body[name]
         if form == "map":
             (keys, key_kind), (targets, value_kind) = columns
-            value = _str_map(value, at, pools[keys], key_kind, pools[targets], value_kind)
+            value = _str_map(value, at, pools[keys], key_kind, pools[targets], value_kind, mapping)
         elif form == "ids":
             value = pools[name] = _str_list(value, at)
         elif form == "table":
             if isinstance(columns, dict):
                 columns = columns[choice]
-            value = _table(value, at, pools, columns)
+            value = _table(value, at, pools, columns, mapping)
         elif form == "choice":
             if value not in columns:
                 allowed = " or ".join(map(repr, columns))

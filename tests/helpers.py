@@ -11,12 +11,14 @@ violation of an action whose groupoid is valid, as references for
 validate_action; naive_associativity does the same for the
 associativity witnesses of validate_groupoid.  The reference_*
 constructions build every entry of a product with its own pair_id call,
-as references for the products of core, bundles and hs.
+as references for the products of core, bundles and hs;
+reference_unit_pullback pulls a groupoid's unit bundle back from the
+groupoid's raw tables, entry by entry, in pullback_bundle's order.
 naive_table_error names the first bad entry of a document's entry table
 by a plain scan, as a reference for the errors loads raises.
-naive_fibers, naive_moves and naive_quotients rebuild a bundle's
-indexes by trying every key of its raw tables, as references for
-PrincipalBundle; naive_divisions lists every arrow moving p to q, as a
+naive_fibers, naive_moves, naive_quotients and naive_self_pairs
+rebuild a bundle's indexes by trying every key of its raw tables, as
+references for PrincipalBundle; naive_divisions lists every arrow moving p to q, as a
 reference for the fault division_map names off the quotients index.
 naive_gauge_tables multiplies every pair of gauge transformations over
 all points, as a reference for the tables of gauge groups.
@@ -427,6 +429,32 @@ def reference_pullback_bundle(B: PrincipalBundle, f: dict[str, str]) -> Principa
     )
 
 
+def reference_unit_pullback(G: FiniteGroupoid, f: dict[str, str]) -> PrincipalBundle:
+    """pullback_bundle(unit_bundle(G), f) from G's raw tables, in its
+    insertion order: base points m in order, each arrow p with target
+    f(m) in order, then each compose key (p, g) in order, whatever its
+    factors; the point (m, p) is pair_id(m, p)."""
+    for m in sorted(f):
+        if f[m] not in G.objects:
+            raise ValueError(f"f({m!r}) = {f[m]!r} is not a base point")
+    over = [(m, p) for m in sorted(f) for p in sorted(G.arrows) if G.target.get(p) == f[m]]
+    entries = sorted(G.compose.items())
+    projection = {pair_id(m, p): m for m, p in over}
+    return PrincipalBundle(
+        groupoid=G,
+        total=frozenset(projection),
+        base=frozenset(f),
+        projection=projection,
+        momentum={pair_id(m, p): G.source[p] for m, p in over},
+        act={
+            (pair_id(m, p), g): pair_id(m, q)
+            for m, p in over
+            for (p2, g), q in entries
+            if p2 == p
+        },
+    )
+
+
 def reference_hs_product(h1: HSMorphism, h2: HSMorphism) -> HSMorphism:
     return HSMorphism(
         reference_product_groupoid(h1.dom, h2.dom),
@@ -517,6 +545,20 @@ def naive_moves(B: PrincipalBundle) -> list[tuple[str, list[tuple[str, str]]]]:
         (p, [(g, B.act[(p, g)]) for g in sorted(k[1] for k in B.act if k[0] == p)])
         for p in points
     ]
+
+
+def naive_self_pairs(B: PrincipalBundle) -> tuple[tuple[str, str], ...]:
+    """Each pair (p, q) of total points over one base point, by base
+    point, then p, then q."""
+    points = sorted(B.total)
+    return tuple(
+        (p, q)
+        for m in sorted(B.base)
+        for p in points
+        if B.projection.get(p) == m
+        for q in points
+        if B.projection.get(q) == m
+    )
 
 
 def naive_divisions(B: PrincipalBundle) -> dict[tuple[str, str], tuple[str, ...]]:

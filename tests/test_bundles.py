@@ -29,6 +29,7 @@ from gpdkit import (
     validate_bundle,
     verify_division_properties,
 )
+from gpdkit.bundles import _unit_pullback
 
 from helpers import (
     bundle_mutations,
@@ -37,6 +38,8 @@ from helpers import (
     naive_fibers,
     naive_moves,
     naive_quotients,
+    naive_self_pairs,
+    reference_unit_pullback,
 )
 
 
@@ -144,6 +147,16 @@ def test_projection_rules(unit_pair2):
     assert "bundle.projection-invariant" in report.rules()
 
 
+def test_an_empty_fiber_breaks_only_projection_surjectivity(unit_pair2):
+    B = random_bundle(random_groupoid(GeneratorSpec(2, max_objects=3)), 2, GeneratorSpec(7))
+    for valid in (unit_pair2, B):
+        assert validate_bundle(valid).ok
+        report = validate_bundle(replace(valid, base=valid.base | {"empty"}))
+        assert [(v.rule, v.witness) for v in report.violations] == [
+            ("bundle.projection-surjective", ("empty",))
+        ]
+
+
 def _bundle_law_mutants(z2, unit_z2):
     """(rule, bundle) pairs on which rule fires: each bundle carries a valid
     action of its groupoid, so only the bundle rules can catch it."""
@@ -211,6 +224,64 @@ def test_pullback_bundle(unit_z2):
 def test_pullback_rejects_bad_anchor(unit_z2):
     with pytest.raises(ValueError, match="not a base point"):
         pullback_bundle(unit_z2, {"n0": "nowhere"})
+
+
+def _compose_mutants(G):
+    """G; each copy of G with one compose entry deleted, or its value
+    rewritten to another arrow; and G with a key added whose factors are
+    not composable, when two arrows are not."""
+    yield "as is", G
+    arrows = sorted(G.arrows)
+    for key in sorted(G.compose):
+        yield f"del compose[{key}]", replace(
+            G, compose={k: v for k, v in G.compose.items() if k != key}
+        )
+        for c in arrows:
+            if c != G.compose[key]:
+                yield f"compose[{key}] -> {c}", replace(G, compose={**G.compose, key: c})
+    apart = [(a, b) for a in arrows for b in arrows if G.source[a] != G.target[b]]
+    if apart:
+        yield f"compose[{apart[0]}] added", replace(G, compose={**G.compose, apart[0]: arrows[0]})
+
+
+def _pullback_outcome(build) -> tuple:
+    """The tables of the bundle build() returns, in insertion order, or
+    the type and text of what it raises."""
+    try:
+        B = build()
+    except Exception as e:
+        return type(e), str(e)
+    tables = [list(t.items()) for t in (B.projection, B.momentum, B.act)]
+    return B.groupoid, sorted(B.total), sorted(B.base), tables
+
+
+def test_unit_pullbacks_read_the_groupoid_tables(z2, pair2):
+    """Trivializations, random bundles and the bibundles of groupoid
+    morphisms pull the unit bundle back from G's tables, without building
+    it.  The result has the tables of pullback_bundle(unit_bundle(G), f),
+    in the same order, and raises the same errors: on random groupoids,
+    on every single-entry deletion and value rewrite of their compose
+    tables, and with a key added whose factors are not composable, which
+    the act table keeps as every compose key of a pulled-back arrow."""
+    groupoids = [z2, pair2]
+    groupoids += [
+        random_groupoid(GeneratorSpec(s, max_objects=3, max_group_order=3)) for s in (2, 4, 5, 7)
+    ]
+    added = 0
+    for G in groupoids:
+        objects = sorted(G.objects)
+        maps = (
+            {f"m{i}": x for i, x in enumerate(objects * 2)},
+            {"m0": objects[-1]},
+            {"m0": objects[0], "m1": "nowhere"},
+        )
+        for desc, M in _compose_mutants(G):
+            added += desc.endswith("added")
+            for f in maps:
+                got = _pullback_outcome(lambda: _unit_pullback(M, f)[0])
+                assert got == _pullback_outcome(lambda: pullback_bundle(unit_bundle(M), f)), desc
+                assert got == _pullback_outcome(lambda: reference_unit_pullback(M, f)), desc
+    assert added == 5
 
 
 def test_product_bundle_divides_componentwise(unit_z2):
@@ -320,10 +391,19 @@ def test_indexes_are_read_only(z2):
                 edit()
     with pytest.raises(TypeError, match="read-only"):
         B.quotients[("e", "a")] = "e"
+    # the same-fiber pairs are a tuple of pairs, one for every reader
+    pairs = B.self_pairs
+    assert type(pairs) is tuple and {type(pair) for pair in pairs} == {tuple}
+    with pytest.raises(TypeError):
+        pairs[0] = ("a", "a")
+    with pytest.raises(AttributeError):
+        B.self_pairs = ()
+    assert verify_division_properties(B).ok and B.self_pairs is pairs
     assert division_map(B, "e", "a") == "a"
     assert validate_bundle(B).ok and verify_division_properties(B).ok
     for twin in (copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
         assert twin.moves == B.moves
+        assert twin.self_pairs == pairs
         with pytest.raises(TypeError, match="read-only"):
             twin.moves["e"]["a"] = "e"
 
@@ -383,6 +463,7 @@ def test_indexes_match_naive_scans(unit_z2, unit_s3):
         for m in sorted(B.base) + ["elsewhere"]:
             assert B.fiber(m) == fibers.get(m, ())
         assert [(p, list(row.items())) for p, row in B.moves.items()] == naive_moves(B)
+        assert B.self_pairs == naive_self_pairs(B)
         quotients, divisions = naive_quotients(B), naive_divisions(B)
         assert B.quotients == quotients
         # division_map answers exactly the quotients and raises off them,

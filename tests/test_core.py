@@ -362,6 +362,47 @@ def test_action_witnesses_match_a_naive_scan(s3):
     }
 
 
+def test_action_witnesses_where_some_arrows_act_on_no_point():
+    # A bundle over one component of a groupoid with two or three: the
+    # other components' arrows act on no point, and validate_action skips
+    # their composites.  Deleting those composites, or adding keys on
+    # them whose factors are not composable, must leave the witnesses of
+    # act rewrites as the naive scan finds them, on both sides (the left
+    # action moves m by g^-1 where the right one moves it by g).
+    compared = set()
+    for seed in (2, 4, 5, 7):
+        G = random_groupoid(GeneratorSpec(seed, max_objects=3, max_group_order=3))
+        x = min(G.objects)
+        B = pullback_bundle(unit_bundle(G), {"m0": x, "m1": x})
+        anchors = set(B.momentum.values())
+        idle = [g for g in sorted(G.arrows) if G.target[g] not in anchors]
+        assert idle, seed
+        arrows = sorted(G.arrows)
+        composes = [G.compose]
+        composes += [{k: v for k, v in G.compose.items() if g not in k} for g in idle]
+        composes += [
+            {**G.compose, (g, h): g}
+            for g in idle
+            for h in arrows
+            if G.source[g] != G.target[h]
+        ][:4]
+        right = B.right_action()
+        flipped = {(G.inverse[g], m): v for (m, g), v in right.act.items()}
+        for A in (right, LeftAction(G, right.carrier, right.momentum, flipped)):
+            points = sorted(A.carrier)
+            acts = [A.act] + [
+                {**A.act, key: points[(points.index(A.act[key]) + 1) % len(points)]}
+                for key in sorted(A.act)[::5]
+            ]
+            for compose in composes:
+                for act in acts:
+                    M = replace(A, groupoid=replace(G, compose=compose), act=act)
+                    got = [(v.rule, v.witness) for v in validate_action(M).violations]
+                    assert got == naive_action_violations(M), seed
+                    compared.update(rule for rule, _ in got)
+    assert {"action.momentum", "action.compose"} <= compared
+
+
 def _decider_corpus(docs):
     """Every single-entry rewrite and every compose-entry deletion of small
     groupoids, and each with a compose key on an id outside its arrows."""

@@ -26,6 +26,7 @@ from gpdkit import (
     hs_product,
     identity_ggt,
     is_left_invariant_ggt,
+    product_groupoid,
     random_groupoid,
     random_hs,
     validate_groupoid,
@@ -98,6 +99,15 @@ def test_hs_products_validate(hs_z2, hs_s3):
     assert validate_hs(hs_fibred_product(hs_z2, hs_z2)).ok
     with pytest.raises(ValueError, match="shared domain"):
         hs_fibred_product(hs_z2, hs_s3)
+
+
+def test_hs_fibred_product_codomain_is_its_bundle_groupoid(hs_z2, hs_embed):
+    # one product groupoid, so validate_hs compares it with itself
+    for h1, h2 in ((hs_z2, hs_z2), (hs_z2, hs_embed)):
+        h = hs_fibred_product(h1, h2)
+        assert h.cod is h.bundle.groupoid
+        assert h.cod == product_groupoid(h1.cod, h2.cod)
+        assert validate_hs(h).ok
 
 
 def test_hs_division_is_left_invariant(hs_z2, hs_s3, hs_embed):
