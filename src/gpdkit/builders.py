@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .bundles import (
     IntegrityError,
     PrincipalBundle,
-    _ReadOnlyDict,
     _unit_pullback,
     division_map,
     unit_bundle,
@@ -440,9 +439,9 @@ def _relabel(
         groupoid=B.groupoid,
         total=frozenset(label.values()),
         base=B.base,
-        projection=_ReadOnlyDict((label[p], m) for p, m in B.projection.items()),
+        projection={label[p]: m for p, m in B.projection.items()},
         momentum={label[p]: x for p, x in B.momentum.items()},
-        act=_ReadOnlyDict(((label[p], k), label[q]) for (p, k), q in B.act.items()),
+        act={(label[p], k): label[q] for (p, k), q in B.act.items()},
     )
     return relabeled, label
 

@@ -31,6 +31,7 @@ from .core import (
     RightAction,
     ValidationReport,
     _check_table,
+    _pair_keys,
     _pair_of,
     _pair_rows,
     _product,
@@ -87,9 +88,9 @@ class PrincipalBundle:
     act maps (p, g) to p.g and is defined exactly when
     momentum(p) == target(g); then momentum(p.g) == source(g) and
     projection(p.g) == projection(p).  act and projection are read-only
-    copies, taken unless the caller passes read-only tables already; the
-    fibers, moves, quotients and self_pairs indexes are built on first use,
-    shared by every reader and read-only too, rows of moves included.
+    copies, made here and nowhere else; the fibers, moves, quotients and
+    self_pairs indexes are built on first use, shared by every reader and
+    read-only too, rows of moves included.
     """
 
     groupoid: FiniteGroupoid
@@ -101,9 +102,7 @@ class PrincipalBundle:
 
     def __post_init__(self) -> None:
         for name in ("projection", "act"):
-            table = getattr(self, name)
-            if not isinstance(table, _ReadOnlyDict):
-                object.__setattr__(self, name, _ReadOnlyDict(table))
+            object.__setattr__(self, name, _ReadOnlyDict(getattr(self, name)))
 
     @cached_property
     def fibers(self) -> dict[str, tuple[str, ...]]:
@@ -115,10 +114,10 @@ class PrincipalBundle:
 
     @cached_property
     def moves(self) -> dict[str, dict[str, str]]:
-        """moves[p][g] == p.g for every act entry, rows in point order and
-        each row in arrow order."""
+        """moves[p][g] == p.g for every act entry keyed by a pair, rows in
+        point order and each row in arrow order."""
         rows: dict[str, dict[str, str]] = {}
-        for (p, g), q in sorted(self.act.items()):
+        for (p, g), q in sorted(_pair_keys(self.act).items()):
             rows.setdefault(p, {})[g] = q
         return _ReadOnlyDict((p, _ReadOnlyDict(row)) for p, row in rows.items())
 
@@ -157,29 +156,23 @@ def validate_bundle(B: PrincipalBundle) -> ValidationReport:
 
     bundle.free        witness (p, g, h): p.g == p.h with g != h
     bundle.transitive  witness (p, q): same fiber, no arrow moves p to q
-
-    Projection invariance, freeness and transitivity hold when each
-    point's row of moves has its fiber as values, sorted; the loops that
-    name violations run only when that fails.
     """
     r = ValidationReport()
     r.extend(validate_action(B.right_action()))
     _check_table(r, "projection", B.projection, B.total, B.total, B.base)
 
-    pi = B.projection.get
-    hit = {pi(p) for p in B.total}
+    pi, total, moves = B.projection.get, B.total, B.moves
+    hit = {pi(p) for p in total}
     for m in sorted(B.base):
         if m not in hit:
             r.add("bundle.projection-surjective", m)
 
-    fibers, moves = B.fibers, B.moves
-    # key=str: a value that is no point id sorts without raising, and fails
-    if all(tuple(sorted(moves.get(p, {}).values(), key=str)) == fibers[pi(p)] for p in B.total):
-        return r
     for p, row in moves.items():
-        for g, q in row.items():
-            if q in B.total and p in B.total and pi(q) != pi(p):
-                r.add("bundle.projection-invariant", p, g)
+        if p in total:
+            m = pi(p)
+            for g, q in row.items():
+                if q in total and pi(q) != m:
+                    r.add("bundle.projection-invariant", p, g)
 
     # Fiberwise: g -> p.g injective for each p, image all of p's fiber.
     for m in sorted(B.base):
@@ -187,11 +180,10 @@ def validate_bundle(B: PrincipalBundle) -> ValidationReport:
         for p in fiber:
             seen: dict[str, str] = {}
             for g, q in moves.get(p, {}).items():
-                if q not in B.total:
-                    continue
                 if q in seen:
                     r.add("bundle.free", p, seen[q], g)
-                seen.setdefault(q, g)
+                elif q in total:
+                    seen[q] = g
             for q in fiber:
                 if q not in seen:
                     r.add("bundle.transitive", p, q)
@@ -414,9 +406,9 @@ def _restrict(B: PrincipalBundle, U: frozenset[str]) -> PrincipalBundle:
         groupoid=B.groupoid,
         total=total,
         base=U,
-        projection=_ReadOnlyDict((p, m) for p, m in B.projection.items() if p in total),
+        projection={p: m for p, m in B.projection.items() if p in total},
         momentum={p: B.momentum[p] for p in B.momentum if p in total},
-        act=_ReadOnlyDict((k, v) for k, v in B.act.items() if k[0] in total),
+        act={k: v for k, v in B.act.items() if k[0] in total},
     )
 
 

@@ -26,13 +26,15 @@ Left invariance keeps its own loop.  An instance whose product the
 tables leave undefined is skipped, so the division verifiers, too,
 report and never raise.
 
-The validators decide first and explain after: whole-column checks
-decide a groupoid's compose table and then its unit and inverse laws,
-Light's test on a generating set decides associativity, validate_bundle
-decides its fiber laws a row of moves at a time, and _check_table
-returns at once, unsorted, on a table with the expected keys and values.
-The loops that name each violation, in witness order, run only when a
-decision fails, so reports are the same as from the loops alone.
+Where a loop over every instance costs far more than a yes-or-no
+decision, the validators decide first and explain after: whole-column
+checks decide a groupoid's compose table, Light's test on a generating
+set decides associativity, and _check_table returns at once, unsorted,
+on a table with the expected keys and values.  The loops that name each
+violation, in witness order, run only when a decision fails, so reports
+are the same as from the loops alone.  The law loops read only the
+entries keyed by pairs (_is_pair, _pair_keys); any other key is left to
+the table.* rules.
 """
 
 from __future__ import annotations
@@ -163,6 +165,18 @@ def _is_pair(key) -> bool:
     return type(key) is tuple and len(key) == 2
 
 
+def _pair_keys(table: dict) -> dict:
+    """table, or its entries keyed by pairs if some key is not a pair: one
+    pass in C over the keys of a table keyed by pairs only, where
+    tuple.__len__ raises TypeError on any key that is not a tuple."""
+    try:
+        if set(map(tuple.__len__, table)) <= {2}:
+            return table
+    except TypeError:
+        pass
+    return {key: value for key, value in table.items() if _is_pair(key)}
+
+
 def _check_table(
     r: ValidationReport,
     name: str,
@@ -289,27 +303,6 @@ def _compose_exact(G: FiniteGroupoid, known: list[str], by_target: dict) -> bool
     )
 
 
-def _units_and_inverses(G: FiniteGroupoid, arrows: list[str]) -> bool:
-    """Whether no unit.* or inverse.* rule can fire on G, with total
-    structure tables and an exact compose table, decided on whole columns
-    over arrows, all of G's, sorted.  Each unit must run from its object to
-    itself; g composed with the unit at either end gives g, and with its
-    inverse on either side the unit at that end, so the inverse's
-    endpoints follow: an exact table defines g h only where they meet."""
-    src, tgt, unit, mul = G.source.get, G.target.get, G.unit.get, G.compose.get
-    objects = sorted(G.objects)
-    units = list(map(unit, objects))
-    at_target, at_source = list(map(unit, map(tgt, arrows))), list(map(unit, map(src, arrows)))
-    invs = list(map(G.inverse.get, arrows))
-    return (
-        list(map(src, units)) == objects == list(map(tgt, units))
-        and list(map(mul, zip(at_target, arrows))) == arrows
-        and list(map(mul, zip(arrows, at_source))) == arrows
-        and list(map(mul, zip(arrows, invs))) == at_target
-        and list(map(mul, zip(invs, arrows))) == at_source
-    )
-
-
 def _generators(arrows: list[str], rows: dict) -> list[str]:
     """A greedy generating set S: each of arrows, in order, that is not yet
     a left-normed product (((s1 s2) s3) ...) of the earlier members."""
@@ -366,15 +359,13 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
                              consequences of the unit laws, checked so a
                              broken unit table cannot mask them
 
-    The laws are decided first, and the loops that name each violation
-    in order run only when a decision fails.  _compose_exact decides the
-    table.compose.* and product.* rules on whole columns.  When it holds,
-    _units_and_inverses decides the unit and inverse laws (given total
-    structure tables), and associativity is decided by Light's
-    test (Clifford & Preston, The Algebraic Theory of Semigroups I,
-    1961, 1.2): the law is checked with its middle arrow in a generating
-    set S (_generators) only.  Proof: let M be the arrows s with
-    (x s) y == x (s y) for every composable x, y.  Every composite of
+    _compose_exact decides the table.compose.* and product.* rules on
+    whole columns, and their loops run only when it fails; the unit and
+    inverse loops always run.  On an exact table, associativity is decided
+    by Light's test (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1961, 1.2): the law is checked with its middle arrow in
+    a generating set S (_generators) only.  Proof: let M be the arrows s
+    with (x s) y == x (s y) for every composable x, y.  Every composite of
     composable arrows is defined and has the endpoints of its factors, so
     for s, t in M and composable x, y
         (x (s t)) y == ((x s) t) y == (x s) (t y) == x (s (t y)) == x ((s t) y);
@@ -383,14 +374,10 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """
     r = ValidationReport()
     obj, arr = G.objects, G.arrows
-    total = _structure_ok(r, G)
+    _structure_ok(r, G)
 
     src, tgt = G.source, G.target
-    known = [
-        g
-        for g in sorted(arr)
-        if src.get(g) in obj and tgt.get(g) in obj
-    ]
+    known = [g for g in sorted(arr) if src.get(g) in obj and tgt.get(g) in obj]
     by_target = G.by_target()
 
     mul, unit, inv = G.compose.get, G.unit.get, G.inverse.get
@@ -424,42 +411,39 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             if tgt.get(g3) != tgt[g1]:
                 r.add("product.target", g1, g2, g3)
 
-    if not (exact and total and _units_and_inverses(G, known)):
-        for x in sorted(obj):
-            e = unit(x)
-            if e is None or e not in arr:
-                continue
-            if src.get(e) != x or tgt.get(e) != x:
-                r.add("unit.endpoints", x, e)
+    for x in sorted(obj):
+        e = unit(x)
+        if e in arr and (src.get(e) != x or tgt.get(e) != x):
+            r.add("unit.endpoints", x, e)
 
-        for g in known:
-            e_t = unit(tgt[g])
-            if e_t is not None:
-                p = mul((e_t, g))
-                if p is not None and p != g:
-                    r.add("unit.left", g)
-            e_s = unit(src[g])
-            if e_s is not None:
-                p = mul((g, e_s))
-                if p is not None and p != g:
-                    r.add("unit.right", g)
+    for g in known:
+        e_t = unit(tgt[g])
+        if e_t is not None:
+            p = mul((e_t, g))
+            if p is not None and p != g:
+                r.add("unit.left", g)
+        e_s = unit(src[g])
+        if e_s is not None:
+            p = mul((g, e_s))
+            if p is not None and p != g:
+                r.add("unit.right", g)
 
-        for g in known:
-            h = inv(g)
-            if h is None or h not in arr or h not in known:
-                continue
-            if src[h] != tgt[g] or tgt[h] != src[g]:
-                r.add("inverse.endpoints", g, h)
-            e_t, e_s = unit(tgt[g]), unit(src[g])
-            p = mul((g, h))
-            if p is not None and e_t is not None and p != e_t:
-                r.add("inverse.right", g)
-            q = mul((h, g))
-            if q is not None and e_s is not None and q != e_s:
-                r.add("inverse.left", g)
+    for g in known:
+        h = inv(g)
+        if h is None or h not in arr or h not in known:
+            continue
+        if src[h] != tgt[g] or tgt[h] != src[g]:
+            r.add("inverse.endpoints", g, h)
+        e_t, e_s = unit(tgt[g]), unit(src[g])
+        p = mul((g, h))
+        if p is not None and e_t is not None and p != e_t:
+            r.add("inverse.right", g)
+        q = mul((h, g))
+        if q is not None and e_s is not None and q != e_s:
+            r.add("inverse.left", g)
 
     rows: dict[str, dict[str, str]] = {}
-    for (g1, g2), g3 in entries:
+    for (g1, g2), g3 in entries:  # an exact table's keys are all pairs
         rows.setdefault(g1, {})[g2] = g3
     associative = False
     if exact:  # Light's test: the middle arrow in a generating set only
@@ -617,7 +601,7 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
         if H.unit.get(y) != e:
             r.add("morphism.unit", x)
 
-    for (g1, g2), g3 in sorted(G.compose.items()):
+    for (g1, g2), g3 in sorted(_pair_keys(G.compose).items()):
         h1, h2, h3 = F(g1), F(g2), F(g3)
         if h1 is None or h2 is None or h3 is None:
             continue
@@ -691,7 +675,7 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     carrier = A.carrier
     rows: dict[str, dict[str, str]] = {m: {} for m in carrier}
     for key, v in A.act.items():
-        if v in carrier:
+        if v in carrier and type(key) is tuple and len(key) == 2:  # _is_pair, inlined
             if left:
                 g, m = key
             else:

@@ -38,6 +38,7 @@ from .core import (
     _commute,
     _context_ok,
     _equivariance,
+    _pair_keys,
     _pair_of,
     _product,
     _product_table,
@@ -117,7 +118,7 @@ def validate_hs(h: HSMorphism) -> ValidationReport:
     r.extend(validate_action(h.left_action()), prefix="left-")
 
     eps, moves = h.bundle.momentum.get, h.bundle.moves
-    for (g, p), gp in sorted(h.left_act.items()):
+    for (g, p), gp in sorted(_pair_keys(h.left_act).items()):
         if gp not in h.bundle.total:
             continue
         if eps(gp) != eps(p):
@@ -219,7 +220,7 @@ def validate_hs_morphism(f: HSBundleMorphism) -> ValidationReport:
 def _left_equivariance_violations(f: HSBundleMorphism):
     """Each (g, p), sorted, with sigma(g.p) != g.sigma(p): the law of
     morphism.equivariance on the left action."""
-    moves = ((g, p, gp) for (g, p), gp in sorted(f.source.left_act.items()))
+    moves = ((g, p, gp) for (g, p), gp in sorted(_pair_keys(f.source.left_act).items()))
     return _equivariance(f.mapping.get, moves, f.target.left_act.get)
 
 

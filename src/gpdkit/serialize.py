@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable
 
-from .bundles import PrincipalBundle, _ReadOnlyDict
+from .bundles import PrincipalBundle
 from .core import FiniteGroupoid, GroupoidMorphism, LeftAction, RightAction, _quote
 from .gauge import GGT, BundleMorphism
 from .hs import HSBundleMorphism, HSMorphism
@@ -83,7 +83,6 @@ def _str_map(
     key_kind: str,
     values: frozenset | set,
     value_kind: str,
-    mapping: type,
 ) -> dict[str, str]:
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object mapping ids to ids")
@@ -95,13 +94,13 @@ def _str_map(
         if v not in values:
             raise SchemaError(_join(path, k), f"unknown {value_kind} {v!r}")
     # the parser's own dict: nothing else holds it
-    return value if mapping is dict else mapping(value)
+    return value
 
 
 def _table(
-    value: object, path: str, pools: dict, columns: tuple[tuple[str, str], ...], mapping: type
+    value: object, path: str, pools: dict, columns: tuple[tuple[str, str], ...]
 ) -> dict[tuple[str, ...], str]:
-    """An entry list [[k0, k1, v], ...] as the mapping {(k0, k1): v}.
+    """An entry list [[k0, k1, v], ...] as the dict {(k0, k1): v}.
 
     columns holds one (pool, kind) pair per entry position, the pool
     named by its key in pools.  The table is decided whole: each entry a
@@ -120,7 +119,7 @@ def _table(
             inside = all(pools[pool].issuperset(col) for col, (pool, _) in zip(cols, columns))
         except TypeError:
             inside = False
-        if inside and len(table := mapping(zip(zip(*cols[:-1]), cols[-1]))) == len(value):
+        if inside and len(table := dict(zip(zip(*cols[:-1]), cols[-1]))) == len(value):
             return table
     # The scan raises on every fault found above: a leaf that is in no
     # pool of id strings fails its exact type test or its pool.
@@ -141,7 +140,7 @@ def _table(
 _SCHEMAS: dict[str, tuple] = {}  # kind: (types, build, names, fields), filled by _kind
 
 
-def _field(name: str, form: str, columns: tuple | dict = (), get=None, mapping=dict) -> tuple:
+def _field(name: str, form: str, columns: tuple | dict = (), get=None) -> tuple:
     """One body field, a plain tuple so that loads unpacks it fast.
 
     form is "ids", "map", "table", "choice" or a nested body's kind.
@@ -151,17 +150,15 @@ def _field(name: str, form: str, columns: tuple | dict = (), get=None, mapping=d
     the body's choice; a choice lists its values.  A nested body's
     columns pair each of its id lists' paths inside it and here.  get
     reads the field off the structure, by default the named attribute.
-    mapping is the dict type a map or table is read into: a bundle's
-    tables are read once, straight into read-only dicts.
     """
     if form in _SCHEMAS:
         columns = tuple((below, f"{name}.{below}") for below in _pools(form))
-    return name, form, columns, get, mapping
+    return name, form, columns, get
 
 
 def _pools(kind: str):
     """The paths of the id lists a body of kind declares."""
-    for name, form, columns, *_ in _SCHEMAS[kind][-1]:
+    for name, form, columns, _ in _SCHEMAS[kind][-1]:
         if form == "ids":
             yield name
         elif form in _SCHEMAS:
@@ -215,13 +212,11 @@ _kind("bundle", (PrincipalBundle,), PrincipalBundle, (
     _field("groupoid", "groupoid"),
     _field("total", "ids"),
     _field("base", "ids"),
-    _field(
-        "projection", "map", (("total", "point"), ("base", "base point")), mapping=_ReadOnlyDict
-    ),
+    _field("projection", "map", (("total", "point"), ("base", "base point"))),
     _field("momentum", "map", (("total", "point"), ("groupoid.objects", "object"))),
     _field("act", "table", (
         ("total", "point"), ("groupoid.arrows", "arrow"), ("total", "point"),
-    ), mapping=_ReadOnlyDict),
+    )),
 ))
 _kind("bundle_morphism", (BundleMorphism,), BundleMorphism, (
     _field("source", "bundle"),
@@ -243,13 +238,13 @@ _kind("hs", (HSMorphism,), _build_hs, (
     _field("total", "ids", get=attrgetter("bundle.total")),
     _field("projection", "map", (
         ("total", "point"), ("dom.objects", "base point"),
-    ), attrgetter("bundle.projection"), _ReadOnlyDict),
+    ), attrgetter("bundle.projection")),
     _field("momentum", "map", (
         ("total", "point"), ("cod.objects", "object"),
     ), attrgetter("bundle.momentum")),
     _field("right_act", "table", (
         ("total", "point"), ("cod.arrows", "arrow"), ("total", "point"),
-    ), attrgetter("bundle.act"), _ReadOnlyDict),
+    ), attrgetter("bundle.act")),
     _field("left_act", "table", (
         ("dom.arrows", "arrow"), ("total", "point"), ("total", "point"),
     )),
@@ -273,7 +268,7 @@ def kind_of(obj: object) -> str:
 def _body(kind: str, obj: object) -> dict:
     """The body of obj's document; _write sorts the maps."""
     body = {}
-    for name, form, _, get, _ in _SCHEMAS[kind][-1]:
+    for name, form, _, get in _SCHEMAS[kind][-1]:
         value = get(obj) if get else getattr(obj, name)
         if form == "ids":
             value = sorted(value)
@@ -291,17 +286,17 @@ def _read(kind: str, value: object, path: str) -> tuple[object, dict]:
     _, build, names, fields = _SCHEMAS[kind]
     body = _require_keys(value, path, names)
     values, pools = [], {}
-    for name, form, columns, _, mapping in fields:
+    for name, form, columns, _ in fields:
         at, value = _join(path, name), body[name]
         if form == "map":
             (keys, key_kind), (targets, value_kind) = columns
-            value = _str_map(value, at, pools[keys], key_kind, pools[targets], value_kind, mapping)
+            value = _str_map(value, at, pools[keys], key_kind, pools[targets], value_kind)
         elif form == "ids":
             value = pools[name] = _str_list(value, at)
         elif form == "table":
             if isinstance(columns, dict):
                 columns = columns[choice]
-            value = _table(value, at, pools, columns, mapping)
+            value = _table(value, at, pools, columns)
         elif form == "choice":
             if value not in columns:
                 allowed = " or ".join(map(repr, columns))

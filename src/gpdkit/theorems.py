@@ -296,7 +296,9 @@ def run_checks(
     generated structure's definitional row is its generator's self-check,
     which runs the same validator; fixtures, unit bundles and identity
     bibundles are validated in the sweep.  Each oracle runs once per
-    bundle pair, inside the sweeps that read it.
+    bundle pair, inside the sweeps that read it.  A generator, unit
+    bundle or identity bibundle that raises is a FAIL row of the
+    statement that validates it, not an error of the run.
     """
     if fixtures is None:
         fixtures = fixture_documents()
@@ -318,19 +320,23 @@ def run_checks(
                 held.append((label, *args))
         return held
 
-    self_checked: set[int] = set()  # ids of generator outputs; they outlive the run
-
-    def generated(check: str, label: str, make):
+    def built(check: str, label: str, make):
         """make(), or None: a GeneratorError skips the instance, and any
         other error is check's FAIL row at label with the error's text."""
         try:
-            made = make()
+            return make()
         except GeneratorError:
             return None
         except Exception as e:
             rows[check].append((label, str(e) or repr(e)))
             return None
-        self_checked.update(map(id, made if isinstance(made, list) else [made]))
+
+    self_checked: set[int] = set()  # ids of generator outputs; they outlive the run
+
+    def generated(check: str, label: str, make):
+        """built(check, label, make), which its generator has validated."""
+        if (made := built(check, label, make)) is not None:
+            self_checked.update(map(id, made if isinstance(made, list) else [made]))
         return made
 
     def validated(validate, x) -> str:
@@ -365,9 +371,8 @@ def run_checks(
     )
 
     # --- bundles ---------------------------------------------------------
-    units = [
-        (f"unit bundle of {label}", unit_bundle(G)) for label, G in small_groupoids
-    ]
+    units = [(f"unit bundle of {label}", partial(unit_bundle, G)) for label, G in small_groupoids]
+    units = [(label, U) for label, make in units if (U := built("def-princgroupoid", label, make))]
     bundles = [(name, B) for name, B in docs if isinstance(B, PrincipalBundle)] + units
     sized = partial(GeneratorSpec, max_total=max_size)
 
@@ -430,9 +435,10 @@ def run_checks(
 
     # --- bibundles -------------------------------------------------------
     hs_samples = [
-        (f"identity bibundle on {label}", hs_from_groupoid_morphism(_identity(G)))
+        (f"identity bibundle on {label}", partial(hs_from_groupoid_morphism, _identity(G)))
         for label, G in small_groupoids[:2]
     ]
+    hs_samples = [(at, h) for at, make in hs_samples if (h := built("prop-proddivhils", at, make))]
 
     def bibundles(i: int) -> list:
         G = random_groupoid(GeneratorSpec(seed + 300 + i, max_objects=2, max_group_order=6))

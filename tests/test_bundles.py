@@ -15,14 +15,17 @@ from gpdkit import (
     NotSameFiberError,
     PrincipalBundle,
     division_map,
+    dumps,
     fibred_product,
     group_table,
+    loads,
     make_group_groupoid,
     pair_id,
     product_bundle,
     pullback_bundle,
     random_bundle,
     random_groupoid,
+    random_hs,
     split_pair,
     trivialize,
     unit_bundle,
@@ -188,13 +191,12 @@ def _bundle_law_mutants(z2, unit_z2):
 
 
 def test_bundle_law_witnesses_match_a_naive_scan(z2, unit_z2, unit_pair2, unit_s3):
-    """validate_bundle decides projection invariance, freeness and
-    transitivity a point at a time, and names violations with its loops
-    only when that fails.  Each mutant of _bundle_law_mutants breaks its
-    rule and no action rule, so a decider that dropped a condition would
-    pass it.  On these, on every single-entry mutant of three unit bundles
-    and on an act value that is not a point id, the bundle.* witnesses
-    are those of the naive scan."""
+    """validate_bundle's projection-invariance, freeness and transitivity
+    loops name every violation.  Each mutant of _bundle_law_mutants breaks
+    its rule and no action rule, so only those loops can find it.  On
+    these, on every single-entry mutant of three unit bundles and on an
+    act value that is not a point id, the bundle.* witnesses are those of
+    the naive scan."""
     for rule, B in _bundle_law_mutants(z2, unit_z2):
         report = validate_bundle(B)
         assert rule in report.rules(), rule
@@ -365,6 +367,41 @@ def test_act_and_projection_are_read_only(z2):
         assert twin == B
         with pytest.raises(TypeError, match="read-only"):
             twin.act[("e", "a")] = "e"
+
+
+def test_every_bundle_construction_has_read_only_tables(docs, z2, s3):
+    """PrincipalBundle alone makes act and projection read-only: the
+    parser, the generators, the pullbacks, the products, trivialize and
+    dataclasses.replace hand it plain or read-only tables alike."""
+    U = unit_bundle(z2)
+    G = random_groupoid(GeneratorSpec(3, max_objects=2))
+    B = random_bundle(s3, 2, GeneratorSpec(5, max_total=12))
+    h = random_hs(G, G, GeneratorSpec(7, max_total=12))
+    m = min(B.base)
+    iso = trivialize(B, {m: B.fiber(m)[0]})
+    assert iso.source.base == {m} != B.base
+    built = {
+        "unit_bundle": U,
+        "loads .bnd": loads(dumps(docs["unit-z2.bnd"])),
+        "loads .hs": loads(dumps(h)).bundle,
+        "random_bundle": B,
+        "random_hs": h.bundle,
+        "pullback_bundle": pullback_bundle(U, {"n0": "*", "n1": "*"}),
+        "product_bundle": product_bundle(U, U),
+        "fibred_product": fibred_product(U, U),
+        "trivialize, restricted": iso.source,
+        "trivialize, trivial": iso.target,
+        "replace": replace(U, projection=dict(U.projection), act=dict(U.act)),
+        "replace, tables kept": replace(U, base=U.base),
+    }
+    for what, P in built.items():
+        for table in (P.act, P.projection):
+            key = next(iter(table))
+            with pytest.raises(TypeError, match="read-only"):
+                table[key] = table[key]
+            with pytest.raises(TypeError, match="read-only"):
+                table.pop(key)
+        assert validate_bundle(P).ok, what
 
 
 def test_indexes_are_read_only(z2):

@@ -389,6 +389,19 @@ BROKEN_CONSTRUCTIONS = [
         "prop-proddivhils",
         "bibundles[seed offset=0]: no bibundle",
     ),
+    # and so do the unit bundles and identity bibundles the sweeps validate
+    (
+        "unit_bundle",
+        _raises("no unit bundle"),
+        "def-princgroupoid",
+        "unit bundle of pair2.gpd: no unit bundle",
+    ),
+    (
+        "hs_from_groupoid_morphism",
+        _raises("no identity bibundle"),
+        "prop-proddivhils",
+        "identity bibundle on pair2.gpd: no identity bibundle",
+    ),
 ]
 
 

@@ -406,3 +406,38 @@ def test_division_verifiers_report_on_act_mutants(docs):
     h = hs_from_groupoid_morphism(identity_morphism(make_pair_groupoid(2)))
     for M in act_mutants(h.bundle):
         assert isinstance(verify_hs_division_properties(replace(h, bundle=M)), ValidationReport)
+
+
+def test_malformed_table_keys_are_reported_not_raised(unit_z2):
+    """A table key that is not a pair, here a 3-tuple, a 1-tuple or a
+    string, two of whose characters would unpack as a pair, never makes a
+    validator raise: the law loops read only the keys that are pairs, and
+    each validator that checks the table names the key as unknown-key and
+    finds nothing else."""
+    G = unit_z2.groupoid
+    identity = identity_morphism(G)
+    h = hs_from_groupoid_morphism(identity)
+    p, hp = min(unit_z2.total), min(h.bundle.total)
+    fixed = {q: q for q in h.bundle.total}
+    for key in [("a", "e", "x"), ("a",), "ae", "ea"]:
+        ids = ",".join(key if isinstance(key, tuple) else (key,))
+        unknown = f"table.act.unknown-key[{ids}]"
+        B = replace(unit_z2, act={**unit_z2.act, key: p})
+        right = replace(h, bundle=replace(h.bundle, act={**h.bundle.act, key: hp}))
+        left = replace(h, left_act={**h.left_act, key: hp})
+        compose = {**G.compose, key: "a"}
+        reports = [
+            (validate_action(B.right_action()), [unknown]),
+            (validate_bundle(B), [unknown]),
+            (verify_division_properties(B), []),
+            (validate_hs(right), [unknown]),
+            (verify_hs_division_properties(right), []),
+            (validate_hs(left), [f"left-{unknown}"]),
+            (verify_hs_division_properties(left), []),
+            (validate_hs_morphism(HSBundleMorphism(left, left, fixed)), []),
+            (validate_groupoid(replace(G, compose=compose)), [f"table.compose.unknown-key[{ids}]"]),
+            (validate_morphism(replace(identity, domain=replace(G, compose=compose))), []),
+        ]
+        for i, (report, want) in enumerate(reports):
+            assert [str(v) for v in report.violations] == want, (key, i)
+
