@@ -31,7 +31,7 @@ from .core import (
     RightAction,
     ValidationReport,
     _check_table,
-    _pair_keys,
+    _is_pair,
     _pair_of,
     _pair_rows,
     _product,
@@ -114,11 +114,12 @@ class PrincipalBundle:
 
     @cached_property
     def moves(self) -> dict[str, dict[str, str]]:
-        """moves[p][g] == p.g for every act entry keyed by a pair, rows in
-        point order and each row in arrow order."""
+        """moves[p][g] == p.g for every act entry keyed by a pair of ids,
+        rows in point order and each row in arrow order."""
         rows: dict[str, dict[str, str]] = {}
-        for (p, g), q in sorted(_pair_keys(self.act).items()):
-            rows.setdefault(p, {})[g] = q
+        act = self.act
+        for p, g in sorted(filter(_is_pair, act)):
+            rows.setdefault(p, {})[g] = act[p, g]
         return _ReadOnlyDict((p, _ReadOnlyDict(row)) for p, row in rows.items())
 
     @cached_property

@@ -33,8 +33,8 @@ set decides associativity, and _check_table returns at once, unsorted,
 on a table with the expected keys and values.  The loops that name each
 violation, in witness order, run only when a decision fails, so reports
 are the same as from the loops alone.  The law loops read only the
-entries keyed by pairs (_is_pair, _pair_keys); any other key is left to
-the table.* rules.
+entries keyed by pairs of ids (_is_pair); any other key is left to the
+table.* rules.
 """
 
 from __future__ import annotations
@@ -162,19 +162,9 @@ def _key_ids(key) -> tuple[str, ...]:
 
 
 def _is_pair(key) -> bool:
-    return type(key) is tuple and len(key) == 2
-
-
-def _pair_keys(table: dict) -> dict:
-    """table, or its entries keyed by pairs if some key is not a pair: one
-    pass in C over the keys of a table keyed by pairs only, where
-    tuple.__len__ raises TypeError on any key that is not a tuple."""
-    try:
-        if set(map(tuple.__len__, table)) <= {2}:
-            return table
-    except TypeError:
-        pass
-    return {key: value for key, value in table.items() if _is_pair(key)}
+    """Whether key is a pair of ids, the one key the law loops read; any
+    other key is left to the table.* rules."""
+    return type(key) is tuple and len(key) == 2 and type(key[0]) is str and type(key[1]) is str
 
 
 def _check_table(
@@ -428,9 +418,10 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             if p is not None and p != g:
                 r.add("unit.right", g)
 
+    known_set = set(known)
     for g in known:
         h = inv(g)
-        if h is None or h not in arr or h not in known:
+        if h not in known_set:
             continue
         if src[h] != tgt[g] or tgt[h] != src[g]:
             r.add("inverse.endpoints", g, h)
@@ -601,8 +592,8 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
         if H.unit.get(y) != e:
             r.add("morphism.unit", x)
 
-    for (g1, g2), g3 in sorted(_pair_keys(G.compose).items()):
-        h1, h2, h3 = F(g1), F(g2), F(g3)
+    for g1, g2 in sorted(filter(_is_pair, G.compose)):
+        h1, h2, h3 = F(g1), F(g2), F(G.compose[g1, g2])
         if h1 is None or h2 is None or h3 is None:
             continue
         h12 = H.compose.get((h1, h2))
@@ -675,7 +666,7 @@ def validate_action(A: LeftAction | RightAction) -> ValidationReport:
     carrier = A.carrier
     rows: dict[str, dict[str, str]] = {m: {} for m in carrier}
     for key, v in A.act.items():
-        if v in carrier and type(key) is tuple and len(key) == 2:  # _is_pair, inlined
+        if v in carrier and _is_pair(key):
             if left:
                 g, m = key
             else:

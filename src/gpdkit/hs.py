@@ -38,7 +38,7 @@ from .core import (
     _commute,
     _context_ok,
     _equivariance,
-    _pair_keys,
+    _is_pair,
     _pair_of,
     _product,
     _product_table,
@@ -118,7 +118,8 @@ def validate_hs(h: HSMorphism) -> ValidationReport:
     r.extend(validate_action(h.left_action()), prefix="left-")
 
     eps, moves = h.bundle.momentum.get, h.bundle.moves
-    for (g, p), gp in sorted(_pair_keys(h.left_act).items()):
+    for g, p in sorted(filter(_is_pair, h.left_act)):
+        gp = h.left_act[g, p]
         if gp not in h.bundle.total:
             continue
         if eps(gp) != eps(p):
@@ -220,7 +221,8 @@ def validate_hs_morphism(f: HSBundleMorphism) -> ValidationReport:
 def _left_equivariance_violations(f: HSBundleMorphism):
     """Each (g, p), sorted, with sigma(g.p) != g.sigma(p): the law of
     morphism.equivariance on the left action."""
-    moves = ((g, p, gp) for (g, p), gp in sorted(_pair_keys(f.source.left_act).items()))
+    act = f.source.left_act
+    moves = ((g, p, act[g, p]) for g, p in sorted(filter(_is_pair, act)))
     return _equivariance(f.mapping.get, moves, f.target.left_act.get)
 
 

@@ -371,8 +371,11 @@ def run_checks(
     )
 
     # --- bundles ---------------------------------------------------------
-    units = [(f"unit bundle of {label}", partial(unit_bundle, G)) for label, G in small_groupoids]
-    units = [(label, U) for label, make in units if (U := built("def-princgroupoid", label, make))]
+    units = []
+    for label, G in small_groupoids:
+        at = f"unit bundle of {label}"
+        if (U := built("def-princgroupoid", at, partial(unit_bundle, G))) is not None:
+            units.append((at, U))
     bundles = [(name, B) for name, B in docs if isinstance(B, PrincipalBundle)] + units
     sized = partial(GeneratorSpec, max_total=max_size)
 
@@ -434,11 +437,12 @@ def run_checks(
     sweep("thm-gaugegroupoid", families, partial(_gauge_groupoid_laws, ggts_of=ggts_of))
 
     # --- bibundles -------------------------------------------------------
-    hs_samples = [
-        (f"identity bibundle on {label}", partial(hs_from_groupoid_morphism, _identity(G)))
-        for label, G in small_groupoids[:2]
-    ]
-    hs_samples = [(at, h) for at, make in hs_samples if (h := built("prop-proddivhils", at, make))]
+    hs_samples = []
+    for label, G in small_groupoids[:2]:
+        at = f"identity bibundle on {label}"
+        make = partial(hs_from_groupoid_morphism, _identity(G))
+        if (h := built("prop-proddivhils", at, make)) is not None:
+            hs_samples.append((at, h))
 
     def bibundles(i: int) -> list:
         G = random_groupoid(GeneratorSpec(seed + 300 + i, max_objects=2, max_group_order=6))

@@ -409,18 +409,18 @@ def test_division_verifiers_report_on_act_mutants(docs):
 
 
 def test_malformed_table_keys_are_reported_not_raised(unit_z2):
-    """A table key that is not a pair, here a 3-tuple, a 1-tuple or a
-    string, two of whose characters would unpack as a pair, never makes a
-    validator raise: the law loops read only the keys that are pairs, and
-    each validator that checks the table names the key as unknown-key and
-    finds nothing else."""
+    """A table key that is not a pair of ids, here a 3-tuple, a 1-tuple, a
+    string, two of whose characters would unpack as a pair, or a pair with
+    an id that is not a string, never makes a validator raise: the law
+    loops read only the keys that are pairs of ids, and each validator that
+    checks the table names the key as unknown-key and finds nothing else."""
     G = unit_z2.groupoid
     identity = identity_morphism(G)
     h = hs_from_groupoid_morphism(identity)
     p, hp = min(unit_z2.total), min(h.bundle.total)
     fixed = {q: q for q in h.bundle.total}
-    for key in [("a", "e", "x"), ("a",), "ae", "ea"]:
-        ids = ",".join(key if isinstance(key, tuple) else (key,))
+    for key in [("a", "e", "x"), ("a",), "ae", "ea", (0, "a"), ("a", 0)]:
+        ids = ",".join(map(str, key) if isinstance(key, tuple) else (key,))
         unknown = f"table.act.unknown-key[{ids}]"
         B = replace(unit_z2, act={**unit_z2.act, key: p})
         right = replace(h, bundle=replace(h.bundle, act={**h.bundle.act, key: hp}))
