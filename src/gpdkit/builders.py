@@ -446,41 +446,30 @@ def _relabel(
     return relabeled, label
 
 
-def _components(G: FiniteGroupoid) -> list[list[str]]:
-    parent = {x: x for x in G.objects}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in sorted(G.arrows):
-        a, b = find(G.source[g]), find(G.target[g])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[str, list[str]] = {}
-    for x in sorted(G.objects):
-        groups.setdefault(find(x), []).append(x)
-    return [groups[root] for root in sorted(groups)]
-
-
-def _spanning_arrows(G: FiniteGroupoid, component: list[str]) -> dict[str, str]:
-    # tau[x] is an arrow from the component basepoint to x.
-    x0 = min(component)
-    tau = {x0: G.unit[x0]}
-    frontier = [x0]
+def _spanning_trees(G: FiniteGroupoid) -> list[tuple[list[str], dict[str, str]]]:
+    """Each connected component of G, sorted, with its arrows tau: tau[x]
+    runs from the component's least object x0 to x.  One breadth-first
+    search per component, from x0, over each object's arrows in sorted
+    order; components come in order of their least objects."""
     by_source, by_target = G.by_source(), G.by_target()
-    while frontier:
-        x = frontier.pop(0)
-        for g in sorted({*by_source[x], *by_target[x]}):
-            if G.source[g] == x and G.target[g] not in tau:
-                tau[G.target[g]] = G.mul(g, tau[x])
-                frontier.append(G.target[g])
-            elif G.target[g] == x and G.source[g] not in tau:
-                tau[G.source[g]] = G.mul(G.inv(g), tau[x])
-                frontier.append(G.source[g])
-    return tau
+    trees = []
+    seen: set[str] = set()
+    for x0 in sorted(G.objects):
+        if x0 in seen:
+            continue
+        tau = {x0: G.unit[x0]}
+        frontier = [x0]
+        for x in frontier:
+            for g in sorted({*by_source[x], *by_target[x]}):
+                if G.source[g] == x and G.target[g] not in tau:
+                    tau[G.target[g]] = G.mul(g, tau[x])
+                    frontier.append(G.target[g])
+                elif G.target[g] == x and G.source[g] not in tau:
+                    tau[G.source[g]] = G.mul(G.inv(g), tau[x])
+                    frontier.append(G.source[g])
+        seen.update(tau)
+        trees.append((sorted(tau), tau))
+    return trees
 
 
 def _group_homs(
@@ -510,13 +499,13 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
     rng = random.Random(f"hs:{spec.seed}")
     into, out_of = H.by_target(), H.by_source()
     fiber_size = {y: len(into[y]) for y in H.objects}
+    trees = _spanning_trees(G)
 
     def assemble(pick) -> GroupoidMorphism:
         object_map: dict[str, str] = {}
         arrow_map: dict[str, str] = {}
-        for component in _components(G):
-            tau = _spanning_arrows(G, component)
-            iso = G.hom(min(component), min(component))
+        for component, tau in trees:
+            iso = G.hom(component[0], component[0])
             y0, rho, u = pick(component, iso)
             for x in component:
                 object_map[x] = H.target[u[x]]
@@ -533,14 +522,14 @@ def random_hs(G: FiniteGroupoid, H: FiniteGroupoid, spec: GeneratorSpec) -> HSMo
         cod = H.hom(y0, y0)
         homs = _group_homs(G, iso, H, cod)
         rho = rng.choice(homs)
-        u = {x: rng.choice(out_of[y0]) for x in sorted(component)}
+        u = {x: rng.choice(out_of[y0]) for x in component}
         return y0, rho, u
 
     def minimal_pick(component, iso):
         y0 = min(sorted(H.objects), key=lambda y: (fiber_size[y], y))
         unit_cod = H.unit[y0]
         rho = {c: unit_cod for c in iso}
-        u = {x: unit_cod for x in sorted(component)}
+        u = {x: unit_cod for x in component}
         return y0, rho, u
 
     morphism = assemble(rich_pick)
@@ -618,6 +607,16 @@ def _scan_fibers(B: PrincipalBundle) -> dict[str, list[str]]:
     return fibers
 
 
+def _scan_moves(B: PrincipalBundle) -> dict[str, list[tuple[str, str]]]:
+    """The (g, p.g) of every act entry (p, g), by p, each row sorted;
+    scanned from the raw table like _scan_fibers.  Every total point has
+    a row, and an act key off the total space gets one too."""
+    moves: dict[str, list[tuple[str, str]]] = {p: [] for p in B.total}
+    for (p, g), q in B.act.items():
+        moves.setdefault(p, []).append((g, q))
+    return {p: sorted(row) for p, row in moves.items()}
+
+
 def _oracle_context(B1: PrincipalBundle, B2: PrincipalBundle) -> None:
     if B1.groupoid != B2.groupoid or B1.base != B2.base:
         raise ValueError("enumeration needs a shared base and groupoid")
@@ -638,23 +637,20 @@ def enumerate_bundle_morphisms(
     """
     _oracle_context(B1, B2)
     F1, F2 = _scan_fibers(B1), _scan_fibers(B2)
+    moves1 = _scan_moves(B1)
     per_fiber: list[list[dict[str, str]]] = []
     for m in sorted(B1.base):
         fib1, fib2 = F1.get(m, []), F2.get(m, [])
-        p = fib1[0] if fib1 else None
-        local: list[dict[str, str]] = []
-        if p is None:
+        if not fib1:
             per_fiber.append([{}])
             continue
-        moves = sorted(
-            (g, q) for (pp, g), q in B1.act.items() if pp == p
-        )
+        p, local = fib1[0], []
         for q in fib2:
             if B2.momentum[q] != B1.momentum[p]:
                 continue
             candidate = {p: q}
             good = True
-            for g, p2 in moves:
+            for g, p2 in moves1[p]:
                 q2 = B2.act.get((q, g))
                 if q2 is None or candidate.get(p2, q2) != q2:
                     good = False
@@ -696,14 +692,7 @@ def enumerate_ggts(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[GGT, ...]:
     # Products a^-1 k b are read off the raw tables; on a missing entry
     # they are redone with G.inv and G.mul, which raise naming it.
     compose, inverse = G.compose, G.inverse
-
-    def moves_index(B: PrincipalBundle) -> dict[str, list[tuple[str, str]]]:
-        idx: dict[str, list[tuple[str, str]]] = {p: [] for p in B.total}
-        for (p, g), q in sorted(B.act.items()):
-            idx[p].append((g, q))
-        return idx
-
-    moves1, moves2 = moves_index(B1), moves_index(B2)
+    moves1, moves2 = _scan_moves(B1), _scan_moves(B2)
 
     def transports(
         moves: dict[str, list[tuple[str, str]]], r: str, fib

@@ -397,12 +397,9 @@ class BundleIso:
 
 
 def _restrict(B: PrincipalBundle, U: frozenset[str]) -> PrincipalBundle:
-    """B over U: the points over U and their table entries; B itself when
-    that drops nothing, as for a section over the whole base."""
+    """A copy of B over U: the points over U and their table entries,
+    also when that drops nothing, as for a section over the whole base."""
     total = frozenset(p for p in B.total if B.projection[p] in U)
-    keyed = (B.projection.keys(), B.momentum.keys(), B.moves.keys())
-    if U == B.base and total == B.total and all(keys <= total for keys in keyed):
-        return B
     return PrincipalBundle(
         groupoid=B.groupoid,
         total=total,

@@ -256,19 +256,21 @@ def _cmd_gen(args) -> int:
         doc = random_groupoid(spec)
     elif args.what == "bundle":
         if args.groupoid:
-            G = _load_as(args.groupoid, "groupoid")
+            (G,) = _valid_inputs("groupoid", [args.groupoid])
         else:
             G = random_groupoid(spec)
         doc = random_bundle(G, 2 if args.base is None else args.base, spec)
     else:
+        # every given file is validated before any is used, as one input list
+        loaded = iter(_valid_inputs("groupoid", [path for path in (args.dom, args.cod) if path]))
         if args.dom:
-            G = _load_as(args.dom, "groupoid")
+            G = next(loaded)
         else:
             G = random_groupoid(
                 GeneratorSpec(spec.seed, max_objects=2, max_group_order=spec.max_group_order)
             )
         if args.cod:
-            H = _load_as(args.cod, "groupoid")
+            H = next(loaded)
         else:
             H = random_groupoid(
                 GeneratorSpec(spec.seed + 1, max_objects=2, max_group_order=3)

@@ -19,7 +19,7 @@ where d2 is the division map of P2.  GGTs compose by the star product
     (K23 * K12)(p1, p3) = K23(p2, p3) K12(p1, p2)
 
 whose value does not depend on the interpolating point p2; evaluation
-picks the least p2 and re-checks independence on the others.
+computes it at every p2 of the middle fiber and checks that they agree.
 
 Bundles with GGTs as arrows form a groupoid, built here explicitly with
 GGTs interned by content so it can be fed back to validate_groupoid.
@@ -362,25 +362,22 @@ def star(K23: GGT, K12: GGT) -> GGT:
     """Compose GGTs: (K23 * K12)(p1, p3) = K23(p2, p3) K12(p1, p2).
 
     The middle bundle of the two factors must agree.  The value is
-    independent of the interpolating p2; computed at every point of the
-    middle fiber, as one map through compose, and checked to agree.
+    independent of the interpolating p2; it is computed at every point of
+    the middle fiber and checked to agree.  A missing value or product
+    raises KeyError naming it.
     """
     if K12.target != K23.source:
         raise ValueError("middle bundles differ")
     B1, B2, B3 = K12.source, K12.target, K23.target
     G = B1.groupoid
-    mul, at12, at23 = G.compose.get, K12.values.get, K23.values.get
     values = {}
     for m in sorted(B1.base):
         fiber2 = B2.fiber(m)
         if not fiber2:
             raise IntegrityError(f"empty fiber over {m!r}")
         for p1 in B1.fiber(m):
-            row12 = list(map(at12, zip(itertools.repeat(p1), fiber2)))
             for p3 in B3.fiber(m):
-                candidates = set(map(mul, zip(map(at23, zip(fiber2, itertools.repeat(p3))), row12)))
-                if None in candidates:  # name the missing value or product
-                    candidates = {G.mul(K23.apply(p2, p3), K12.apply(p1, p2)) for p2 in fiber2}
+                candidates = {G.mul(K23.apply(p2, p3), K12.apply(p1, p2)) for p2 in fiber2}
                 if len(candidates) != 1:
                     raise IntegrityError(
                         f"star value at ({p1!r}, {p3!r}) depends on the "
@@ -472,7 +469,8 @@ def _fill_products(
 
 class _FilledOnRead(Mapping):
     """A read-only mapping that is fill(*inputs), computed on the first
-    read; the inputs are dropped once it is.  It equals, prints, copies
+    read; the inputs are dropped once it is.  Mapping derives keys,
+    values and items from the three lookups.  It equals, prints, copies
     and pickles as that dict; a copy or pickle holds the dict itself.
     One attribute holds (fill, inputs) and then the dict, so two first
     reads at once both fill and neither sees half a swap."""
@@ -497,15 +495,6 @@ class _FilledOnRead(Mapping):
 
     def __len__(self) -> int:
         return len(self.filled())
-
-    def keys(self):
-        return self.filled().keys()
-
-    def values(self):
-        return self.filled().values()
-
-    def items(self):
-        return self.filled().items()
 
     def __eq__(self, other) -> bool:
         return self.filled() == other
@@ -659,10 +648,10 @@ def _assemble(
     sorted by content: by the values read over the sorted pairs.
 
     Rows are read whole: a value row is one map (_ggt_values), its content
-    a permutation of it, the composites with an inner arrow one itemgetter
-    map over the outer rows.  As itemgetter of one index gives a value, a
-    row of 0 or 1 pairs is its own content, of 0 or 1 points (the only one
-    of its length) its own composite.
+    one permutation of it (_cells), the composites with an inner arrow one
+    itemgetter map over the outer rows.  As itemgetter of one index gives
+    a value, a row of 0 or 1 points (the only one of its length) is its
+    own composite.
 
     Units, inverses and composites are found through the GGT-morphism
     bijection, by morphism row, which is exact: identity_ggt(B) is
@@ -690,10 +679,8 @@ def _assemble(
     for i, Bi in enumerate(bundles):
         for j, Bj in enumerate(bundles):
             pairs = _fibred_pairs(Bi, Bj)
-            order = sorted(pairs)
-            positions = sorted(range(len(pairs)), key=pairs.__getitem__) if order != pairs else ()
-            content = itemgetter(*positions) if positions else tuple
-            heads = [f"[{_quote(p1)},{_quote(p2)}," for p1, p2 in order]
+            content = _cells(sorted(range(len(pairs)), key=pairs.__getitem__))
+            heads = [f"[{_quote(p1)},{_quote(p2)}," for p1, p2 in sorted(pairs)]
             firsts, seconds = zip(*pairs) if pairs else ((), ())
             admit = keep(i, j, pairs)
             kept = []

@@ -317,15 +317,14 @@ def build_hs_gauge_groupoid(hs_list: list[HSMorphism]) -> GaugeGroupoid:
 
 
 def _invariant_rows(h1: HSMorphism, h2: HSMorphism, pairs: list):
-    """is_left_invariant_ggt as a test of value rows over pairs, or None
-    when no left move links two pairs: with their positions as values,
-    _left_invariance_violations yields every move from pair to pair."""
+    """is_left_invariant_ggt as a test of value rows over pairs: with
+    their positions as values, _left_invariance_violations yields every
+    move from pair to pair, and a row is kept when each move keeps its
+    value (every row, when no left move links two pairs)."""
     at = dict(zip(pairs, range(len(pairs))))
     moves = [
         (at[p1, p2], at[h1.left_act[g, p1], h2.left_act[g, p2]])
         for g, p1, p2 in _left_invariance_violations(h1, h2, pairs, at)
     ]
-    if not moves:
-        return None
-    back, there = map(_cells, zip(*moves))
+    back, there = _cells([a for a, _ in moves]), _cells([b for _, b in moves])
     return lambda row: there(row) == back(row)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 from .builders import (
     GeneratorError,
@@ -43,6 +44,7 @@ from .core import (
     GroupoidMorphism,
     generalized_conjugation,
     isotropy_group,
+    pair_id,
     split_pair,
     validate_action,
     validate_groupoid,
@@ -83,18 +85,18 @@ CHECKS = (
     ("def-unitbun", "unit bundle division is invert-then-compose"),
     ("prop-prophi", "division satisfies its defining equation and laws"),
     ("lem-prodbun", "product bundles validate, division componentwise"),
-    ("lem-fibprod", "fibred product bundles validate"),
-    ("def-trivbun", "a full section trivializes every bundle"),
+    ("lem-fibprod", "fibred products are the same-fiber pairs, acted on componentwise"),
+    ("def-trivbun", "a full section trivializes every bundle, maps inverse and equivariant"),
     ("lem-inverequiv", "every enumerated bundle morphism is a bijection"),
     ("thm-gengaugeeq", "morphism and GGT enumerations match and round-trip"),
     ("thm-gaugeinvdiv", "bundle morphisms preserve division maps"),
-    ("prop-gaugegr", "gauge groups close and match self-GGT counts"),
+    ("prop-gaugegr", "gauge groups are pointwise and match self-GGT counts"),
     ("thm-gaugegroupoid", "GGT groupoid validates, isotropy is the gauge group"),
     ("lem-prodhilskand1", "bibundle products validate"),
     ("lem-fibprodhils", "bibundle fibred products validate"),
     ("prop-proddivhils", "bibundle division maps are left invariant"),
     ("thm-gengaugehils", "equivariant morphisms match invariant GGTs, round-trip"),
-    ("prop-gaugegrhils", "invariant gauge groups close inside gauge groups"),
+    ("prop-gaugegrhils", "invariant gauge groups are pointwise, left invariant, subgroups"),
     ("thm-hsgaugegroupoid", "invariant GGT groupoid sits inside the full one"),
 )
 
@@ -179,8 +181,55 @@ def _product_division(B1: PrincipalBundle, B2: PrincipalBundle) -> str:
     return ""
 
 
+def _fibred_product_laws(B1: PrincipalBundle, B2: PrincipalBundle) -> str:
+    """fibred_product(B1, B2) validates, lies over B1's base, and its
+    points are the pair_id(p1, p2) of the same-fiber pairs; each projects
+    as p1 does, and momentum and action are componentwise: the moves of
+    (p1, p2) are those of p1 times those of p2, and no other point moves."""
+    P = fibred_product(B1, B2)
+    if bad := _first(validate_bundle(P)):
+        return bad
+    if P.base != B1.base:
+        return "not over the first factor's base"
+    named = {
+        (p1, p2): pair_id(p1, p2)
+        for m in sorted(B1.base)
+        for p1 in B1.fiber(m)
+        for p2 in B2.fiber(m)
+    }
+    if P.total != set(named.values()) or len(P.moves) != len(named):
+        return "points, or the points that move, are not the same-fiber pairs"
+    names = {(g1, g2): pair_id(g1, g2) for g1 in B1.groupoid.arrows for g2 in B2.groupoid.arrows}
+    for (p1, p2), p in named.items():
+        if P.projection[p] != B1.projection[p1]:
+            return f"{p} does not project as {p1}"
+        if P.momentum[p] != pair_id(B1.momentum[p1], B2.momentum[p2]):
+            return f"momentum at {p} is not componentwise"
+        row1, row2 = B1.moves.get(p1, {}), B2.moves.get(p2, {})
+        moved = map(named.get, product(row1.values(), row2.values()))
+        if P.moves.get(p) != dict(zip(map(names.get, product(row1, row2)), moved)):
+            return f"action at {p} is not componentwise"
+    return ""
+
+
 def _trivializes(B: PrincipalBundle) -> str:
-    trivialize(B, {m: B.fiber(m)[0] for m in sorted(B.base)})
+    """The trivialization over a full section: forward and backward are
+    inverse bijections between B's points and the trivial bundle's, over
+    B's base, and forward keeps projection and momentum and carries B's
+    act."""
+    iso = trivialize(B, {m: B.fiber(m)[0] for m in sorted(B.base)})
+    T, forward, backward = iso.target, iso.forward, iso.backward
+    if forward.keys() != B.total or backward.keys() != T.total or T.base != B.base:
+        return "maps are not between the points over B's base"
+    if any(backward.get(q) != p for p, q in forward.items()) or any(
+        forward.get(p) != q for q, p in backward.items()
+    ):
+        return "forward and backward are not inverse"
+    for p, q in forward.items():
+        if T.projection.get(q) != B.projection[p] or T.momentum.get(q) != B.momentum[p]:
+            return f"forward moves {p} off its base point or momentum"
+    if any(T.act.get((forward[p], g)) != forward[q] for (p, g), q in B.act.items()):
+        return "forward does not carry the action"
     return ""
 
 
@@ -214,12 +263,35 @@ def _division_invariance(morphisms) -> str:
     return ""
 
 
+def _pointwise(gg) -> str:
+    """The first product or inverse of the gauge group gg that is not the
+    pointwise one, read from G's compose and inverse tables; "" when
+    every one is.  Products are taken a point at a time, as one compose
+    map over all pairs of that point's values."""
+    G, points, n = gg.bundle.groupoid, sorted(gg.bundle.total), gg.order
+    rows = [tuple(map(t.values.get, points)) for t in gg.elements]
+    index = dict(zip(rows, range(n)))
+    inverses = [index.get(tuple(map(G.inverse.get, row))) for row in rows]
+    if (got := list(gg.inverse)) != inverses:
+        i = next((i for i, k in enumerate(inverses) if got[i : i + 1] != [k]), n)
+        return f"inverse of element {i} is not pointwise"
+    if len(gg.product) != n * n:
+        return "product table not total"
+    by_point = [map(G.compose.get, product(column, column)) for column in zip(*rows)]
+    cells = zip(*by_point) if points else [()] * (n * n)
+    want = dict(zip(product(range(n), repeat=2), map(index.get, cells)))
+    if gg.product != want:
+        i, j = next(key for key, k in want.items() if gg.product.get(key, -1) != k)
+        return f"product of elements {i} and {j} is not pointwise"
+    return ""
+
+
 def _gauge_group_laws(B: PrincipalBundle, self_ggts: tuple) -> str:
     gg = gauge_group(B)
     if gg.elements[gg.unit].values != _unit_values(B):
         return "unit is not the pointwise unit arrow"
-    if sorted(gg.product) != [(i, j) for i in range(gg.order) for j in range(gg.order)]:
-        return "product table not total"
+    if bad := _pointwise(gg):
+        return bad
     if gg.order != len(self_ggts):
         return f"order {gg.order} vs {len(self_ggts)} self-GGTs"
     for t in gg.elements:
@@ -268,9 +340,10 @@ def _hs_gauge_group_laws(h) -> str:
         return "invariant elements escape the gauge group"
     if sub.elements[sub.unit].values != _unit_values(h.bundle):
         return "unit is not the pointwise unit arrow"
-    if any(k not in range(sub.order) for k in sub.product.values()):
-        return "product escapes the subgroup"
-    return ""
+    orbits = [(p, q) for (g, p), q in h.left_act.items()]
+    if any(t.values.get(p) != t.values.get(q) for t in sub.elements for p, q in orbits):
+        return "an element is not constant on left orbits"
+    return _pointwise(sub)
 
 
 def _hs_gauge_groupoid_laws(family: list) -> str:
@@ -400,7 +473,7 @@ def run_checks(
     small = _two_smallest(valid_bundles)
     products = [(f"{l1} x {l2}", B1, B2) for l1, B1 in small for l2, B2 in small]
     sweep("lem-prodbun", products, _product_division)
-    sweep("lem-fibprod", paired, lambda B1, B2: _first(validate_bundle(fibred_product(B1, B2))))
+    sweep("lem-fibprod", paired, _fibred_product_laws)
     sweep("def-trivbun", valid_bundles, _trivializes)
 
     # --- the correspondence ---------------------------------------------

@@ -28,7 +28,9 @@ bundle_mutations yields every single-entry rewrite or deletion of a
 bundle's act, projection and momentum tables.  reference_morphisms
 validates every product of per-fiber images with validate_bundle_morphism
 and returns the mappings, as a reference for the constructed hom sets of
-gauge.
+gauge.  naive_bundle_morphisms tries every map of points and naive_ggts
+every value table, as references for the enumeration oracles on bundles
+that need not be principal.
 """
 
 from __future__ import annotations
@@ -741,3 +743,87 @@ def reference_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dict[s
         mappings.append(mapping)
     return mappings
 
+
+
+def _spread_from_least(B: PrincipalBundle, unique: bool) -> bool:
+    """Whether the act entries of each fiber's least point r land on its
+    fiber and reach all of it; with unique, each point by exactly one."""
+    total = sorted(B.total)
+    for m in sorted(B.base):
+        fiber = [p for p in total if B.projection.get(p) == m]
+        if not fiber:
+            continue
+        hits = [q for (p, g), q in B.act.items() if p == fiber[0]]
+        if unique:
+            landed = [q for q in hits if q in fiber]
+            if sorted(landed) != fiber:
+                return False
+        elif set(hits) | {fiber[0]} != set(fiber):
+            return False
+    return True
+
+
+def naive_bundle_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dict[str, str]]:
+    """Every map of B1's points to B2's, in sorted item order, that keeps
+    projection and momentum and sends each act entry of B1, p.g == q, to
+    one of B2; tried map by map.  None at all unless the act entries of
+    each fiber's least point land on its fiber and reach all of it, as
+    enumerate_bundle_morphisms spreads every fiber from that point."""
+    if not _spread_from_least(B1, unique=False):
+        return []
+    points1, points2 = sorted(B1.total), sorted(B2.total)
+    found = []
+    for images in itertools.product(points2, repeat=len(points1)):
+        sigma = dict(zip(points1, images))
+        if all(
+            B2.projection.get(sigma[p]) == B1.projection.get(p)
+            and B2.momentum.get(sigma[p]) == B1.momentum.get(p)
+            for p in points1
+        ) and all(B2.act.get((sigma[p], g)) == sigma.get(q) for (p, g), q in B1.act.items()):
+            found.append(sigma)
+    return sorted(found, key=lambda sigma: sorted(sigma.items()))
+
+
+def naive_ggts(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dict[tuple[str, str], str]]:
+    """Every value table K on the same-fiber pairs, in sorted item order,
+    whose values run from momentum1(p1) to momentum2(p2) and obey
+    K(p1.g1, p2.g2) == (g2^-1 K(p1, p2)) g1 for every two act entries
+    (products read from G's tables, undefined ones failing the law);
+    tried table by table, one fiber at a time, so every act value must
+    stay in its fiber.  None at all unless each fiber's least point
+    moves onto each point of its fiber by exactly one act entry, as the
+    transport arrows of enumerate_ggts need."""
+    if not (_spread_from_least(B1, unique=True) and _spread_from_least(B2, unique=True)):
+        return []
+    G = B1.groupoid
+    mul, inv = G.compose.get, G.inverse.get
+    rows1, rows2 = {}, {}
+    for B, rows in ((B1, rows1), (B2, rows2)):
+        for (p, g), q in B.act.items():
+            rows.setdefault(p, []).append((g, q))
+    per_fiber = []
+    for m in sorted(B1.base):
+        pairs = [
+            (p1, p2)
+            for p1 in sorted(p for p in B1.total if B1.projection.get(p) == m)
+            for p2 in sorted(p for p in B2.total if B2.projection.get(p) == m)
+        ]
+        tables = []
+        for values in itertools.product(sorted(G.arrows), repeat=len(pairs)):
+            K = dict(zip(pairs, values))
+            if all(
+                G.source[k] == B1.momentum[p1] and G.target[k] == B2.momentum[p2]
+                for (p1, p2), k in K.items()
+            ) and all(
+                K.get((q1, q2)) == mul((mul((inv(g2), k)), g1))
+                for (p1, p2), k in K.items()
+                for g1, q1 in rows1.get(p1, ())
+                for g2, q2 in rows2.get(p2, ())
+            ):
+                tables.append(K)
+        per_fiber.append(tables)
+    found = [
+        {pair: k for table in tables for pair, k in table.items()}
+        for tables in itertools.product(*per_fiber)
+    ]
+    return sorted(found, key=lambda K: sorted(K.items()))

@@ -41,7 +41,12 @@ from gpdkit import (
 )
 from gpdkit.builders import ORACLE_BOUNDS_ENV, oracle_bounds
 
-from helpers import relabel_bundle_points, reversal_relabeling
+from helpers import (
+    naive_bundle_morphisms,
+    naive_ggts,
+    relabel_bundle_points,
+    reversal_relabeling,
+)
 
 SWAP = {("e", "0"): "0", ("e", "1"): "1", ("a", "0"): "1", ("a", "1"): "0"}
 
@@ -383,3 +388,35 @@ def test_enumerate_ggts_names_a_missing_compose_entry(unit_s3):
         with pytest.raises(KeyError) as raised:
             enumerate_ggts(B, B)
         assert raised.value.args == (f"not composable: {key[0]!r} after {key[1]!r}",)
+
+
+def _act_mutants(B: PrincipalBundle):
+    """B, then every bundle that deletes one act entry of B or sends it to
+    another point of the same fiber."""
+    yield B
+    for key in sorted(B.act):
+        yield replace(B, act={k: v for k, v in B.act.items() if k != key})
+        for q in B.fiber(B.projection[key[0]]):
+            if q != B.act[key]:
+                yield replace(B, act={**B.act, key: q})
+
+
+def test_oracles_match_a_naive_enumeration_on_act_mutants(z2, unit_z2, unit_pair2):
+    """On bundles of at most 4 points and their single-entry act mutants,
+    on either side, both oracles return what trying every map or value
+    table returns.  The mutants run the rejection branches: a spread that
+    is not single-valued (enumerate_bundle_morphisms), a fiber point that
+    the least point does not reach by exactly one arrow, and a block that
+    breaks the law (enumerate_ggts)."""
+    z2_over_two = random_bundle(z2, 2, GeneratorSpec(3, max_total=4))
+    assert len(z2_over_two.total) == 4
+    emptied = 0
+    for B in (unit_z2, unit_pair2, z2_over_two):
+        for M in _act_mutants(B):
+            for B1, B2 in ((M, B), (B, M)):
+                morphisms = [f.mapping for f in enumerate_bundle_morphisms(B1, B2)]
+                assert morphisms == naive_bundle_morphisms(B1, B2)
+                ggts = [K.values for K in enumerate_ggts(B1, B2)]
+                assert ggts == naive_ggts(B1, B2)
+                emptied += not ggts
+    assert emptied

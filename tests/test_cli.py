@@ -399,6 +399,30 @@ def test_gen_bundle_can_reuse_a_groupoid_file(capsys):
 
 
 @pytest.mark.parametrize(
+    "option, fixture, witness",
+    [
+        ("--groupoid", "z2.gpd", "table.compose.missing[a,a]"),
+        ("--dom", "pair2.gpd", "table.compose.missing[(0,0),(0,0)]"),
+        ("--cod", "z2.gpd", "table.compose.missing[a,a]"),
+    ],
+)
+def test_gen_refuses_an_invalid_groupoid_file_with_witnesses(
+    option, fixture, witness, tmp_path, capsys
+):
+    # without the first compose row, gen used to blame its own output
+    # ("built bundle fails validation") or name a missing product (exit 2)
+    doc = json.loads((FIXTURES / fixture).read_text())
+    del doc["body"]["compose"][0]
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(doc))
+    what = "bundle" if option == "--groupoid" else "hs"
+    assert main(["gen", what, "--seed", "3", option, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{bad}: 1 violations\n  {witness}\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
     "what, field",
     [
         ("groupoid", "max_group_order"),

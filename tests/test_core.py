@@ -450,6 +450,26 @@ def test_associativity_witnesses_match_a_naive_scan(docs, monkeypatch):
     assert sum(not _compose_decided(report) for report in decided) > 500
 
 
+def test_compose_exact_on_the_empty_table_and_a_non_pair_key(z2):
+    """The two early answers of _compose_exact: a groupoid without arrows
+    has the empty compose table, which is exact; a table with as many
+    entries as composable pairs but a key that is not a pair (a string,
+    or a triple) is not, and the explaining loops name that key."""
+    empty = FiniteGroupoid(frozenset(), frozenset(), {}, {}, {}, {}, {})
+    assert gpdkit.core._compose_exact(empty, [], {}) is True
+    assert validate_groupoid(empty).ok
+    first = min(z2.compose)
+    for key, ids in (("aa", "aa"), (("a", "a", "e"), "a,a,e")):
+        compose = {k: v for k, v in z2.compose.items() if k != first}
+        G = replace(z2, compose={**compose, key: z2.compose[first]})
+        assert len(G.compose) == len(z2.compose)
+        assert gpdkit.core._compose_exact(G, sorted(G.arrows), G.by_target()) is False
+        assert [str(v) for v in validate_groupoid(G).violations] == [
+            "table.compose.missing[a,a]",
+            f"table.compose.unknown-key[{ids}]",
+        ]
+
+
 UNIT_INVERSE_RULES = (
     "unit.endpoints",
     "unit.left",

@@ -110,6 +110,25 @@ def test_star_rejects_mismatched_middle(unit_z2, unit_s3):
         star(identity_ggt(unit_z2), identity_ggt(unit_s3))
 
 
+def test_star_names_a_missing_value_a_missing_product_and_a_dependent_value(unit_z2):
+    """star's three refusals, on twin copies of the identity GGT of the
+    unit z2 bundle: a value missing from a factor, a product missing from
+    the groupoid, and values that differ between interpolating points."""
+    ident = identity_ggt(unit_z2)
+    values = {pair: k for pair, k in ident.values.items() if pair != ("a", "e")}
+    with pytest.raises(KeyError, match=r"not a same-fiber pair: \('a', 'e'\)"):
+        star(ident, GGT(unit_z2, unit_z2, values))
+    G = unit_z2.groupoid
+    compose = {key: k for key, k in G.compose.items() if key != ("a", "a")}
+    broken = replace(unit_z2, groupoid=replace(G, compose=compose))
+    twin = GGT(broken, broken, ident.values)
+    with pytest.raises(KeyError, match="not composable: 'a' after 'a'"):
+        star(twin, twin)
+    dependent = GGT(unit_z2, unit_z2, {**ident.values, ("e", "e"): "a"})
+    with pytest.raises(IntegrityError, match=r"at \('e', 'a'\) depends on the interpolating point"):
+        star(ident, dependent)
+
+
 def test_morphism_ggt_round_trip(unit_z2):
     morphisms = enumerate_bundle_morphisms(unit_z2, unit_z2)
     assert len(morphisms) == 2

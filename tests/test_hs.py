@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gpdkit import (
+    GGT,
     GroupoidMorphism,
     HSBundleMorphism,
     HSMorphism,
@@ -29,6 +30,7 @@ from gpdkit import (
     product_groupoid,
     random_groupoid,
     random_hs,
+    validate_ggt,
     validate_groupoid,
     validate_hs,
     validate_hs_ggt,
@@ -92,6 +94,24 @@ def test_validate_hs_flags_broken_left_action(hs_z2):
 def test_validate_hs_flags_context_mismatch(hs_z2, s3):
     report = validate_hs(HSMorphism(hs_z2.dom, s3, hs_z2.bundle, hs_z2.left_act))
     assert "context.mismatch" in report.rules()
+
+
+def test_context_mismatches_are_reported_alone(hs_z2, hs_s3, hs_embed):
+    """A validator of structures that must share a context reports the
+    first difference as its only violation instead of reading one
+    structure's tables against the other's."""
+    B = hs_z2.bundle
+    elsewhere = replace(B, base=frozenset({"elsewhere"}))
+    cases = [
+        (validate_ggt(GGT(B, hs_s3.bundle, {})), "different structure groupoids"),
+        (validate_ggt(GGT(B, elsewhere, {})), "different bases"),
+        (validate_hs(replace(hs_z2, bundle=elsewhere)), "bundle base is not the domain objects"),
+        (validate_hs_morphism(HSBundleMorphism(hs_z2, hs_s3, {})), "different domains"),
+        (validate_hs_morphism(HSBundleMorphism(hs_z2, hs_embed, {})), "different codomains"),
+        (validate_hs_ggt(hs_z2, hs_s3, identity_ggt(B)), "different domains"),
+    ]
+    for report, note in cases:
+        assert [str(v) for v in report.violations] == [f"context.mismatch[] {note}"]
 
 
 def test_hs_products_validate(hs_z2, hs_s3):

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import gpdkit
 import gpdkit.builders
 import gpdkit.theorems
 from gpdkit import (
@@ -340,7 +341,7 @@ BROKEN_CONSTRUCTIONS = [
             (g := orig(h)), product={k: g.order for k in g.product}
         ),
         "prop-gaugegrhils",
-        "product escapes the subgroup",
+        "product of elements 0 and 0 is not pointwise",
     ),
     (
         "build_hs_gauge_groupoid",
@@ -419,6 +420,43 @@ def test_a_broken_construction_fails_its_statement(docs, monkeypatch, name, brok
     result = next(r for r in results if r.check == check)
     assert result.status == "FAIL"
     assert detail in result.witness
+
+
+# (name in gpdkit.theorems, a wrong construction given the original that
+#  still runs, the statement that must fail): statements that checked only
+#  that these did not raise passed them all at seed 42
+CENSUS_MUTANTS = [
+    (
+        "gauge_group",
+        lambda orig: lambda B: replace(
+            (g := orig(B)),
+            product={(i, j): (i + j) % g.order for i in range(g.order) for j in range(g.order)},
+        ),
+        "prop-gaugegr",
+    ),
+    (
+        "gauge_group",
+        lambda orig: lambda B: replace((g := orig(B)), inverse=tuple(range(g.order))),
+        "prop-gaugegr",
+    ),
+    ("hs_gauge_group", lambda orig: lambda h: gpdkit.gauge_group(h.bundle), "prop-gaugegrhils"),
+    ("trivialize", lambda orig: lambda B, section: None, "def-trivbun"),
+    ("fibred_product", lambda orig: gpdkit.product_bundle, "lem-fibprod"),
+]
+
+
+def test_census_mutants_fail_a_statement_at_seed_42(docs, monkeypatch):
+    """Each statement reads what its construction returns: a gauge group
+    whose product is (i + j) mod n or whose elements are their own
+    inverses, an invariant gauge group that is the whole gauge group, a
+    trivialization that returns None and a fibred product that is the
+    product bundle each fail their statement at the default size."""
+    for name, mutant, check in CENSUS_MUTANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(gpdkit.theorems, name, mutant(getattr(gpdkit.theorems, name)))
+            results = run_checks(seed=42, fixtures=docs)
+        failed = [r.check for r in results if r.status == "FAIL"]
+        assert failed == [check], (name, failed)
 
 
 @pytest.mark.parametrize(
