@@ -633,7 +633,9 @@ def enumerate_bundle_morphisms(
     Per base point, each candidate image of one basepoint is spread
     through the fiber along the raw action tables and kept only when
     that spreading is single-valued and covers the fiber; the assembled
-    maps are then re-checked against all three morphism laws.
+    maps are then re-checked against all three morphism laws, at the act
+    entries of mapped points (an act key off the total space maps
+    nowhere, as in enumerate_ggts).
     """
     _oracle_context(B1, B2)
     F1, F2 = _scan_fibers(B1), _scan_fibers(B2)
@@ -672,6 +674,7 @@ def enumerate_bundle_morphisms(
         ) and all(
             B2.act.get((mapping[p], g)) == mapping[q]
             for (p, g), q in B1.act.items()
+            if p in mapping
         )
         if ok:
             results.append(BundleMorphism(B1, B2, mapping))

@@ -33,8 +33,9 @@ over the base cover the source and the total spaces have one size;
 otherwise each constructed morphism is validated in full.  The
 brute-force oracles in builders share no code with this and only
 cross-check it.  Units, inverses and composites go through the
-bijection, as the arrows of the identity, inverse and composite maps;
-star itself serves GGTs given from outside.
+bijection, as the arrows of the identity, inverse and composite maps,
+each found by its images of one point per fiber (a bundle morphism is
+fixed by them); star itself serves GGTs given from outside.
 
 This module is the one place that assembles gauge groupoids and
 tabulates gauge groups.  The bibundle versions in hs are the same
@@ -599,11 +600,14 @@ def check_division_invariance(f: BundleMorphism) -> ValidationReport:
     return r
 
 
-def _ggt_digest(i: int, j: int, entries: Iterable[str]) -> str:
+def _ggt_digest(i: int, j: int, pieces: Iterable[str]) -> str:
     """The id digest of a GGT from bundles[i] to bundles[j]: the sha256 of
-    json.dumps([i, j, sorted([p1, p2, k], ...)], separators=(",", ":")),
-    written from the JSON texts of the sorted [p1, p2, k] entries."""
-    payload = f"[{i},{j},[{','.join(entries)}]]"
+    json.dumps([i, j, sorted([p1, p2, k], ...)], separators=(",", ":")).
+    pieces spell the sorted entries but the last one's closing bracket:
+    "[p1,p2," before the first value's JSON text and "],[p1,p2," before
+    each other's; none at all for a GGT without entries."""
+    body = "".join(pieces)
+    payload = f"[{i},{j},[{body}]]]" if body else f"[{i},{j},[]]"
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -648,20 +652,36 @@ def _assemble(
     sorted by content: by the values read over the sorted pairs.
 
     Rows are read whole: a value row is one map (_ggt_values), its content
-    one permutation of it (_cells), the composites with an inner arrow one
-    itemgetter map over the outer rows.  As itemgetter of one index gives
-    a value, a row of 0 or 1 points (the only one of its length) is its
-    own composite.
+    one permutation of it (_cells), and an arrow id one join over the
+    pairs' heads and the quoted values (_ggt_digest).
 
     Units, inverses and composites are found through the GGT-morphism
-    bijection, by morphism row, which is exact: identity_ggt(B) is
-    morphism_to_ggt of the identity map; invert_ggt(K_sigma) is
-    K_{sigma^-1} because bundle morphisms preserve division
-    (thm-gaugeinvdiv); and star(K23, K12) is the GGT of sigma23 o sigma12
-    by the equivariance of sigma23.  check-theorems and the perfbench
-    gauge workload still check the unit and inverse laws of the result
-    with validate_groupoid.  A unit, inverse or composite that was not
-    kept is an IntegrityError naming which.
+    bijection, which is exact: identity_ggt(B) is morphism_to_ggt of the
+    identity map; invert_ggt(K_sigma) is K_{sigma^-1} because bundle
+    morphisms preserve division (thm-gaugeinvdiv); and star(K23, K12) is
+    the GGT of sigma23 o sigma12 by the equivariance of sigma23.  An
+    arrow's morphism sigma is held as its row, the positions in
+    bundles[j]'s sorted points of the images of bundles[i]'s, and found
+    by its key, the row read at the least point r of each of bundles[i]'s
+    fibers (the r of _morphisms): a bare position over a one-point base,
+    else a tuple.  A unit's key is the identity's; an inverse's key is
+    the position in the row of each of bundles[j]'s least points; a
+    composite's key is the outer row read at the inner key, one index per
+    base point.
+
+    Keys are exact.  Every arrow's map passed the piece laws or full
+    validation (_morphisms), so it is bijective, covers its source's
+    fibers over the base, and is equivariant at every move that stays in
+    a fiber; each point p of the fiber of r is r.d(r, p), so
+    sigma(p) = sigma(r).d(r, p) is fixed by sigma(r).  Hence two arrows
+    with one key are one arrow.  The identity, the inverse of such a map
+    and the composite of two are such maps too, so each is found by its
+    key exactly when its full row is an arrow.  Keys are built once every
+    hom set is: _morphisms(B, B) has by then refused an empty fiber.
+    check-theorems and the perfbench gauge workload still check the unit
+    and inverse laws of the result with validate_groupoid.  A unit,
+    inverse or composite that was not kept is an IntegrityError naming
+    which.
     """
     ids = [f"P{i}" for i in range(len(bundles))]
 
@@ -669,18 +689,17 @@ def _assemble(
     source: dict[str, str] = {}
     target: dict[str, str] = {}
 
-    # An arrow's morphism as a row: the position in bundles[j]'s sorted
-    # points of the image of each of bundles[i]'s sorted points.  by_row
-    # lists each hom set's arrows by row, in content order.  A
-    # permutation's inverse lists its positions by image.
+    # homs holds each hom set's rows and arrow ids, in content order.
     points = [sorted(B.total) for B in bundles]
     position = [dict(zip(pts, itertools.count())) for pts in points]
-    by_row: dict[tuple[int, int], dict[tuple[int, ...], str]] = {}
+    homs: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[str]]] = {}
     for i, Bi in enumerate(bundles):
         for j, Bj in enumerate(bundles):
             pairs = _fibred_pairs(Bi, Bj)
             content = _cells(sorted(range(len(pairs)), key=pairs.__getitem__))
-            heads = [f"[{_quote(p1)},{_quote(p2)}," for p1, p2 in sorted(pairs)]
+            heads = [f"],[{_quote(p1)},{_quote(p2)}," for p1, p2 in sorted(pairs)]
+            if heads:
+                heads[0] = heads[0][2:]
             firsts, seconds = zip(*pairs) if pairs else ((), ())
             admit = keep(i, j, pairs)
             kept = []
@@ -689,51 +708,62 @@ def _assemble(
                 if admit is None or admit(values):
                     kept.append((content(values), values, mapping))
             kept.sort(key=itemgetter(0))
-            hom = by_row[(i, j)] = {}
+            rows, hom_ids = homs[(i, j)] = [], []
             for cells, values, mapping in kept:
-                entries = map("{}{}]".format, heads, map(_quote, cells))
-                aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, entries)}"
+                pieces = itertools.chain.from_iterable(zip(heads, map(_quote, cells)))
+                aid = f"ggt:{ids[i]}>{ids[j]}:{_ggt_digest(i, j, pieces)}"
                 if aid in arrows:
                     raise IntegrityError(f"arrow id {aid!r} names two different GGTs")
                 arrows[aid] = GGT(Bi, Bj, dict(zip(pairs, values)))
                 source[aid], target[aid] = ids[i], ids[j]
                 images = map(mapping.__getitem__, points[i])
-                hom[tuple(map(position[j].__getitem__, images))] = aid
+                rows.append(tuple(map(position[j].__getitem__, images)))
+                hom_ids.append(aid)
+
+    # least[i] holds the positions of bundles[i]'s least points by base
+    # point, and key_of[i] reads them off a row (_cells gives () for none).
+    least = [
+        [position[i][B.fiber(m)[0]] for m in sorted(B.base)] for i, B in enumerate(bundles)
+    ]
+    key_of = [itemgetter(*idx) if len(idx) == 1 else _cells(idx) for idx in least]
+    by_key = {
+        (i, j): dict(zip(map(key_of[i], rows), hom_ids))
+        for (i, j), (rows, hom_ids) in homs.items()
+    }
 
     def missing(i: int, j: int, what: str) -> IntegrityError:
         return IntegrityError(f"{what} GGT missing from hom({ids[i]}, {ids[j]})")
 
-    def find(i: int, j: int, row: tuple[int, ...], what: str) -> str:
-        found = by_row[(i, j)].get(row)
+    def find(i: int, j: int, key, what: str) -> str:
+        found = by_key[(i, j)].get(key)
         if found is None:
             raise missing(i, j, what)
         return found
 
     unit = {
-        ids[i]: find(i, i, tuple(range(len(pts))), "unit")
+        ids[i]: find(i, i, key_of[i](range(len(pts))), "unit")
         for i, pts in enumerate(points)
     }
     inverse = {}
-    for (i, j), hom in by_row.items():
-        for row, aid in hom.items():
-            back = tuple(sorted(range(len(row)), key=row.__getitem__))
-            inverse[aid] = find(j, i, back, "inverse")
+    for (i, j), (rows, hom_ids) in homs.items():
+        shape = itemgetter(0) if len(least[j]) == 1 else tuple
+        for row, aid in zip(rows, hom_ids):
+            inverse[aid] = find(j, i, shape([*map(row.index, least[j])]), "inverse")
     compose = {}
-    for (j, k), hom2 in by_row.items():
-        rows2 = list(hom2)
-        for (i, j2), hom1 in by_row.items():
+    for (j, k), (rows2, ids2) in homs.items():
+        for (i, j2), hom1 in by_key.items():
             if j2 != j:
                 continue
-            composites = by_row[(i, k)]
+            composites = by_key[(i, k)]
+            read = itemgetter if len(least[i]) == 1 else _cells
             columns = []
-            for row1 in hom1:
-                outer = map(itemgetter(*row1), rows2) if len(row1) > 1 else [row1] * len(rows2)
-                columns.append(list(map(composites.get, outer)))
+            for key1 in hom1:
+                columns.append(list(map(composites.get, map(read(key1), rows2))))
                 if None in columns[-1]:
                     raise missing(i, k, "composite")
             # column a1 holds (a2, a1) for every a2; entries go in a2-major order
             cells = itertools.chain.from_iterable(zip(*columns))
-            compose.update(zip(itertools.product(hom2.values(), hom1.values()), cells))
+            compose.update(zip(itertools.product(ids2, hom1.values()), cells))
 
     groupoid = FiniteGroupoid(
         objects=frozenset(ids),

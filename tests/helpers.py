@@ -28,7 +28,9 @@ bundle_mutations yields every single-entry rewrite or deletion of a
 bundle's act, projection and momentum tables.  reference_morphisms
 validates every product of per-fiber images with validate_bundle_morphism
 and returns the mappings, as a reference for the constructed hom sets of
-gauge.  naive_bundle_morphisms tries every map of points and naive_ggts
+gauge.  reference_gauge_tables finds the units, inverses and composites
+of a gauge groupoid by whole morphism rows, as a reference for
+gauge._assemble.  naive_bundle_morphisms tries every map of points and naive_ggts
 every value table, as references for the enumeration oracles on bundles
 that need not be principal.
 """
@@ -40,6 +42,7 @@ from dataclasses import replace
 from typing import Iterator
 
 from gpdkit import (
+    GGT,
     BundleMorphism,
     FiniteGroupoid,
     GaugeTransformation,
@@ -744,6 +747,61 @@ def reference_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dict[s
     return mappings
 
 
+def reference_gauge_tables(
+    bundles: list[PrincipalBundle], ggts: dict[str, GGT]
+) -> tuple[list, list, list] | str:
+    """The unit, inverse and compose items of the gauge groupoid on ggts
+    (arrow id -> GGT, each hom set in content order) in the insertion
+    order of gauge._assemble, or the text of its first refusal: units by
+    object, inverses by hom set and arrow, then composites by outer hom
+    set (j, k) and inner source i.
+
+    Each arrow's morphism is read off the raw act table,
+    sigma(p1) = p2 . K(p1, p2) at the least same-fiber p2, and each
+    unit, inverse and composite is found by its whole row of images over
+    the sorted points, never by part of it."""
+    ids = [f"P{i}" for i in range(len(bundles))]
+    points = [sorted(B.total) for B in bundles]
+    homs: dict[tuple[int, int], dict[tuple[str, ...], str]] = {
+        (i, j): {} for i in range(len(ids)) for j in range(len(ids))
+    }
+    sigma: dict[str, dict[str, str]] = {}
+    for aid, K in ggts.items():
+        i, j = map(ids.index, aid.split(":")[1].split(">"))
+        image: dict[str, str] = {}
+        for (p1, p2), k in sorted(K.values.items()):
+            image.setdefault(p1, bundles[j].act[(p2, k)])
+        sigma[aid] = image
+        homs[(i, j)][tuple(image[p] for p in points[i])] = aid
+
+    def missing(i: int, j: int, what: str) -> str:
+        return f"{what} GGT missing from hom({ids[i]}, {ids[j]})"
+
+    unit = []
+    for i, x in enumerate(ids):
+        found = homs[(i, i)].get(tuple(points[i]))
+        if found is None:
+            return missing(i, i, "unit")
+        unit.append((x, found))
+    inverse = []
+    for (i, j), hom in homs.items():
+        for aid in hom.values():
+            back = {q: p for p, q in sigma[aid].items()}
+            found = homs[(j, i)].get(tuple(back[q] for q in points[j]))
+            if found is None:
+                return missing(j, i, "inverse")
+            inverse.append((aid, found))
+    compose = []
+    for (j, k), hom2 in homs.items():
+        for i in range(len(ids)):
+            for a2 in hom2.values():
+                for a1, row1 in zip(homs[(i, j)].values(), homs[(i, j)]):
+                    found = homs[(i, k)].get(tuple(map(sigma[a2].__getitem__, row1)))
+                    if found is None:
+                        return missing(i, k, "composite")
+                    compose.append(((a2, a1), found))
+    return unit, inverse, compose
+
 
 def _spread_from_least(B: PrincipalBundle, unique: bool) -> bool:
     """Whether the act entries of each fiber's least point r land on its
@@ -765,8 +823,8 @@ def _spread_from_least(B: PrincipalBundle, unique: bool) -> bool:
 
 def naive_bundle_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dict[str, str]]:
     """Every map of B1's points to B2's, in sorted item order, that keeps
-    projection and momentum and sends each act entry of B1, p.g == q, to
-    one of B2; tried map by map.  None at all unless the act entries of
+    projection and momentum and sends each act entry of B1, p.g == q, with
+    p one of B1's points, to one of B2; tried map by map.  None at all unless the act entries of
     each fiber's least point land on its fiber and reach all of it, as
     enumerate_bundle_morphisms spreads every fiber from that point."""
     if not _spread_from_least(B1, unique=False):
@@ -779,7 +837,11 @@ def naive_bundle_morphisms(B1: PrincipalBundle, B2: PrincipalBundle) -> list[dic
             B2.projection.get(sigma[p]) == B1.projection.get(p)
             and B2.momentum.get(sigma[p]) == B1.momentum.get(p)
             for p in points1
-        ) and all(B2.act.get((sigma[p], g)) == sigma.get(q) for (p, g), q in B1.act.items()):
+        ) and all(
+            B2.act.get((sigma[p], g)) == sigma.get(q)
+            for (p, g), q in B1.act.items()
+            if p in sigma
+        ):
             found.append(sigma)
     return sorted(found, key=lambda sigma: sorted(sigma.items()))
 

@@ -401,18 +401,34 @@ def _act_mutants(B: PrincipalBundle):
                 yield replace(B, act={**B.act, key: q})
 
 
+def _momentum_mutants(B: PrincipalBundle):
+    """Every bundle that moves the momentum of one point of B, not the
+    least of its fiber, to another object: its act entries then run from
+    the wrong object."""
+    least = {fiber[0] for fiber in B.fibers.values()}
+    for p in sorted(B.total - least):
+        for x in sorted(B.groupoid.objects - {B.momentum[p]}):
+            yield replace(B, momentum={**B.momentum, p: x})
+
+
 def test_oracles_match_a_naive_enumeration_on_act_mutants(z2, unit_z2, unit_pair2):
-    """On bundles of at most 4 points and their single-entry act mutants,
-    on either side, both oracles return what trying every map or value
-    table returns.  The mutants run the rejection branches: a spread that
-    is not single-valued (enumerate_bundle_morphisms), a fiber point that
-    the least point does not reach by exactly one arrow, and a block that
-    breaks the law (enumerate_ggts)."""
+    """On bundles of at most 4 points and their single-entry act and
+    momentum mutants, on either side, both oracles return what trying
+    every map or value table returns.  The mutants run the rejection
+    branches: a spread that is not single-valued
+    (enumerate_bundle_morphisms), a fiber point that the least point does
+    not reach by exactly one arrow, a block value whose endpoints are not
+    the momenta of its pair, and a block that breaks the law
+    (enumerate_ggts).  The z2 bundles also get an act key ('ghost', 'e')
+    whose point is none of theirs, which both oracles skip."""
     z2_over_two = random_bundle(z2, 2, GeneratorSpec(3, max_total=4))
     assert len(z2_over_two.total) == 4
     emptied = 0
     for B in (unit_z2, unit_pair2, z2_over_two):
-        for M in _act_mutants(B):
+        mutants = [*_act_mutants(B), *_momentum_mutants(B)]
+        if B.groupoid == z2:
+            mutants.append(replace(B, act={**B.act, ("ghost", "e"): min(B.total)}))
+        for M in mutants:
             for B1, B2 in ((M, B), (B, M)):
                 morphisms = [f.mapping for f in enumerate_bundle_morphisms(B1, B2)]
                 assert morphisms == naive_bundle_morphisms(B1, B2)

@@ -58,6 +58,7 @@ from helpers import (
     bundle_mutations,
     naive_gauge_tables,
     naive_quotients,
+    reference_gauge_tables,
     reference_morphisms,
 )
 
@@ -490,10 +491,9 @@ def test_constructed_hom_sets_equal_the_oracle(family, request):
             assert mine == [_ggt_table(K) for K in enumerate_ggts(Bi, Bj)]
 
 
-def test_gauge_groupoids_with_rows_of_zero_and_one_points(z2):
-    """Morphism rows and value rows of 0 and 1 points, which itemgetter
-    reads as a value or refuses: the unit bundle of the one-arrow
-    groupoid, alone and twice, and the bundle with no points."""
+def _point_and_empty(z2) -> tuple[PrincipalBundle, PrincipalBundle]:
+    """The unit bundle of the one-arrow groupoid, and a z2 bundle with no
+    points (and no base point)."""
     one = FiniteGroupoid(
         objects=frozenset({"*"}),
         arrows=frozenset({"e"}),
@@ -503,8 +503,14 @@ def test_gauge_groupoids_with_rows_of_zero_and_one_points(z2):
         inverse={"e": "e"},
         compose={("e", "e"): "e"},
     )
-    point = unit_bundle(one)
-    empty = PrincipalBundle(z2, frozenset(), frozenset(), {}, {}, {})
+    return unit_bundle(one), PrincipalBundle(z2, frozenset(), frozenset(), {}, {}, {})
+
+
+def test_gauge_groupoids_with_rows_of_zero_and_one_points(z2):
+    """Morphism rows and value rows of 0 and 1 points, which itemgetter
+    reads as a value or refuses: the unit bundle of the one-arrow
+    groupoid, alone and twice, and the bundle with no points."""
+    point, empty = _point_and_empty(z2)
     assert len(point.total) == 1
     for bundles, counts in (
         ([point], [1, 1]),
@@ -523,6 +529,99 @@ def test_gauge_groupoids_with_rows_of_zero_and_one_points(z2):
         _assert_stated_units_inverses_order_and_ids(gg)
     for B in (point, empty):
         assert _tables(gauge_group(B)) == naive_gauge_tables(B, list(gauge_group(B).elements))
+
+
+def _tables_or_refusal(build) -> tuple[list, list, list] | str:
+    """The unit, inverse and compose items of build()'s groupoid, in
+    insertion order, or the text of the IntegrityError it raised."""
+    try:
+        G = build().groupoid
+    except IntegrityError as e:
+        return str(e)
+    return list(G.unit.items()), list(G.inverse.items()), list(G.compose.items())
+
+
+def test_gauge_groupoid_tables_match_a_full_row_reference(z2, unit_z2, unit_s3, unit_pair2):
+    """Units, inverses and composites found by one point per fiber are
+    those found by whole morphism rows (reference_gauge_tables), in
+    insertion order: on bases of 0 to 3 points (bare and tuple keys), the
+    three-bundle z2 family, random bibundle pairs and ROADMAP's U; and
+    under keep filters that drop a unit, an inverse or a composite, the
+    refusal texts are the reference's too."""
+    point, empty = _point_and_empty(z2)
+    U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
+    over = {
+        n: [random_bundle(z2, n, GeneratorSpec(s, max_total=8)) for s in (5, 6)]
+        for n in (2, 3)
+    }
+    families = [
+        [empty],
+        [empty, empty],
+        [point],
+        [point, point],
+        [unit_z2],
+        [unit_s3],
+        [unit_pair2],
+        _three_bundles(unit_z2),
+        over[2],
+        over[3],
+        [U],
+    ]
+    assert {len(bundles[0].base) for bundles in families} == {0, 1, 2, 3}
+    for bundles in families:
+        gg = build_gauge_groupoid(bundles)
+        want = reference_gauge_tables(bundles, gg.ggts)
+        assert _tables_or_refusal(lambda: gg) == want
+    hs_pairs = 0
+    for seed in range(6):
+        G = random_groupoid(GeneratorSpec(seed, max_objects=2, max_group_order=6))
+        H = random_groupoid(GeneratorSpec(seed + 40, max_objects=2, max_group_order=3))
+        hs = [random_hs(G, H, GeneratorSpec(80 + 2 * seed + k, max_total=12)) for k in (0, 1)]
+        gg = build_hs_gauge_groupoid(hs)
+        hs_pairs += len(gg.ggts) > 2
+        assert _tables_or_refusal(lambda: gg) == reference_gauge_tables(list(gg.bundles), gg.ggts)
+    assert hs_pairs >= 3
+
+    def dropping(bundles, at: tuple[int, int], dropped: dict):
+        """Both outcomes when hom set at does not keep the GGT dropped."""
+        head = f"ggt:P{at[0]}>P{at[1]}:"
+        kept = {
+            aid: K
+            for aid, K in build_gauge_groupoid(bundles).ggts.items()
+            if not (aid.startswith(head) and K.values == dropped)
+        }
+
+        def keep(i, j, pairs):
+            return (lambda row: dict(zip(pairs, row)) != dropped) if (i, j) == at else None
+
+        got = _tables_or_refusal(lambda: gpdkit.gauge._assemble(bundles, keep))
+        return got, reference_gauge_tables(bundles, kept)
+
+    unit_values = identity_ggt(unit_s3).values
+    involution = min(
+        (
+            K.values
+            for K in enumerate_ggts(unit_s3, unit_s3)
+            if K.values != unit_values and invert_ggt(K).values == K.values
+        ),
+        key=sorted,
+    )
+    three = _three_bundles(unit_z2)
+    cases = [
+        (three, (1, 1), identity_ggt(three[1]).values),
+        (three, (1, 0), enumerate_ggts(three[1], three[0])[0].values),
+        (over[3], (0, 0), identity_ggt(over[3][0]).values),
+        (over[3], (1, 0), enumerate_ggts(over[3][1], over[3][0])[-1].values),
+        ([unit_s3], (0, 0), involution),
+    ]
+    refusals = []
+    for bundles, at, dropped in cases:
+        got, want = dropping(bundles, at, dropped)
+        assert got == want
+        refusals.append(got)
+    assert [text.split(" ")[0] for text in refusals] == [
+        "unit", "inverse", "unit", "inverse", "composite"
+    ]
 
 
 def test_gauge_groupoid_above_the_oracle_bounds(s3):
