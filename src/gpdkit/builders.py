@@ -693,9 +693,14 @@ def enumerate_ggts(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[GGT, ...]:
     _oracle_context(B1, B2)
     G = B1.groupoid
     # Products a^-1 k b are read off the raw tables; on a missing entry
-    # they are redone with G.inv and G.mul, which raise naming it.
+    # they are redone with G.inv and G.mul, which raise naming it, unless
+    # G's source and target tables make them non-composable: then they are
+    # None, which rejects the candidate.
     compose, inverse = G.compose, G.inverse
     moves1, moves2 = _scan_moves(B1), _scan_moves(B2)
+
+    def composable(*chain: str) -> bool:
+        return all(G.source.get(x) == G.target.get(y) for x, y in zip(chain, chain[1:]))
 
     def transports(
         moves: dict[str, list[tuple[str, str]]], r: str, fib
@@ -739,11 +744,12 @@ def enumerate_ggts(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[GGT, ...]:
                     try:
                         block[(q1, q2)] = compose[(compose[(inverse[a], k)], b)]
                     except KeyError:
-                        block[(q1, q2)] = G.mul(G.mul(G.inv(a), k), b)
+                        x = G.inv(a)
+                        block[(q1, q2)] = G.mul(G.mul(x, k), b) if composable(x, k, b) else None
             consistent = True
             for (q1, q2), v in block.items():
                 if (
-                    G.source[v] != B1.momentum[q1]
+                    G.source.get(v) != B1.momentum[q1]
                     or G.target[v] != B2.momentum[q2]
                 ):
                     consistent = False
@@ -754,7 +760,8 @@ def enumerate_ggts(B1: PrincipalBundle, B2: PrincipalBundle) -> tuple[GGT, ...]:
                         try:
                             want = compose[(compose[(inverse[g2], v)], g1)]
                         except KeyError:
-                            want = G.mul(G.mul(G.inv(g2), v), g1)
+                            x = G.inv(g2)
+                            want = G.mul(G.mul(x, v), g1) if composable(x, v, g1) else None
                         if got != want:
                             consistent = False
                             break

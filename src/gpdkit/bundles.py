@@ -71,7 +71,7 @@ class _ReadOnlyDict(dict):
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("a bundle's tables and indexes are read-only")
+        raise TypeError("this table is read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse

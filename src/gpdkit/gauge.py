@@ -47,11 +47,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
-from .bundles import IntegrityError, PrincipalBundle, _fibred_pairs, division_map
+from .bundles import IntegrityError, PrincipalBundle, _fibred_pairs, _ReadOnlyDict, division_map
 from .core import (
     FiniteGroupoid,
     ValidationReport,
@@ -412,16 +413,21 @@ class GaugeGroup:
 
     product and inverse index into elements; unit is the index of the
     transformation sending every point to the unit at its momentum.
-    From gauge_group and hs_gauge_group, product is a read-only mapping
-    whose entries are computed on its first read (see _tabulate); it
-    compares, prints, copies and pickles as the dict it holds.
+    product is a read-only dict filled from _fill on its first read (see
+    _tabulate) and cached on the group, like a bundle's indexes; it is no
+    field, so == and repr never read it, and dataclasses.replace keeps
+    _fill and fills the copy's table again.
     """
 
     bundle: PrincipalBundle
     elements: tuple[GaugeTransformation, ...]
-    product: Mapping[tuple[int, int], int]
     unit: int
     inverse: tuple[int, ...]
+    _fill: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def product(self) -> dict[tuple[int, int], int]:
+        return _fill_products(*self._fill)
 
     @property
     def order(self) -> int:
@@ -454,8 +460,8 @@ def _fill_products(
     table: list[list[tuple[int | None, ...]]],
     by_key: dict[tuple[int, ...], int],
 ) -> dict[tuple[int, int], int]:
-    """The product table of _tabulate, row i (element i on the left) a
-    fiber column at a time; a product that is no element is an
+    """The read-only product table of _tabulate, row i (element i on the
+    left) a fiber column at a time; a product that is no element is an
     IntegrityError naming the first such (i, j)."""
     found: list[int | None] = []
     for key in keys:
@@ -465,46 +471,7 @@ def _fill_products(
     if None in found:
         i, j = divmod(found.index(None), n)
         raise _missing(f"product of elements {i} and {j}")
-    return dict(zip(itertools.product(range(n), repeat=2), found))
-
-
-class _FilledOnRead(Mapping):
-    """A read-only mapping that is fill(*inputs), computed on the first
-    read; the inputs are dropped once it is.  Mapping derives keys,
-    values and items from the three lookups.  It equals, prints, copies
-    and pickles as that dict; a copy or pickle holds the dict itself.
-    One attribute holds (fill, inputs) and then the dict, so two first
-    reads at once both fill and neither sees half a swap."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, fill: Callable[..., dict], *inputs) -> None:
-        self._state: tuple | dict = (fill, inputs)
-
-    def filled(self) -> dict:
-        state = self._state
-        if not isinstance(state, dict):
-            fill, inputs = state
-            state = self._state = fill(*inputs)
-        return state
-
-    def __getitem__(self, key):
-        return self.filled()[key]
-
-    def __iter__(self):
-        return iter(self.filled())
-
-    def __len__(self) -> int:
-        return len(self.filled())
-
-    def __eq__(self, other) -> bool:
-        return self.filled() == other
-
-    def __repr__(self) -> str:
-        return repr(self.filled())
-
-    def __reduce__(self):
-        return type(self), (dict, self.filled())
+    return _ReadOnlyDict(zip(itertools.product(range(n), repeat=2), found))
 
 
 def _tabulate(
@@ -536,8 +503,9 @@ def _tabulate(
     key and no row can miss.  The distinct keys are counted, not the
     elements, so repeated elements cannot stand in for a missing
     combination.  When closure holds, the product table is filled on its
-    first read; otherwise it is filled here, and names the first product
-    missing.  Subgroups that are no full product of fiber restrictions
+    first read and cached on the group; otherwise it is read here, before
+    the inverses are looked at, and names the first product missing.
+    Subgroups that are no full product of fiber restrictions
     (hs_gauge_group's) take that path.
     """
     G = B.groupoid
@@ -566,16 +534,16 @@ def _tabulate(
         table.append(list(zip(*[found] * len(ids))))
     keys = list(zip(*columns))
     by_key = dict(zip(keys, itertools.count()))
-    product = _FilledOnRead(_fill_products, keys, columns, table, by_key)
+    inverse = tuple([index.get(tuple(map(G.inverse.get, row))) for row in rows])
+    group = GaugeGroup(B, tuple(elements), unit, inverse, (keys, columns, table, by_key))
     closed = len(by_key) == math.prod(map(len, table)) and not any(
         None in row for block in table for row in block
     )
     if not closed:
-        product.filled()
-    inverse = tuple([index.get(tuple(map(G.inverse.get, row))) for row in rows])
+        group.product  # filled now: it names the first product missing
     if None in inverse:
         raise _missing(f"inverse of element {inverse.index(None)}")
-    return GaugeGroup(B, tuple(elements), product, unit, inverse)
+    return group
 
 
 def gauge_group(B: PrincipalBundle) -> GaugeGroup:

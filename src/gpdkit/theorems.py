@@ -42,6 +42,7 @@ from .core import (
     CONJUGATION_VARIANTS,
     FiniteGroupoid,
     GroupoidMorphism,
+    LeftAction,
     generalized_conjugation,
     isotropy_group,
     pair_id,
@@ -80,7 +81,7 @@ __all__ = ["CHECKS", "CheckResult", "run_checks", "render_report", "report_docum
 CHECKS = (
     ("def-groupoid", "fixture and generated groupoids satisfy all axioms"),
     ("def-morgroupoid", "identity and isotropy inclusion morphisms validate"),
-    ("prop-genconj", "all four generalized conjugations are valid actions"),
+    ("prop-genconj", "generalized conjugations are valid actions of their side and momentum"),
     ("def-princgroupoid", "fixture, unit and generated bundles validate"),
     ("def-unitbun", "unit bundle division is invert-then-compose"),
     ("prop-prophi", "division satisfies its defining equation and laws"),
@@ -155,6 +156,22 @@ def _morphism_laws(G: FiniteGroupoid) -> str:
     inclusion = GroupoidMorphism(iso, G, {x: x}, {g: g for g in iso.arrows})
     if bad := _first(validate_morphism(inclusion)):
         return f"isotropy at {x}: {bad}"
+    return ""
+
+
+def _conjugation_laws(G: FiniteGroupoid, variant: str) -> str:
+    """The variant's conjugation is a valid action on its side, with
+    momentum m -> (target(m), source(m)), swapped for the _bar variants."""
+    A = generalized_conjugation(G, variant)
+    if bad := _first(validate_action(A)):
+        return bad
+    side = variant.split("_")[0]
+    if isinstance(A, LeftAction) != (side == "left"):
+        return f"not a {side} action"
+    ends = (G.source, G.target) if variant.endswith("_bar") else (G.target, G.source)
+    for m in sorted(G.arrows):
+        if A.momentum.get(m) != pair_id(ends[0][m], ends[1][m]):
+            return f"momentum at {m!r}"
     return ""
 
 
@@ -437,11 +454,7 @@ def run_checks(
         for label, G in small_groupoids
         for variant in CONJUGATION_VARIANTS
     )
-    sweep(
-        "prop-genconj",
-        conjugations,
-        lambda G, variant: _first(validate_action(generalized_conjugation(G, variant))),
-    )
+    sweep("prop-genconj", conjugations, _conjugation_laws)
 
     # --- bundles ---------------------------------------------------------
     units = []

@@ -392,21 +392,25 @@ def test_enumerate_ggts_names_a_missing_compose_entry(unit_s3):
 
 def _act_mutants(B: PrincipalBundle):
     """B, then every bundle that deletes one act entry of B or sends it to
-    another point of the same fiber."""
+    another point of the same fiber, or that adds an entry p.g == p whose
+    arrow g does not end at p's momentum."""
     yield B
     for key in sorted(B.act):
         yield replace(B, act={k: v for k, v in B.act.items() if k != key})
         for q in B.fiber(B.projection[key[0]]):
             if q != B.act[key]:
                 yield replace(B, act={**B.act, key: q})
+    G = B.groupoid
+    for p in sorted(B.total):
+        for g in sorted(g for g in G.arrows if G.target[g] != B.momentum[p]):
+            yield replace(B, act={**B.act, (p, g): p})
 
 
 def _momentum_mutants(B: PrincipalBundle):
-    """Every bundle that moves the momentum of one point of B, not the
-    least of its fiber, to another object: its act entries then run from
+    """Every bundle that moves the momentum of one point of B, the least
+    of its fiber too, to another object: its act entries then run from
     the wrong object."""
-    least = {fiber[0] for fiber in B.fibers.values()}
-    for p in sorted(B.total - least):
+    for p in sorted(B.total):
         for x in sorted(B.groupoid.objects - {B.momentum[p]}):
             yield replace(B, momentum={**B.momentum, p: x})
 
@@ -416,11 +420,14 @@ def test_oracles_match_a_naive_enumeration_on_act_mutants(z2, unit_z2, unit_pair
     momentum mutants, on either side, both oracles return what trying
     every map or value table returns.  The mutants run the rejection
     branches: a spread that is not single-valued
-    (enumerate_bundle_morphisms), a fiber point that the least point does
-    not reach by exactly one arrow, a block value whose endpoints are not
-    the momenta of its pair, and a block that breaks the law
-    (enumerate_ggts).  The z2 bundles also get an act key ('ghost', 'e')
-    whose point is none of theirs, which both oracles skip."""
+    (enumerate_bundle_morphisms); and in enumerate_ggts a fiber point
+    that the least point does not reach by exactly one arrow, a block
+    product that G's endpoints make non-composable (a least point's
+    momentum moved), a block value whose endpoints are not the momenta
+    of its pair, a law product that G's endpoints make non-composable
+    (an added entry whose arrow ends elsewhere) and a block that breaks
+    the law.  The z2 bundles also get an act key ('ghost', 'e') whose
+    point is none of theirs, which both oracles skip."""
     z2_over_two = random_bundle(z2, 2, GeneratorSpec(3, max_total=4))
     assert len(z2_over_two.total) == 4
     emptied = 0

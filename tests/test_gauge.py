@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import pickle
 import time
@@ -826,22 +827,35 @@ def test_gauge_group_product_table_refuses_mutation(unit_s3):
 
 
 def test_gauge_group_copies_and_pickles_whole():
+    """A lazy gauge group (ROADMAP's U, closed, read on demand) and an
+    eager one (an invariant gauge group that is no full product, read at
+    construction) each read the same product table after pickle,
+    deepcopy and dataclasses.replace, taken before and after the first
+    read."""
     U = unit_bundle(random_groupoid(GeneratorSpec(7, max_objects=3, max_group_order=6)))
-    want = _tables(gauge_group(U))
-    for copied in (
-        lambda gg: pickle.loads(pickle.dumps(gg)),
-        copy.deepcopy,
-        lambda gg: pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(gg)))),
-    ):
-        gg = gauge_group(U)
-        again = copied(gg)
-        assert again == gg
-        assert again.product == gg.product == dict(want[0])
-        assert _tables(again) == _tables(gg) == want
-        assert repr(again.product) == repr(dict(want[0]))
-    # once filled, the table holds its entries and nothing it was filled from
-    held = [r for r in gc.get_referents(gg.product) if r is not None]
-    assert [r for r in held if not isinstance(r, type)] == [dict(want[0])]
+    G = random_groupoid(GeneratorSpec(302, max_objects=2, max_group_order=6))
+    H = random_groupoid(GeneratorSpec(402, max_objects=2, max_group_order=3))
+    h = random_hs(G, H, GeneratorSpec(502, max_total=12))
+    for make, eager in ((lambda: gauge_group(U), False), (lambda: hs_gauge_group(h), True)):
+        want = _tables(make())
+        for copied in (
+            lambda gg: pickle.loads(pickle.dumps(gg)),
+            copy.deepcopy,
+            lambda gg: pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(gg)))),
+            replace,
+        ):
+            gg = make()
+            assert ("product" in vars(gg)) == eager
+            before = copied(gg)
+            assert gg.product == dict(want[0])
+            for again in (before, copied(gg)):
+                assert again == gg
+                assert _tables(again) == _tables(gg) == want
+                assert repr(again.product) == repr(dict(want[0]))
+        # once filled, the table refers to its class, keys and values only
+        table = gg.product
+        held = sorted(map(id, gc.get_referents(table)))
+        assert held == sorted(map(id, [type(table), *itertools.chain(*table.items())]))
 
 
 def _hom_outcomes(cases) -> list:

@@ -198,6 +198,13 @@ def _raises(message: str):
     return broken
 
 
+def _with_product(g, product: dict):
+    """A copy of gauge group g whose product table reads product."""
+    mutant = replace(g)
+    vars(mutant)["product"] = product
+    return mutant
+
+
 def _drop_compose_entry(gg):
     compose = dict(gg.groupoid.compose)
     del compose[min(compose)]
@@ -272,9 +279,7 @@ BROKEN_CONSTRUCTIONS = [
     ),
     (
         "gauge_group",
-        lambda orig: lambda B: replace(
-            (g := orig(B)), product=dict(list(g.product.items())[1:])
-        ),
+        lambda orig: lambda B: _with_product((g := orig(B)), dict(list(g.product.items())[1:])),
         "prop-gaugegr",
         "product table not total",
     ),
@@ -337,9 +342,7 @@ BROKEN_CONSTRUCTIONS = [
     ),
     (
         "hs_gauge_group",
-        lambda orig: lambda h: replace(
-            (g := orig(h)), product={k: g.order for k in g.product}
-        ),
+        lambda orig: lambda h: _with_product((g := orig(h)), {k: g.order for k in g.product}),
         "prop-gaugegrhils",
         "product of elements 0 and 0 is not pointwise",
     ),
@@ -428,9 +431,9 @@ def test_a_broken_construction_fails_its_statement(docs, monkeypatch, name, brok
 CENSUS_MUTANTS = [
     (
         "gauge_group",
-        lambda orig: lambda B: replace(
+        lambda orig: lambda B: _with_product(
             (g := orig(B)),
-            product={(i, j): (i + j) % g.order for i in range(g.order) for j in range(g.order)},
+            {(i, j): (i + j) % g.order for i in range(g.order) for j in range(g.order)},
         ),
         "prop-gaugegr",
     ),
@@ -440,6 +443,7 @@ CENSUS_MUTANTS = [
         "prop-gaugegr",
     ),
     ("hs_gauge_group", lambda orig: lambda h: gpdkit.gauge_group(h.bundle), "prop-gaugegrhils"),
+    ("generalized_conjugation", lambda orig: lambda G, variant: orig(G, "left"), "prop-genconj"),
     ("trivialize", lambda orig: lambda B, section: None, "def-trivbun"),
     ("fibred_product", lambda orig: gpdkit.product_bundle, "lem-fibprod"),
 ]
@@ -449,8 +453,9 @@ def test_census_mutants_fail_a_statement_at_seed_42(docs, monkeypatch):
     """Each statement reads what its construction returns: a gauge group
     whose product is (i + j) mod n or whose elements are their own
     inverses, an invariant gauge group that is the whole gauge group, a
-    trivialization that returns None and a fibred product that is the
-    product bundle each fail their statement at the default size."""
+    conjugation that ignores its variant, a trivialization that returns
+    None and a fibred product that is the product bundle each fail their
+    statement at the default size."""
     for name, mutant, check in CENSUS_MUTANTS:
         with monkeypatch.context() as patch:
             patch.setattr(gpdkit.theorems, name, mutant(getattr(gpdkit.theorems, name)))
